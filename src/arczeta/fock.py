@@ -896,164 +896,51 @@ def highest_weight_check(phi: FockPoly, theta: ThetaDatum) -> HighestWeightRepor
 
 
 # ---------------------------------------------------------------------------
-# compiled matrix-coefficient evaluator for the integration hot path
-
-
-class _SymCoef:
-    """Sparse polynomial in the entries of the substitution data (used once
-    per datum to compile the matrix coefficient, then evaluated in batch)."""
-
-    __slots__ = ("terms", "nsym")
-
-    def __init__(self, nsym: int, terms=None):
-        self.nsym = nsym
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def const(cls, nsym, value):
-        return cls(nsym, {(0,) * nsym: complex(value)} if value else {})
-
-    @classmethod
-    def symbol(cls, nsym, idx):
-        e = [0] * nsym
-        e[idx] = 1
-        return cls(nsym, {tuple(e): 1.0 + 0j})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0j) + c
-            if not out[e]:
-                del out[e]
-        return _SymCoef(self.nsym, out)
-
-    def __mul__(self, other):
-        if not isinstance(other, _SymCoef):
-            if not other:
-                return _SymCoef(self.nsym)
-            return _SymCoef(self.nsym, {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0j) + c1 * c2
-                if not out[e]:
-                    del out[e]
-        return _SymCoef(self.nsym, out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
+# closed-form matrix coefficient for the integration hot path
 
 
 class MatrixCoefficient:
-    """Compiled highest-weight matrix coefficient of the compact action.
+    """Highest-weight matrix coefficient <omega(M) phi, phi> as a minor product.
 
-    Evaluates <omega(M) phi, phi> for batches of block-diagonal complex
-    elements M; the dependence on M is polynomial in the entries of the
-    transposed block, the inverted block and the scalar block (plus the det
-    twist through the root ratio), so it is expanded once symbolically and
-    then evaluated with vectorized power products.
+    A highest-weight matrix coefficient is a product of generalized minors
+    (Fomin-Zelevinsky).  omega(M) carries each minor factor of phi to the
+    matching minor of its block: a leading i x i minor of A picks up that of
+    x^T, which is D_i = det x[:i, :i]; a trailing i x i minor of B picks up
+    that of x^{-1}, which is D_{n-i} / D_n by Jacobi's complementary-minor
+    identity (D_0 = 1).  With r the carried root ratio:
+
+        Case I:  |phi|^2 r^(p-q) y^-gamma prod_{i<=n} (D_{n-i}/D_n)^(alpha_i - alpha_{i+1})
+        Case II: |phi|^2 r^(p-q) y^gamma  prod_{i<=p} D_i^(beta_i - beta_{i+1})
+                                          prod_{i<q} (D_{n-i}/D_n)^(alpha_i - alpha_{i+1})
+
+    Setup collects one exponent per D_k; evaluation costs one batched
+    determinant per minor that occurs and forms no inverse.
     """
 
     def __init__(self, theta: ThetaDatum):
-        self.theta = theta
-        n, p = theta.n, theta.p
-        self.n = n
+        n = theta.n
         phi = harmonic_hwv(theta, exact=True)
         self.phi_norm2 = complex(bargmann_inner(phi, phi))
-        nsym = 2 * n * n + 2
-        self.nsym = nsym
-
-        def sym_xt(i, k):  # entry (i,k) of the transposed block
-            return _SymCoef.symbol(nsym, (i - 1) * n + (k - 1))
-
-        def sym_xi(i, k):  # entry (i,k) of the inverted block
-            return _SymCoef.symbol(nsym, n * n + (i - 1) * n + (k - 1))
-
-        sym_y = _SymCoef.symbol(nsym, 2 * n * n)
-        sym_yi = _SymCoef.symbol(nsym, 2 * n * n + 1)
-
-        # expand omega(M) phi with symbolic coefficients
-        expanded: dict[tuple, _SymCoef] = {}
-        zero = _SymCoef(nsym)
-        cache: dict[tuple[int, int], dict[tuple, _SymCoef]] = {}
-
-        def image_power(v, e):
-            key = (v, e)
-            if key not in cache:
-                i, j = 1 + v // (n + 1), 1 + v % (n + 1)
-                if i <= n:
-                    lin = {}
-                    for kk in range(1, n + 1):
-                        lin[_var(n, kk, j)] = sym_xt(i, kk) if j <= p else sym_xi(i, kk)
-                else:
-                    lin = {v: (sym_yi if j <= p else sym_y)}
-                # repeated multiplication by the linear form; monomials in the
-                # z variables are kept as sorted tuples of variable indices
-                poly = {(): _SymCoef.const(nsym, 1.0)}
-                for _ in range(e):
-                    nxt: dict[tuple, _SymCoef] = {}
-                    for mono, c in poly.items():
-                        for w, s in lin.items():
-                            key2 = tuple(sorted(mono + (w,)))
-                            add = c * s
-                            nxt[key2] = nxt[key2] + add if key2 in nxt else add
-                    poly = nxt
-                cache[key] = poly
-            return cache[key]
-
-        for exps, coeff in phi.terms.items():
-            base = complex(coeff)
-            partials = {(): _SymCoef.const(nsym, base)}
-            for v, e in enumerate(exps):
-                if not e:
-                    continue
-                img = image_power(v, e)
-                nxt: dict[tuple, _SymCoef] = {}
-                for mono1, c1 in partials.items():
-                    for mono2, c2 in img.items():
-                        key2 = tuple(sorted(mono1 + mono2))
-                        add = c1 * c2
-                        nxt[key2] = nxt[key2] + add if key2 in nxt else add
-                partials = nxt
-            for mono, c in partials.items():
-                expanded[mono] = expanded[mono] + c if mono in expanded else c
-
-        # pair against phi: pick the phi-monomials, weight by conj(coeff)*norm
-        coeff_acc = _SymCoef(nsym)
-        for exps, coeff in phi.terms.items():
-            mono = tuple(sorted(
-                v for v, e in enumerate(exps) for _ in range(e)
-            ))
-            if mono not in expanded:
-                continue
-            base = complex(coeff) if not isinstance(coeff, PiLaurent) else complex(coeff)
-            norm = math.exp(_log_monomial_norm(exps))
-            coeff_acc = coeff_acc + expanded[mono] * (base.conjugate() * norm)
-
-        self._exponents = np.array(list(coeff_acc.terms.keys()), dtype=np.int64)
-        self._coeffs = np.array(list(coeff_acc.terms.values()), dtype=complex)
+        self._ratio_exp = theta.p - theta.q
+        exps = [0] * (n + 1)  # exponent of D_k, k = 0..n
+        alphas = [int(a) for a in theta.alphas] + [0]
+        if theta.case is Case.I:
+            self._y_exp, trailing = -int(theta.gamma), n
+        else:
+            self._y_exp, trailing = int(theta.gamma), theta.q - 1
+            betas = [int(b) for b in theta.betas] + [0]
+            for i in range(1, theta.p + 1):
+                exps[i] += betas[i - 1] - betas[i]
+        for i in range(1, trailing + 1):
+            exps[n - i] += alphas[i - 1] - alphas[i]
+            exps[n] -= alphas[i - 1] - alphas[i]
+        self._minor_exps = [(k, e) for k, e in enumerate(exps) if k and e]
 
     def evaluate(self, block_n: np.ndarray, block_1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
         """Batched evaluation; block_n is (N, n, n), block_1 and ratio (N,)."""
-        n = self.n
-        count = block_n.shape[0]
-        xt = block_n.transpose(0, 2, 1).reshape(count, n * n)
-        xi = np.linalg.inv(block_n).reshape(count, n * n)
-        vals = np.concatenate(
-            [xt, xi, block_1[:, None], (1.0 / block_1)[:, None]], axis=1
-        )
-        out = np.zeros(count, dtype=complex)
-        chunk = max(1, 2_000_000 // max(1, len(self._coeffs)))
-        for start in range(0, count, chunk):
-            sl = slice(start, min(count, start + chunk))
-            prods = np.prod(
-                vals[sl, None, :] ** self._exponents[None, :, :], axis=2
-            )
-            out[sl] = prods @ self._coeffs
-        tw = self.theta.p - self.theta.q
-        if tw:
-            out = out * cpow_int(ratio, tw)
+        out = self.phi_norm2 * cpow_int(block_1, self._y_exp)
+        for k, e in self._minor_exps:
+            out = out * cpow_int(np.linalg.det(block_n[:, :k, :k]), e)
+        if self._ratio_exp:
+            out = out * cpow_int(ratio, self._ratio_exp)
         return out

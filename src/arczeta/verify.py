@@ -138,6 +138,23 @@ def _guard_poles(factors: Sequence[Fraction], context: str):
         )
 
 
+def _verdict(value, target: float, stderr: Optional[float] = None) -> tuple[str, float]:
+    """PASS/FAIL and relative error of an estimate against its target.
+
+    A deterministic estimate (``stderr`` None) passes at relative error
+    1e-8.  A Monte Carlo estimate passes within three standard errors,
+    floored at 1e-12 relative so that a zero-variance integrand is judged
+    against rounding rather than against an empty band.
+    """
+    diff = float(abs(value - target))
+    rel = diff / abs(target)
+    if stderr is None:
+        ok = rel <= 1e-8
+    else:
+        ok = diff <= max(3.0 * stderr, 1e-12 * abs(target))
+    return ("PASS" if ok else "FAIL"), rel
+
+
 def _fractional_char_batch(kappas: Sequence[Fraction], eigs: np.ndarray) -> np.ndarray:
     """Character with a possibly fractional common det twist at positive-real
     or complex eigenvalue batches (N, m)."""
@@ -204,8 +221,7 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
         g = _s_integrand_radial(p, q, kap, iot, s)
         val, err = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
         est = Estimate(val, err, 0, seed, time.perf_counter() - t0)
-        rel = abs(val - float(closed)) / abs(float(closed))
-        verdict = "PASS" if rel <= 1e-8 else "FAIL"
+        verdict, rel = _verdict(val, float(closed))
         return VerifyReport("verify_S", est, closed, verdict, rel, {"method": "quad"})
 
     dim = gl_dim(kap) * gl_dim(iot)
@@ -250,9 +266,7 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
-    diff = abs(mean - float(closed))
-    rel = diff / abs(float(closed))
-    verdict = "PASS" if diff <= max(3.0 * stderr, 1e-12 * abs(float(closed))) else "FAIL"
+    verdict, rel = _verdict(mean, float(closed), stderr)
     return VerifyReport("verify_S", est, closed, verdict, rel, {"method": "mc"})
 
 
@@ -299,8 +313,7 @@ def verify_T(theta: ThetaDatum, s, *, samples: int = 200_000, seed: int = 0,
 
         val, err = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
         est = Estimate(val, err, 0, seed, time.perf_counter() - t0)
-        rel = abs(val - float(closed)) / abs(float(closed))
-        verdict = "PASS" if rel <= 1e-8 else "FAIL"
+        verdict, rel = _verdict(val, float(closed))
         return VerifyReport("verify_T", est, closed, verdict, rel, {"method": "quad"})
 
     e_imp = float(min(factors)) - 1.0
@@ -312,9 +325,7 @@ def verify_T(theta: ThetaDatum, s, *, samples: int = 200_000, seed: int = 0,
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
-    diff = abs(mean - float(closed))
-    rel = diff / abs(float(closed))
-    verdict = "PASS" if diff <= max(3.0 * stderr, 1e-12 * abs(float(closed))) else "FAIL"
+    verdict, rel = _verdict(mean, float(closed), stderr)
     return VerifyReport("verify_T", est, closed, verdict, rel, {"method": "mc"})
 
 
@@ -393,35 +404,34 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     n = theta.n
     s0 = Fraction(n + 1, 2)
     closed = zeta_closed(theta)
-    phi = harmonic_hwv(theta, exact=True)
-    norm2 = complex(bargmann_inner(phi, phi)).real
     target = ClosedValue(closed.rational, closed.pi_exp)
-    target_float = float(closed) * norm2
     factors = closed_T_factors(theta, s0)
     _guard_poles(factors, "verify_zeta")
     t0 = time.perf_counter()
 
     if method == "radial":
+        phi = harmonic_hwv(theta, exact=True)
+        norm2 = complex(bargmann_inner(phi, phi)).real
+        target_float = float(closed) * norm2
         rep = verify_T(theta, s0, method="quad")
         val = rep.estimate.value * norm2 / theta.dim_sigma()
         est = Estimate(val, rep.estimate.stderr * norm2 / theta.dim_sigma(), 0, seed,
                        time.perf_counter() - t0)
-        rel = abs(val - target_float) / abs(target_float)
-        verdict = "PASS" if rel <= 1e-8 else "FAIL"
+        verdict, rel = _verdict(val, target_float)
         return VerifyReport("verify_zeta", est, target, verdict, rel,
                             {"method": "radial", "phi_norm2": norm2})
 
-    e_imp = float(min(factors)) - 1.0
     coeff_eval = MatrixCoefficient(theta)
+    norm2 = coeff_eval.phi_norm2.real
+    target_float = float(closed) * norm2
+    e_imp = float(min(factors)) - 1.0
 
     def chunk(rng, size):
         return zeta_integrand_samples(theta, rng, size, e_imp, coeff_eval)
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
-    diff = abs(mean - target_float)
-    rel = diff / abs(target_float)
-    verdict = "PASS" if diff <= max(3.0 * stderr, 1e-12 * abs(target_float)) else "FAIL"
+    verdict, rel = _verdict(mean, target_float, stderr)
     return VerifyReport("verify_zeta", est, target, verdict, rel,
                         {"method": "mc", "phi_norm2": norm2,
                          "importance_exponent": e_imp})
@@ -549,11 +559,11 @@ def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int
             return (np.abs(chi) ** 2).astype(complex)
 
         mean, stderr, count = _reduce_mean(chunk, samples, workers, seed + idx)
-        dev = abs(mean.real - 1.0)
-        passed = dev <= 3.0 * stderr
-        ok = ok and passed
+        verdict, dev = _verdict(mean.real, 1.0, stderr)
+        ok = ok and verdict == "PASS"
         worst = max(worst, dev)
-        rows.append({"weight": mu, "mean": mean.real, "stderr": stderr, "pass": passed})
+        rows.append({"weight": mu, "mean": float(mean.real), "stderr": stderr,
+                     "pass": verdict == "PASS"})
     est = Estimate(complex(worst), 0.0, samples * len(weights), seed, time.perf_counter() - t0)
     return VerifyReport("verify_schur", est, None, "PASS" if ok else "FAIL", worst,
                         {"rows": rows})

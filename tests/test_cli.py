@@ -155,6 +155,16 @@ class TestVerifyCommands:
                                "--samples", "50000")
         assert code == 0
 
+    def test_verify_schur_out(self, capsys, tmp_path):
+        out_path = tmp_path / "schur.json"
+        code, _, _ = run_cli(capsys, "verify-schur", "--weights", "1,0;2,2",
+                             "--samples", "20000", "--seed", "1",
+                             "--out", str(out_path))
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        validate_report(doc)
+        assert [row["pass"] for row in doc["extra"]["rows"]] == [True, True]
+
     def test_radial_zeta_method(self, capsys):
         code, out, _ = run_cli(capsys, "verify-zeta", "--lambda", "-1/2,-5/2",
                                "--method", "radial", "--samples", "10000")

@@ -24,7 +24,7 @@ from arczeta.fock import (
     weil_transform_bruteforce,
 )
 from arczeta.group import CoverElement, b_t_cover, haar_unitary
-from arczeta.weights import classify_theta
+from arczeta.weights import admissible_sweep, classify_theta
 
 from conftest import exact_cover_2, lam, random_cover
 
@@ -469,8 +469,16 @@ class TestExactCover:
 
 class TestCompiledMatrixCoefficient:
     def test_matches_direct_evaluation(self, rng):
-        for lamv in (lam("3/2", "1/2"), lam("5/2", "3/2", "1/2"), lam("7/2", "3/2", "1/2")):
-            th = classify_theta(lamv)
+        # the closed-form minor product against the substitution route over
+        # the two-route sweep, one n=3 parameter of each shape, and one
+        # second-shape parameter outside the closed-form domain
+        thetas = [classify_theta(lv) for lv in admissible_sweep(1, 3)]
+        thetas += [classify_theta(lv) for lv in admissible_sweep(2, F(7, 2))]
+        thetas.append(classify_theta(lam("9/2", "7/2", "3/2", "1/2")))
+        thetas.append(classify_theta(lam("1/2", "-3/2", "-7/2", "-9/2")))
+        thetas.append(classify_theta(lam("5/2", "3/2", "-3/2", "-7/2"),
+                                     enforce_closed_form_domain=False))
+        for th in thetas:
             mc = MatrixCoefficient(th)
             phi = harmonic_hwv(th, exact=False)
             blocks = []
@@ -485,4 +493,4 @@ class TestCompiledMatrixCoefficient:
             ratio = np.array([el.zeta_ratio for el, _ in blocks])
             vals = mc.evaluate(bn, b1, ratio)
             for v, (_, direct) in zip(vals, blocks):
-                assert abs(v - direct) <= 1e-10 * max(1.0, abs(direct))
+                assert abs(v - direct) <= 1e-10 * abs(direct), str(th.lam)

@@ -139,6 +139,12 @@ class TestVerifyZeta:
             band = 3 * mc.estimate.stderr + 1e-10
             assert abs(mc.estimate.value - radial.estimate.value) <= band
 
+    def test_large_degree_case_one_mc(self):
+        # n=3, degree-15 highest-weight vector: the closed-form coefficient
+        # keeps the per-datum setup trivial at this size
+        rep = verify_zeta(lam("15/2", "11/2", "7/2", "1/2"), samples=20_000, seed=0)
+        assert rep.passed
+
     def test_radial_route_full_sweep(self):
         # the deterministic character-reduced integral confirms the closed
         # value for every admissible parameter at small rank
@@ -216,3 +222,11 @@ class TestSuites:
     def test_schur_orthogonality_small(self):
         rep = verify_schur_orthogonality([[1, 0], [2, 1], [1, 1, 0]], samples=40_000, seed=3)
         assert rep.passed
+
+    def test_schur_constant_modulus_weight(self):
+        # |chi|^2 == 1 identically for (2,2), so the standard error is zero
+        # and only the rounding floor of the verdict rule keeps it passing
+        for seed in range(40):
+            rep = verify_schur_orthogonality([[2, 2]], samples=20_000, seed=seed)
+            assert rep.passed, seed
+        assert rep.details["rows"][0]["pass"] is True
