@@ -12,15 +12,14 @@ determinant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .exact import leibniz_det
 from .group import CoverElement, cartan_decompose, cpow_int, theta_t_cover, theta_z_cover
-from .weights import ThetaDatum, gl_dim
+from .weights import ThetaDatum
 
 __all__ = [
     "GLWeight",
@@ -49,9 +48,6 @@ class GLWeight:
     def rank(self) -> int:
         return len(self.parts)
 
-    def dim(self) -> int:
-        return gl_dim([Fraction(p) for p in self.parts])
-
 
 def _elementary(eigs):
     """Coefficients e_0..e_m of prod (1 + x_i t)."""
@@ -73,24 +69,6 @@ def _complete_homogeneous(eigs, kmax: int):
             acc = acc + term if i % 2 == 1 else acc - term
         h.append(acc)
     return h
-
-
-def _det_leibniz(rows):
-    """Division-free determinant (tiny matrices only)."""
-    m = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(m)):
-        sign = 1
-        seen = list(perm)
-        for i in range(m):  # parity by counting inversions
-            for j in range(i + 1, m):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = rows[0][perm[0]]
-        for i in range(1, m):
-            term = term * rows[i][perm[i]]
-        total = total + sign * term
-    return total
 
 
 def _normalize_parts(mu):
@@ -133,7 +111,7 @@ def schur_eval(mu, eigs):
         return h[k] if 0 <= k < len(h) else 0
 
     rows = [[h_at(nu[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return _det_leibniz(rows)
+    return leibniz_det(rows)
 
 
 def schur_eval_batch(mu, eigs: np.ndarray) -> np.ndarray:

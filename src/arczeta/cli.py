@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -55,24 +56,19 @@ EXIT_INADMISSIBLE = 3
 
 MIN_STATISTICAL_SAMPLES = 10_000
 
+# an option value such as -1/2,-5/2 or -1 (not an option name)
+NEGATIVE_VALUE = re.compile(r"^-\d[\d/,.\-]*$")
+
 TABLE_FIELDS = [
     "lambda", "case", "p", "q", "c2", "zeta_rational", "zeta_pi_exp",
     "zeta_float", "dim", "formal_degree_product",
 ]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ARCZETA_SEED", "0"))
-
-
-def _fmt_fraction(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _pair_dict(pair) -> dict:
     return {
-        "first": [_fmt_fraction(v) for v in pair.first],
-        "second": [_fmt_fraction(v) for v in pair.second],
+        "first": [str(Fraction(v)) for v in pair.first],
+        "second": [str(Fraction(v)) for v in pair.second],
     }
 
 
@@ -184,12 +180,11 @@ def parse_table_csv(text: str) -> list[dict]:
     return out
 
 
-def _add_common(sub, *, statistical: bool):
+def _add_common(sub):
     sub.add_argument("--out", default=None, help="write the JSON report here")
-    if statistical:
-        sub.add_argument("--samples", type=int, default=1_000_000)
-        sub.add_argument("--seed", type=int, default=None)
-        sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--samples", type=int, default=1_000_000)
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=1)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -217,18 +212,18 @@ def make_parser() -> argparse.ArgumentParser:
     ss.add_argument("--iota", required=True, help="comma list (length q)")
     ss.add_argument("--s", required=True)
     ss.add_argument("--method", choices=["auto", "quad", "mc"], default="auto")
-    _add_common(ss, statistical=True)
+    _add_common(ss)
 
     stt = subs.add_parser("verify-t", help="endomorphism scalar vs closed form")
     stt.add_argument("--lambda", dest="lam", required=True)
     stt.add_argument("--s", required=True)
     stt.add_argument("--method", choices=["quad", "mc"], default="quad")
-    _add_common(stt, statistical=True)
+    _add_common(stt)
 
     sz = subs.add_parser("verify-zeta", help="end-to-end group integral vs closed form")
     sz.add_argument("--lambda", dest="lam", required=True)
     sz.add_argument("--method", choices=["mc", "radial"], default="mc")
-    _add_common(sz, statistical=True)
+    _add_common(sz)
 
     sp = subs.add_parser("verify-prop61", help="two evaluation routes of the compact matrix coefficient")
     sp.add_argument("--trials", type=int, default=20)
@@ -243,23 +238,13 @@ def make_parser() -> argparse.ArgumentParser:
     so = subs.add_parser("verify-schur", help="character orthogonality by Haar sampling")
     so.add_argument("--weights", default="1,0;2,1;2,2;1,0,0;2,1,0",
                     help="semicolon-separated weight lists")
-    _add_common(so, statistical=True)
+    _add_common(so)
 
     sf = subs.add_parser("verify-fd", help="formal-degree proportionality (exact)")
     sf.add_argument("--n", type=int, required=True)
     sf.add_argument("--max-entry", default="9/2")
     sf.add_argument("--count", type=int, default=5)
     sf.add_argument("--out", default=None)
-
-    # let values like -1/2,-5/2 pass as option arguments without the = form
-    import re
-
-    negative_values = re.compile(r"^-\d[\d/,.\-]*$")
-    parser._negative_number_matcher = negative_values
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            sub._negative_number_matcher = negative_values
-
     return parser
 
 
@@ -267,118 +252,143 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
     return [Fraction(part.strip()) for part in text.split(",")]
 
 
+def _classify(args, seed, samples):
+    t0 = time.perf_counter()
+    lam = HCParameter.parse(args.lam)
+    theta = classify_theta(lam)
+    doc = build_report(
+        "classify", lam=lam, theta=theta, closed=zeta_closed(theta), verdict="PASS",
+        extra={
+            "gamma": str(theta.gamma),
+            "alphas": [str(a) for a in theta.alphas],
+            "betas": [str(b) for b in theta.betas],
+            "c2": str(c_squared(theta)),
+            "dim": weyl_dim(lam),
+            "nonstandard_congruence": theta.nonstandard_congruence,
+        },
+        wall_time=time.perf_counter() - t0,
+    )
+    return doc, True
+
+
+def _table(args, seed, samples):
+    rows = table_rows(args.n, Fraction(args.max_entry))
+    if args.format == "json":
+        return build_report("table", verdict="PASS", extra={"rows": rows}), True
+    text = table_to_csv(rows)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        print(f"table: {len(rows)} rows -> {args.out}")
+    else:
+        print(text, end="")
+    return None, True
+
+
+def _verify_s(args, seed, samples):
+    rep = verify_S(args.p, args.q, _parse_fraction_list(args.kappa),
+                   _parse_fraction_list(args.iota), Fraction(args.s),
+                   samples=samples, seed=seed, workers=args.workers,
+                   method=args.method)
+    return build_report("verify-s", report=rep), rep.passed
+
+
+def _verify_t(args, seed, samples):
+    lam = HCParameter.parse(args.lam)
+    theta = classify_theta(lam)
+    rep = verify_T(theta, Fraction(args.s), samples=samples, seed=seed,
+                   workers=args.workers, method=args.method)
+    return build_report("verify-t", lam=lam, theta=theta, report=rep), rep.passed
+
+
+def _verify_zeta(args, seed, samples):
+    lam = HCParameter.parse(args.lam)
+    theta = classify_theta(lam)
+    rep = verify_zeta(theta, samples=samples, seed=seed,
+                      workers=args.workers, method=args.method)
+    doc = build_report("verify-zeta", lam=lam, theta=theta, report=rep,
+                       extra={"phi_norm2": rep.details.get("phi_norm2")})
+    return doc, rep.passed
+
+
+def _verify_prop61(args, seed, samples):
+    rep = verify_prop61(trials=args.trials, seed=seed, tol=args.tol)
+    doc = build_report("verify-prop61", report=rep, extra={"cases": rep.details["cases"]})
+    return doc, rep.passed
+
+
+def _verify_at(args, seed, samples):
+    rep = verify_at_lemma(max_degree=args.max_degree)
+    doc = build_report("verify-at", report=rep, extra={"monomials": rep.details["monomials"]})
+    return doc, rep.passed
+
+
+def _verify_schur(args, seed, samples):
+    weights = [[int(x) for x in w.split(",")] for w in args.weights.split(";")]
+    rep = verify_schur_orthogonality(weights, samples=samples, seed=seed,
+                                     workers=args.workers)
+    doc = build_report("verify-schur", report=rep, extra={"rows": rep.details["rows"]})
+    return doc, rep.passed
+
+
+def _verify_fd(args, seed, samples):
+    lams = admissible_sweep(args.n, Fraction(args.max_entry))
+    if len(lams) < args.count:
+        raise InvalidParameterError(
+            f"sweep produced {len(lams)} parameters; need {args.count} "
+            "(increase --max-entry)"
+        )
+    rep = verify_formal_degree(lams[: args.count])
+    doc = build_report("verify-fd", report=rep, extra={"rows": rep.details["rows"]})
+    return doc, rep.passed
+
+
+# each handler returns (report, passed); the CSV table prints itself and returns no report
+_COMMANDS = {
+    "classify": _classify,
+    "table": _table,
+    "verify-s": _verify_s,
+    "verify-t": _verify_t,
+    "verify-zeta": _verify_zeta,
+    "verify-prop61": _verify_prop61,
+    "verify-at": _verify_at,
+    "verify-schur": _verify_schur,
+    "verify-fd": _verify_fd,
+}
+
+
 def _run(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = _default_seed()
+        seed = int(os.environ.get("ARCZETA_SEED", "0"))
     samples = getattr(args, "samples", None)
     if samples is not None and samples < MIN_STATISTICAL_SAMPLES:
         raise InvalidParameterError(
             f"statistical commands need samples >= {MIN_STATISTICAL_SAMPLES}"
         )
-
-    if args.command == "classify":
-        t0 = time.perf_counter()
-        lam = HCParameter.parse(args.lam)
-        theta = classify_theta(lam)
-        zc = zeta_closed(theta)
-        doc = build_report(
-            "classify", lam=lam, theta=theta, closed=zc, verdict="PASS",
-            extra={
-                "gamma": str(theta.gamma),
-                "alphas": [str(a) for a in theta.alphas],
-                "betas": [str(b) for b in theta.betas],
-                "c2": str(c_squared(theta)),
-                "dim": weyl_dim(lam),
-                "nonstandard_congruence": theta.nonstandard_congruence,
-            },
-            wall_time=time.perf_counter() - t0,
-        )
+    doc, passed = _COMMANDS[args.command](args, seed, samples)
+    if doc is not None:
         _emit(doc, args.out)
-        return EXIT_PASS
+    return EXIT_PASS if passed else EXIT_FAIL
 
-    if args.command == "table":
-        rows = table_rows(args.n, Fraction(args.max_entry))
-        if args.format == "csv":
-            text = table_to_csv(rows)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-                print(f"table: {len(rows)} rows -> {args.out}")
-            else:
-                print(text, end="")
-            return EXIT_PASS
-        doc = build_report("table", verdict="PASS", extra={"rows": rows})
-        _emit(doc, args.out)
-        return EXIT_PASS
 
-    if args.command == "verify-s":
-        rep = verify_S(args.p, args.q, _parse_fraction_list(args.kappa),
-                       _parse_fraction_list(args.iota), Fraction(args.s),
-                       samples=samples, seed=seed, workers=args.workers,
-                       method=args.method)
-        doc = build_report("verify-s", report=rep)
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "verify-t":
-        lam = HCParameter.parse(args.lam)
-        theta = classify_theta(lam)
-        rep = verify_T(theta, Fraction(args.s), samples=samples, seed=seed,
-                       workers=args.workers, method=args.method)
-        doc = build_report("verify-t", lam=lam, theta=theta, report=rep)
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "verify-zeta":
-        lam = HCParameter.parse(args.lam)
-        theta = classify_theta(lam)
-        rep = verify_zeta(theta, samples=samples, seed=seed,
-                          workers=args.workers, method=args.method)
-        doc = build_report("verify-zeta", lam=lam, theta=theta, report=rep,
-                           extra={"phi_norm2": rep.details.get("phi_norm2")})
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "verify-prop61":
-        rep = verify_prop61(trials=args.trials, seed=seed, tol=args.tol)
-        doc = build_report("verify-prop61", report=rep, extra={"cases": rep.details["cases"]})
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "verify-at":
-        rep = verify_at_lemma(max_degree=args.max_degree)
-        doc = build_report("verify-at", report=rep, extra={"monomials": rep.details["monomials"]})
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "verify-schur":
-        weights = [[int(x) for x in w.split(",")] for w in args.weights.split(";")]
-        rep = verify_schur_orthogonality(weights, samples=samples, seed=seed,
-                                         workers=args.workers)
-        doc = build_report("verify-schur", report=rep,
-                           extra={"rows": rep.details["rows"]})
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    if args.command == "verify-fd":
-        lams = admissible_sweep(args.n, Fraction(args.max_entry))
-        if len(lams) < args.count:
-            raise InvalidParameterError(
-                f"sweep produced {len(lams)} parameters; need {args.count} "
-                "(increase --max-entry)"
-            )
-        rep = verify_formal_degree(lams[: args.count])
-        doc = build_report("verify-fd", report=rep, extra={"rows": rep.details["rows"]})
-        _emit(doc, args.out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
-
-    raise InvalidParameterError(f"unknown command {args.command}")
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--opt -1/2,-5/2`` as ``--opt=-1/2,-5/2``, so that a negative
+    value is read as the option's argument rather than as an option."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         return _run(args)
     except InadmissibleParameterError as exc:

@@ -13,6 +13,7 @@ otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -236,25 +237,23 @@ def exact_inverse(rows: list[list[QQi]]) -> list[list[QQi]]:
     return [row[m:] for row in aug]
 
 
-def exact_det(rows: list[list[QQi]]) -> QQi:
-    """Determinant of a square QQi matrix (fraction-free enough at these sizes)."""
+def leibniz_det(rows):
+    """Division-free determinant by Leibniz expansion (tiny matrices only).
+
+    Works over any commutative ring whose elements support ``+``, ``*`` and
+    unary ``-``: numbers, :class:`QQi`, polynomials.
+    """
     m = len(rows)
-    a = [[QQi.coerce(x) for x in row] for row in rows]
-    det = QQI_ONE
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            return QQI_ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, m):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    total = None
+    for perm in itertools.permutations(range(m)):
+        term = rows[0][perm[0]]
+        for i in range(1, m):
+            term = term * rows[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        if inversions % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def rational_hyperbolic(rho: Fraction) -> tuple[Fraction, Fraction]:

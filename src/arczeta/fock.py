@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import PiLaurent, QQi, exact_det, exact_inverse
+from .exact import PiLaurent, QQi, exact_inverse, leibniz_det
 from .group import CoverElement, b_t_cover, cpow_int
 from .weights import Case, ThetaDatum
 
@@ -183,9 +183,6 @@ class FockPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), PiLaurent() if self.exact else 0j)
-
     def to_float(self) -> "FockPoly":
         if not self.exact:
             return self
@@ -272,30 +269,17 @@ def gaussian_pair(i: int, j: int, c):
 # minors and highest-weight vectors
 
 
-def _det_poly(n: int, rows: Sequence[int], cols: Sequence[int], exact: bool) -> FockPoly:
-    import itertools as it
-
-    out = FockPoly.zero(n, exact)
-    for perm in it.permutations(range(len(cols))):
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = FockPoly.one(n, exact)
-        for r, ci in zip(rows, perm):
-            term = term * FockPoly.variable(n, r, cols[ci], exact)
-        out = out + term.scale(sign)
-    return out
-
-
 def minors(n: int, i: int, exact: bool = True) -> tuple[FockPoly, FockPoly]:
     """The leading principal i x i minor and its anti-corner companion
     (rows n-i+1..n, columns n-i+2..n+1)."""
     if not 1 <= i <= n:
         raise InvalidParameterError(f"minor index {i} out of range for n={n}")
-    delta = _det_poly(n, range(1, i + 1), range(1, i + 1), exact)
-    delta_p = _det_poly(n, range(n - i + 1, n + 1), range(n - i + 2, n + 2), exact)
+
+    def det(rows, cols):
+        return leibniz_det([[FockPoly.variable(n, r, c, exact) for c in cols] for r in rows])
+
+    delta = det(range(1, i + 1), range(1, i + 1))
+    delta_p = det(range(n - i + 1, n + 1), range(n - i + 2, n + 2))
     return delta, delta_p
 
 
@@ -363,7 +347,7 @@ class ExactCover:
         object.__setattr__(self, "block_n", bn)
         object.__setattr__(self, "block_1", QQi.coerce(self.block_1))
         object.__setattr__(self, "zeta_ratio", QQi.coerce(self.zeta_ratio))
-        dn = exact_det([list(r) for r in bn])
+        dn = leibniz_det(bn)
         if not dn or not self.block_1:
             raise InvalidParameterError("cover blocks must be invertible")
         if self.zeta_ratio * self.zeta_ratio * self.block_1 != dn:
@@ -410,9 +394,6 @@ class ExactCover:
             self.block_1.inverse(),
             self.zeta_ratio.inverse(),
         )
-
-    def flip(self) -> "ExactCover":
-        return ExactCover(self.block_n, self.block_1, -self.zeta_ratio)
 
 
 def _cover_data(k, exact: bool):

@@ -167,9 +167,6 @@ class CoverElement:
     def flip_n(self) -> "CoverElement":
         return CoverElement(self.block_n, self.block_1, -self.zeta_n, self.zeta_1)
 
-    def flip_1(self) -> "CoverElement":
-        return CoverElement(self.block_n, self.block_1, self.zeta_n, -self.zeta_1)
-
     def flip_both(self) -> "CoverElement":
         return CoverElement(self.block_n, self.block_1, -self.zeta_n, -self.zeta_1)
 

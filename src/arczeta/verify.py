@@ -34,12 +34,13 @@ from .fock import (
     omega_matcoef_transform_route,
     weil_transform_bruteforce,
 )
-from .group import CoverElement, cpow_int, haar_unitary, weighted_ball_volume
+from .group import CoverElement, cpow_int, haar_unitary, sample_domain, weighted_ball_volume
 from .weights import (
     Case,
     ClosedValue,
     HCParameter,
     ThetaDatum,
+    admissible_sweep,
     classify_theta,
     closed_S,
     closed_S_factors,
@@ -159,8 +160,6 @@ def _fractional_char_batch(kappas: Sequence[Fraction], eigs: np.ndarray) -> np.n
     """Character with a possibly fractional common det twist at positive-real
     or complex eigenvalue batches (N, m)."""
     kappas = [Fraction(k) for k in kappas]
-    if not kappas:
-        return np.ones(eigs.shape[0], dtype=complex)
     tau = kappas[-1] - int(kappas[-1])
     parts = [k - tau for k in kappas]
     if any(p.denominator != 1 for p in parts):
@@ -185,8 +184,8 @@ def _s_integrand_radial(p, q, kap, iot, s):
     def g(u):
         eig_inv = np.array([[1.0 / (1.0 - u)] + [1.0] * (p - 1)])
         eig_gram = np.array([[1.0 - u] + [1.0] * (q - 1)])
-        chi1 = _fractional_char_batch(kap, eig_inv)[0] if p else 1.0
-        chi2 = _fractional_char_batch(iot, eig_gram)[0] if q else 1.0
+        chi1 = _fractional_char_batch(kap, eig_inv)[0]
+        chi2 = _fractional_char_batch(iot, eig_gram)[0]
         return const * (chi1 * chi2).real * (1.0 - u) ** float(s - (p + q)) * u ** (m - 1)
 
     return g
@@ -198,7 +197,7 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
 
     Deterministic radial quadrature when min(p,q) == 1 and the integrand is
     radial (it always is: characters only see the rank-one gram spectrum);
-    Monte Carlo with matched radial importance sampling otherwise or when
+    Monte Carlo over :func:`~arczeta.group.sample_domain` otherwise or when
     requested.
     """
     kap = tuple(Fraction(k) for k in (kappas if not isinstance(kappas, (int, Fraction)) else [kappas] * p))
@@ -224,45 +223,27 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
         verdict, rel = _verdict(val, float(closed))
         return VerifyReport("verify_S", est, closed, verdict, rel, {"method": "quad"})
 
+    # sample_domain carries det^e_imp in its weights (matched radially when
+    # min(p,q) == 1, by rejection from the entry box otherwise); the rest of
+    # the determinant power rides on each sample
     dim = gl_dim(kap) * gl_dim(iot)
-    if min(p, q) == 1:
-        m = max(p, q)
-        e_imp = float(min(factors)) - 1.0
-        c_norm = weighted_ball_volume(m, e_imp)
+    e_imp = float(min(factors)) - 1.0
+    resid = float(s - (p + q)) - e_imp
+    m = min(p, q)
 
-        def chunk(rng, size):
-            u = rng.beta(m, e_imp + 1.0, size=size)
-            eig_inv = np.concatenate(
-                [1.0 / (1.0 - u)[:, None], np.ones((size, p - 1))], axis=1
-            ) if p > 1 else (1.0 / (1.0 - u))[:, None]
-            eig_gram = np.concatenate(
-                [(1.0 - u)[:, None], np.ones((size, q - 1))], axis=1
-            ) if q > 1 else (1.0 - u)[:, None]
-            chi1 = _fractional_char_batch(kap, eig_inv[:, :p]) if p else 1.0
-            chi2 = _fractional_char_batch(iot, eig_gram[:, :q]) if q else 1.0
-            resid = (1.0 - u) ** (float(s - (p + q)) - e_imp)
-            return c_norm * chi1 * chi2 * resid / dim
-    else:
-        box_vol = 4.0 ** (p * q)
-        exponent = float(s - (p + q))
-
-        def chunk(rng, size):
-            re = rng.uniform(-1.0, 1.0, size=(size, p, q))
-            im = rng.uniform(-1.0, 1.0, size=(size, p, q))
-            z = re + 1j * im
-            gram = np.eye(p)[None] - z @ z.conj().transpose(0, 2, 1)
-            eig = np.linalg.eigvalsh(gram)
-            ok = eig[:, 0] > 1e-12
-            vals = np.zeros(size, dtype=complex)
-            if ok.any():
-                ge = eig[ok]
-                chi1 = _fractional_char_batch(kap, 1.0 / ge)
-                gram_q = np.eye(q)[None] - z[ok].conj().transpose(0, 2, 1) @ z[ok]
-                eig_q = np.linalg.eigvalsh(gram_q)
-                chi2 = _fractional_char_batch(iot, eig_q)
-                detg = np.prod(ge, axis=1)
-                vals[ok] = box_vol * chi1 * chi2 * detg**exponent / dim
-            return vals
+    def chunk(rng, size):
+        z, w = sample_domain(p, q, e_imp, rng, size=size)
+        inside = np.flatnonzero(w)
+        # the grams 1 - z z* (p x p) and 1 - z* z (q x q) share their spectrum
+        # up to eigenvalues 1, so only the smaller one is diagonalized
+        zm = z[inside] if p == m else z[inside].conj().transpose(0, 2, 1)
+        eig = np.linalg.eigvalsh(np.eye(m) - zm @ zm.conj().transpose(0, 2, 1))
+        padded = np.concatenate([eig, np.ones((inside.size, abs(p - q)))], axis=1)
+        eig_p, eig_q = (eig, padded) if p == m else (padded, eig)
+        chi = _fractional_char_batch(kap, 1.0 / eig_p) * _fractional_char_batch(iot, eig_q)
+        vals = np.zeros(size, dtype=complex)
+        vals[inside] = w[inside] * chi * np.prod(eig, axis=1) ** resid / dim
+        return vals
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
@@ -404,7 +385,6 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     n = theta.n
     s0 = Fraction(n + 1, 2)
     closed = zeta_closed(theta)
-    target = ClosedValue(closed.rational, closed.pi_exp)
     factors = closed_T_factors(theta, s0)
     _guard_poles(factors, "verify_zeta")
     t0 = time.perf_counter()
@@ -418,7 +398,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
         est = Estimate(val, rep.estimate.stderr * norm2 / theta.dim_sigma(), 0, seed,
                        time.perf_counter() - t0)
         verdict, rel = _verdict(val, target_float)
-        return VerifyReport("verify_zeta", est, target, verdict, rel,
+        return VerifyReport("verify_zeta", est, closed, verdict, rel,
                             {"method": "radial", "phi_norm2": norm2})
 
     coeff_eval = MatrixCoefficient(theta)
@@ -432,7 +412,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
     verdict, rel = _verdict(mean, target_float, stderr)
-    return VerifyReport("verify_zeta", est, target, verdict, rel,
+    return VerifyReport("verify_zeta", est, closed, verdict, rel,
                         {"method": "mc", "phi_norm2": norm2,
                          "importance_exponent": e_imp})
 
@@ -472,27 +452,21 @@ def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
 # identity suites
 
 
-def prop61_sweep(nmax: int = 2) -> list[ThetaDatum]:
-    """Admissible parameters units for the two-route identity suite."""
-    from .weights import admissible_sweep
+def verify_prop61(*, trials: int = 20, seed: int = 0, tol: float = 1e-9,
+                  thetas: Optional[Sequence[ThetaDatum]] = None) -> VerifyReport:
+    """Substitution route versus transform route at random (t, k, k').
 
-    out = []
-    for lam in admissible_sweep(1, 3):
-        out.append(classify_theta(lam))
-    if nmax >= 2:
+    By default the cases are every admissible parameter at n=1 up to 3 and
+    the Case I parameters at n=2 up to 7/2.
+    """
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    if thetas is None:
+        thetas = [classify_theta(lam) for lam in admissible_sweep(1, 3)]
         for lam in admissible_sweep(2, Fraction(7, 2)):
             th = classify_theta(lam)
             if th.case is Case.I:
-                out.append(th)
-    return out
-
-
-def verify_prop61(*, trials: int = 20, seed: int = 0, tol: float = 1e-9,
-                  thetas: Optional[Sequence[ThetaDatum]] = None) -> VerifyReport:
-    """Substitution route versus transform route at random (t, k, k')."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    thetas = list(thetas) if thetas is not None else prop61_sweep()
+                thetas.append(th)
     worst = 0.0
     failures = []
     for theta in thetas:

@@ -172,9 +172,6 @@ class HCParameter:
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(e.fraction for e in self.entries)
 
-    def is_proper_half_integral(self) -> bool:
-        return self.entries[0].twice % 2 == 1
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -221,44 +218,25 @@ class ThetaDatum:
     nonstandard_congruence: bool
     closed_form_valid: bool
 
-    # det-twist exponents of the two K factors (U(n) part, U(1) part)
-    def lambda_twists(self) -> tuple[Fraction, Fraction]:
+    def lambda_gl(self):
+        """Integer parts of Lambda per factor, with doubled twist exponents.
+
+        The det twists of the two K factors (U(n) part, U(1) part) are t and -t.
+        """
         if self.case is Case.I:
             t = Fraction(self.n - 1, 2)
         else:
             t = Fraction(-(self.p - self.q), 2)
-        return t, -t
-
-    def dual_twists(self) -> tuple[Fraction, Fraction]:
-        tn, t1 = self.lambda_twists()
-        return -tn, -t1
-
-    def prime_twists(self) -> tuple[Fraction, Fraction]:
-        t = Fraction(self.n - 1, 2)
-        return t, -t
-
-    def _gl_parts(self, pair: WeightPair, twists) -> tuple[tuple, tuple]:
         out = []
-        for entries, tw in zip(pair, twists):
+        for entries, tw in zip(self.Lambda, (t, -t)):
             parts = tuple(e - tw for e in entries)
             if any(p.denominator != 1 for p in parts):
                 raise InadmissibleParameterError(
                     "weight has non-integral parts after removing the det twist; "
                     "parameter is in the flagged congruence class"
                 )
-            out.append(tuple(int(p) for p in parts))
+            out.append((tuple(int(p) for p in parts), int(2 * tw)))
         return tuple(out)
-
-    def lambda_gl(self):
-        """Integer parts of Lambda per factor, with doubled twist exponents."""
-        tn, t1 = self.lambda_twists()
-        pn, p1 = self._gl_parts(self.Lambda, (tn, t1))
-        return (pn, int(2 * tn)), (p1, int(2 * t1))
-
-    def dual_gl(self):
-        tn, t1 = self.dual_twists()
-        pn, p1 = self._gl_parts(self.LambdaDual, (tn, t1))
-        return (pn, int(2 * tn)), (p1, int(2 * t1))
 
     def delta(self) -> tuple[Fraction, ...]:
         """Case II mixed vector (betas padded, then negated reversed alphas)."""
@@ -493,13 +471,8 @@ def _as_tuple(x) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in x)
 
 
-def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
-    """Scalar of the twisted domain integral over the (p, q) matrix ball.
-
-    Exactly one of the two weights must be one-dimensional (all entries
-    equal); a vanishing denominator factor raises :class:`PoleError` naming
-    the factor.
-    """
+def _S_factors(p: int, q: int, kappas, iotas, s) -> list[tuple[Fraction, str]]:
+    """The linear denominator factors of :func:`closed_S`, each with its label."""
     kap = _as_tuple(kappas)
     iot = _as_tuple(iotas)
     s = Fraction(s)
@@ -507,48 +480,43 @@ def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
         raise InvalidParameterError(
             f"weight lengths ({len(kap)},{len(iot)}) must match (p,q)=({p},{q})"
         )
-    denom = Fraction(1)
-
-    def push(factor: Fraction, label: str):
-        nonlocal denom
-        if factor == 0:
-            raise PoleError(f"pole: factor {label} vanishes", factor=label)
-        denom *= factor
-
     if len(set(iot)) <= 1:
         iota = iot[0] if iot else Fraction(0)
-        for i in range(1, p + 1):
-            for d in range(p + 1 - i, p + q - i + 1):
-                push(iota - kap[i - 1] - d + s, f"iota - kappa_{i} - {d} + s")
-    elif len(set(kap)) <= 1:
+        return [(iota - kap[i - 1] - d + s, f"iota - kappa_{i} - {d} + s")
+                for i in range(1, p + 1) for d in range(p + 1 - i, p + q - i + 1)]
+    if len(set(kap)) <= 1:
         kappa = kap[0] if kap else Fraction(0)
-        for i in range(1, q + 1):
-            for d in range(i, p + i):
-                push(iot[i - 1] - kappa - d + s, f"iota_{i} - kappa - {d} + s")
-    else:
-        raise InvalidParameterError(
-            "one of the two weights must be one-dimensional (all entries equal)"
-        )
-    return ClosedValue(1 / denom, p * q)
+        return [(iot[i - 1] - kappa - d + s, f"iota_{i} - kappa - {d} + s")
+                for i in range(1, q + 1) for d in range(i, p + i)]
+    raise InvalidParameterError(
+        "one of the two weights must be one-dimensional (all entries equal)"
+    )
+
+
+def _reciprocal(factors: list[tuple[Fraction, str]], s: Fraction, pi_exp: int) -> ClosedValue:
+    """``pi**pi_exp`` over the product of the labelled factors; a vanishing
+    factor raises :class:`PoleError` naming it."""
+    denom = Fraction(1)
+    for factor, label in factors:
+        if factor == 0:
+            raise PoleError(f"pole: factor {label} vanishes at s={s}", factor=label)
+        denom *= factor
+    return ClosedValue(1 / denom, pi_exp)
+
+
+def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
+    """Scalar of the twisted domain integral over the (p, q) matrix ball.
+
+    Exactly one of the two weights must be one-dimensional (all entries
+    equal); a vanishing denominator factor raises :class:`PoleError` naming
+    the factor.
+    """
+    return _reciprocal(_S_factors(p, q, kappas, iotas, s), Fraction(s), p * q)
 
 
 def closed_S_factors(p: int, q: int, kappas, iotas, s) -> list[Fraction]:
     """The linear denominator factors of :func:`closed_S` (pole diagnostics)."""
-    kap = _as_tuple(kappas)
-    iot = _as_tuple(iotas)
-    s = Fraction(s)
-    out = []
-    if len(set(iot)) <= 1:
-        iota = iot[0] if iot else Fraction(0)
-        for i in range(1, p + 1):
-            out.extend(iota - kap[i - 1] - d + s for d in range(p + 1 - i, p + q - i + 1))
-    elif len(set(kap)) <= 1:
-        kappa = kap[0] if kap else Fraction(0)
-        for i in range(1, q + 1):
-            out.extend(iot[i - 1] - kappa - d + s for d in range(i, p + i))
-    else:
-        raise InvalidParameterError("one factor must be one-dimensional")
-    return out
+    return [factor for factor, _ in _S_factors(p, q, kappas, iotas, s)]
 
 
 def _require_closed_form(theta: ThetaDatum):
@@ -559,29 +527,26 @@ def _require_closed_form(theta: ThetaDatum):
         )
 
 
+def _T_factors(theta: ThetaDatum, s: Fraction) -> list[tuple[Fraction, str]]:
+    """The linear denominator factors of :func:`closed_T`, each with its label."""
+    n = theta.n
+    if theta.case is Case.I:
+        return [(theta.alphas[i - 1] - i + s - Fraction(1 - n, 2),
+                 f"alpha_{i} - {i} + s - (1-n)/2") for i in range(1, n + 1)]
+    return [(theta.gamma - i + s - Fraction(theta.p - theta.q, 2),
+             f"gamma - {i} + s - (p-q)/2") for i in range(1, n + 1)]
+
+
 def closed_T(theta: ThetaDatum, s) -> ClosedValue:
     """Scalar of the endomorphism integral at parameter ``s``."""
     _require_closed_form(theta)
     s = Fraction(s)
-    denom = Fraction(1)
-    for i in range(1, theta.n + 1):
-        if theta.case is Case.I:
-            factor = theta.alphas[i - 1] - i + s - Fraction(1 - theta.n, 2)
-            label = f"alpha_{i} - {i} + s - (1-n)/2"
-        else:
-            factor = theta.gamma - i + s - Fraction(theta.p - theta.q, 2)
-            label = f"gamma - {i} + s - (p-q)/2"
-        if factor == 0:
-            raise PoleError(f"pole: factor {label} vanishes at s={s}", factor=label)
-        denom *= factor
-    return ClosedValue(1 / denom, theta.n)
+    return _reciprocal(_T_factors(theta, s), s, theta.n)
 
 
 def closed_T_factors(theta: ThetaDatum, s) -> list[Fraction]:
-    s = Fraction(s)
-    if theta.case is Case.I:
-        return [theta.alphas[i - 1] - i + s - Fraction(1 - theta.n, 2) for i in range(1, theta.n + 1)]
-    return [theta.gamma - i + s - Fraction(theta.p - theta.q, 2) for i in range(1, theta.n + 1)]
+    """The linear denominator factors of :func:`closed_T` (pole diagnostics)."""
+    return [factor for factor, _ in _T_factors(theta, Fraction(s))]
 
 
 def _coerce_theta(lam_or_theta) -> ThetaDatum:
@@ -592,42 +557,26 @@ def _coerce_theta(lam_or_theta) -> ThetaDatum:
 
 def zeta_closed(lam_or_theta) -> ClosedValue:
     """Exact value of the group integral per unit squared norm of the matched
-    joint highest-weight vector."""
+    joint highest-weight vector: ``closed_T`` at s = (n+1)/2 over the
+    dimension of the lowest K-type."""
     theta = _coerce_theta(lam_or_theta)
-    _require_closed_form(theta)
-    denom = Fraction(1)
-    for i in range(1, theta.n + 1):
-        if theta.case is Case.I:
-            factor = theta.alphas[i - 1] - i + theta.n
-        else:
-            factor = theta.gamma + i - theta.p
-        if factor == 0:
-            raise PoleError("pole in zeta closed form", factor=str(factor))
-        denom *= factor
-    denom *= theta.dim_sigma()
-    return ClosedValue(1 / denom, theta.n)
+    return closed_T(theta, Fraction(theta.n + 1, 2)) / theta.dim_sigma()
 
 
 def c_squared(lam_or_theta) -> Fraction:
     """Squared norm ratio of the discrete-spectrum projection (exact rational)."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
-    out = Fraction(1)
+    n, p, gamma = theta.n, theta.p, theta.gamma
     if theta.case is Case.I:
-        for i in range(1, theta.n + 1):
-            num = theta.alphas[i - 1] - i + theta.n - 1 - theta.gamma
-            den = theta.alphas[i - 1] - i + theta.n
-            if den == 0:
-                raise PoleError("pole in projection constant", factor=str(den))
-            out *= Fraction(num, 1) / den
+        pairs = [(al - i + n - 1 - gamma, al - i + n) for i, al in enumerate(theta.alphas, 1)]
     else:
-        delta = theta.delta()
-        for i in range(1, theta.n + 1):
-            num = theta.gamma + i - delta[i - 1] - 2 * theta.p
-            den = theta.gamma + i - theta.p
-            if den == 0:
-                raise PoleError("pole in projection constant", factor=str(den))
-            out *= Fraction(num, 1) / den
+        pairs = [(gamma + i - de - 2 * p, gamma + i - p) for i, de in enumerate(theta.delta(), 1)]
+    out = Fraction(1)
+    for num, den in pairs:
+        if den == 0:
+            raise PoleError("pole in projection constant", factor=str(den))
+        out *= num / den
     return out
 
 
@@ -637,24 +586,35 @@ def dual_S_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...],
     return theta.n, 1, theta.LambdaDual.first, theta.LambdaDual.second
 
 
-def admissible_sweep(n: int, max_entry, *, proper_half_integral: bool = True) -> list[HCParameter]:
-    """All admissible parameters with entries bounded by ``max_entry``.
+def admissible_sweep(n: int, max_entry) -> list[HCParameter]:
+    """All admissible proper-half-integral parameters of length n+1 with
+    entries bounded by ``max_entry`` in absolute value, in decreasing
+    lexicographic order.
 
-    Sweeps the proper-half-integer class by default (the class in which the
-    classification data are non-negative integers).
+    The parameters are generated from the classification constraints rather
+    than searched for:
+
+    * Case I (lambda_{n+1} > 0) is every all-positive strictly decreasing
+      tuple: gamma >= 0, weakly decreasing alphas and alpha_n >= gamma + 2
+      all follow from strict decrease when lambda_{n+1} >= 1/2.
+    * Case II with p negative entries among lambda_1..lambda_n lies in the
+      closed-form domain only when every alpha vanishes, which fixes the
+      positive head lambda_r = n - p - r + 1/2 (r <= n - p).  The p+1
+      trailing entries are any strictly decreasing negative half-integers;
+      the beta constraints follow from strict decrease, and gamma > 0
+      requires lambda_{n+1} <= -3/2 when p = 0.
     """
-    bound = Fraction(max_entry)
-    if proper_half_integral:
-        grid = [Fraction(t, 2) for t in range(1, int(2 * bound) + 1, 2)]
-        grid = [-g for g in reversed(grid)] + grid
-    else:
-        grid = [Fraction(t) for t in range(-int(bound), int(bound) + 1)]
-    out = []
-    for combo in itertools.combinations(sorted(grid, reverse=True), n + 1):
-        try:
-            lam = HCParameter(tuple(HalfInt.coerce(c) for c in combo))
-            classify_theta(lam)
-        except (InvalidParameterError, InadmissibleParameterError):
+    if n < 1:
+        raise InvalidParameterError(f"admissible sweep needs n >= 1, got {n}")
+    top = int(2 * Fraction(max_entry))  # doubled bound
+    positive = range(1, top + 1, 2)[::-1]  # doubled positive entries, decreasing
+    found = list(itertools.combinations(positive, n + 1))
+    for p in range(n + 1):
+        head = tuple(range(2 * (n - p) - 1, 0, -2))
+        if head and head[0] > top:
             continue
-        out.append(lam)
-    return out
+        for tail in itertools.combinations([-t for t in reversed(positive)], p + 1):
+            if p > 0 or tail[0] <= -3:
+                found.append(head + tail)
+    found.sort(key=lambda twices: [-t for t in twices])
+    return [HCParameter(tuple(HalfInt(t) for t in twices)) for twices in found]

@@ -38,6 +38,7 @@ from arczeta.weights import (
     closed_T_factors,
     dual_S_arguments,
     weyl_dim,
+    zeta_closed,
 )
 
 from conftest import lam, random_cover
@@ -74,6 +75,7 @@ def test_criterion_01_exact_projection_identity(full_sweep):
             lhs = closed_S(*dual_S_arguments(th), 0) * c_squared(th)
             rhs = closed_T(th, F(n + 1, 2))
             assert lhs == rhs, f"identity fails at {lv}"
+            assert zeta_closed(th) == rhs / weyl_dim(lv), f"zeta != T/dim at {lv}"
             total += 1
     assert total > 500
     _report(1, f"c^2 * S(dual,0) == T((n+1)/2) exactly on {total} parameters, n=1..4")

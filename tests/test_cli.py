@@ -72,6 +72,10 @@ class TestTable:
         assert code == 0
         validate_report(json.loads(out))
 
+    def test_empty_rank_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--n", "0")
+        assert code == 2 and not out and "n >= 1" in err
+
 
 class TestVerifyCommands:
     def test_verify_zeta_pass(self, capsys, tmp_path):

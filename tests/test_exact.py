@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from arczeta.exact import (
     PiLaurent,
     QQi,
-    exact_det,
     exact_inverse,
+    leibniz_det,
     rational_hyperbolic,
 )
 
@@ -94,12 +94,12 @@ class TestExactLinearAlgebra:
 
     def test_det_triangular(self):
         m = [[QQi(2), QQi(5)], [QQi(0), QQi(F(1, 2))]]
-        assert exact_det(m) == QQi(1)
+        assert leibniz_det(m) == QQi(1)
 
     def test_singular(self):
         with pytest.raises(ZeroDivisionError):
             exact_inverse([[QQi(1), QQi(1)], [QQi(1), QQi(1)]])
-        assert exact_det([[QQi(1), QQi(1)], [QQi(1), QQi(1)]]) == QQi(0)
+        assert leibniz_det([[QQi(1), QQi(1)], [QQi(1), QQi(1)]]) == QQi(0)
 
 
 class TestRationalHyperbolic:

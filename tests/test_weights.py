@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from arczeta.weights import (
     c_squared,
     classify_theta,
     closed_S,
+    closed_S_factors,
     closed_T,
     dual_S_arguments,
     formal_degree_product,
@@ -177,6 +179,38 @@ class TestFormalDegreeProduct:
         assert formal_degree_product(lam("9/2", "-3/2")) == 6
 
 
+def _brute_force_sweep(n, bound):
+    """Reference sweep: every strictly decreasing tuple of proper half-integers
+    in [-bound, bound] that classifies inside the closed-form domain."""
+    grid = [F(t, 2) for t in range(1, int(2 * bound) + 1, 2)]
+    grid = [-g for g in reversed(grid)] + grid
+    out = []
+    for combo in itertools.combinations(sorted(grid, reverse=True), n + 1):
+        lamv = HCParameter(tuple(HalfInt.coerce(c) for c in combo))
+        try:
+            classify_theta(lamv)
+        except InadmissibleParameterError:
+            continue
+        out.append(lamv)
+    return out
+
+
+class TestAdmissibleSweep:
+    def test_matches_brute_force(self):
+        # the generated sweep equals the exhaustive search, in order, at every
+        # bound up to 15/2; a smaller bound keeps the entries within it
+        for n in range(1, 6):
+            full = _brute_force_sweep(n, F(15, 2))
+            for twice_bound in range(0, 16):
+                ref = [lv for lv in full if all(abs(e.twice) <= twice_bound for e in lv)]
+                assert admissible_sweep(n, F(twice_bound, 2)) == ref, (n, twice_bound)
+
+    def test_rejects_empty_rank(self):
+        for n in (0, -1):
+            with pytest.raises(InvalidParameterError):
+                admissible_sweep(n, F(15, 2))
+
+
 class TestClosedS:
     def test_basic_value(self):
         assert closed_S(1, 1, 0, 0, 3) == ClosedValue(F(1, 2), 1)
@@ -200,6 +234,12 @@ class TestClosedS:
     def test_requires_one_dimensional_factor(self):
         with pytest.raises(InvalidParameterError):
             closed_S(2, 2, (1, 0), (1, 0), 5)
+
+    def test_weight_lengths_must_match(self):
+        # the value and its factor list refuse the same malformed input
+        for fn in (closed_S, closed_S_factors):
+            with pytest.raises(InvalidParameterError, match="must match"):
+                fn(2, 1, (0,), (0,), 3)
 
     def test_both_factors_one_dimensional_consistent(self):
         # p=q=2, both weights constant: the two product shapes must agree
