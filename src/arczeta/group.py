@@ -39,6 +39,7 @@ __all__ = [
     "b_z_cover",
     "haar_unitary",
     "unitary_completion",
+    "sample_ball",
     "sample_domain",
     "weighted_ball_volume",
     "random_group_element",
@@ -389,8 +390,18 @@ def weighted_ball_volume(m: int, e: float) -> float:
     return math.exp(m * math.log(math.pi) + betaln(m, e + 1.0) - gammaln(m))
 
 
-def sample_domain(p: int, q: int, weight_exponent: float, rng: np.random.Generator,
-                  size: Optional[int] = None):
+def sample_ball(m: int, exponent: float, rng: np.random.Generator, size: int):
+    """Squared radii u ~ Beta(m, exponent + 1) and unit complex directions
+    (size, m): the complex m-ball drawn with density (1 - |z|^2)**exponent.
+    Keep u where 1 - |z|^2 matters: recomputed from a point, it rounds near the
+    boundary."""
+    u = rng.beta(m, exponent + 1.0, size=size)
+    directions = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return u, directions
+
+
+def sample_domain(p: int, q: int, weight_exponent: float, rng: np.random.Generator, size: int):
     """Sample the (p, q) matrix ball with importance weights.
 
     Contract: ``mean(w * f(z))`` estimates
@@ -406,30 +417,20 @@ def sample_domain(p: int, q: int, weight_exponent: float, rng: np.random.Generat
         raise ConvergenceError(
             f"non-integrable determinant exponent {weight_exponent} (needs > -1)"
         )
-    single = size is None
-    count = 1 if single else int(size)
-
     if min(p, q) == 1:
         m = max(p, q)
-        u = rng.beta(m, weight_exponent + 1.0, size=count)
-        direction = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        u, direction = sample_ball(m, weight_exponent, rng, size)
         vec = np.sqrt(u)[:, None] * direction
         z = vec[:, :, None] if q == 1 else vec[:, None, :]
-        w = np.full(count, weighted_ball_volume(m, weight_exponent))
-    else:
-        z = np.empty((count, p, q), dtype=complex)
-        w = np.zeros(count)
-        box_vol = 4.0 ** (p * q)
-        re = rng.uniform(-1.0, 1.0, size=(count, p, q))
-        im = rng.uniform(-1.0, 1.0, size=(count, p, q))
-        z[:] = re + 1j * im
-        gram = np.eye(p)[None] - z @ z.conj().transpose(0, 2, 1)
-        eigmin = np.linalg.eigvalsh(gram)[:, 0]
-        ok = eigmin > 0
-        det = np.where(ok, np.real(np.linalg.det(gram)), 1.0)
-        w[ok] = box_vol * det[ok] ** weight_exponent
-
-    if single:
-        return z[0], float(w[0])
+        return z, np.full(size, weighted_ball_volume(m, weight_exponent))
+    w = np.zeros(size)
+    box_vol = 4.0 ** (p * q)
+    re = rng.uniform(-1.0, 1.0, size=(size, p, q))
+    im = rng.uniform(-1.0, 1.0, size=(size, p, q))
+    z = re + 1j * im
+    gram = np.eye(p)[None] - z @ z.conj().transpose(0, 2, 1)
+    eigmin = np.linalg.eigvalsh(gram)[:, 0]
+    ok = eigmin > 0
+    det = np.where(ok, np.real(np.linalg.det(gram)), 1.0)
+    w[ok] = box_vol * det[ok] ** weight_exponent
     return z, w

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,7 +34,8 @@ from .fock import (
     omega_matcoef_transform_route,
     weil_transform_bruteforce,
 )
-from .group import CoverElement, cpow_int, haar_unitary, sample_domain, weighted_ball_volume
+from .group import (CoverElement, cpow_int, haar_unitary, sample_ball, sample_domain,
+                    weighted_ball_volume)
 from .weights import (
     Case,
     ClosedValue,
@@ -50,6 +51,7 @@ from .weights import (
     formal_degree_product,
     gl_dim,
     weyl_dim,
+    T_arguments,
     zeta_closed,
 )
 
@@ -68,6 +70,8 @@ __all__ = [
 
 POLE_DISTANCE = Fraction(1, 2)
 DEFAULT_CHUNK = 100_000
+# fewest accepted domain points a Monte Carlo verdict may rest on
+MIN_ACCEPTED = 100
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,12 @@ def _split_budget(samples: int, workers: int) -> list[int]:
 
 
 def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
-    """Run the per-chunk evaluator across worker substreams, fixed order."""
+    """Run the per-chunk evaluator across worker substreams, fixed order.
+
+    Squared deviations are summed about each chunk's own mean and the chunks
+    merged pairwise in worker order (Chan, Golub & LeVeque 1979)."""
     total = 0.0 + 0.0j
-    total_sq = 0.0
+    sq_dev = 0.0
     count = 0
     rngs = _substreams(seed, workers)
     for rng, budget in zip(rngs, _split_budget(samples, workers)):
@@ -120,13 +127,16 @@ def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
         while remaining > 0:
             m = min(DEFAULT_CHUNK, remaining)
             vals = chunks_fn(rng, m)
-            total += vals.sum()
-            total_sq += float((np.abs(vals) ** 2).sum())
+            chunk_sum = vals.sum()
+            chunk_mean = chunk_sum / m
+            sq_dev += float((np.abs(vals - chunk_mean) ** 2).sum())
+            if count:
+                sq_dev += abs(chunk_mean - total / count) ** 2 * count * m / (count + m)
+            total += chunk_sum
             count += m
             remaining -= m
     mean = total / count
-    var = max(total_sq / count - abs(mean) ** 2, 0.0)
-    stderr = math.sqrt(var / count)
+    stderr = math.sqrt(sq_dev / count / count)
     return mean, stderr, count
 
 
@@ -156,39 +166,31 @@ def _verdict(value, target: float, stderr: Optional[float] = None) -> tuple[str,
     return ("PASS" if ok else "FAIL"), rel
 
 
-def _fractional_char_batch(kappas: Sequence[Fraction], eigs: np.ndarray) -> np.ndarray:
-    """Character with a possibly fractional common det twist at positive-real
-    or complex eigenvalue batches (N, m)."""
-    kappas = [Fraction(k) for k in kappas]
+def _fractional_char(kappas: Sequence[Fraction]):
+    """Character with a possibly fractional common det twist, as a function
+    of positive-real or complex eigenvalue batches (N, m); a one-dimensional
+    weight (all entries equal) is the det power itself."""
+    if len(set(kappas)) == 1:
+        kappa = float(kappas[0])
+        return lambda eigs: eigs.prod(axis=1) ** kappa if kappa else 1.0
     tau = kappas[-1] - int(kappas[-1])
     parts = [k - tau for k in kappas]
     if any(p.denominator != 1 for p in parts):
         raise InvalidParameterError(f"weight entries not mutually congruent: {kappas}")
-    out = schur_eval_batch([int(p) for p in parts], eigs)
-    if tau:
-        out = out * np.prod(eigs, axis=1) ** float(tau)
-    return out
+    parts = [int(p) for p in parts]
+    tau = float(tau)
+
+    def char(eigs):
+        out = schur_eval_batch(parts, eigs)
+        if tau:
+            out = out * eigs.prod(axis=1) ** tau
+        return out
+
+    return char
 
 
 # ---------------------------------------------------------------------------
 # the scalar domain integral
-
-
-def _s_integrand_radial(p, q, kap, iot, s):
-    """Radial integrand over u in (0,1) for min(p,q) == 1, including the
-    sphere volume factor and the trace normalization."""
-    m = max(p, q)
-    dim = gl_dim(kap) * gl_dim(iot)
-    const = math.pi**m / math.gamma(m) / dim
-
-    def g(u):
-        eig_inv = np.array([[1.0 / (1.0 - u)] + [1.0] * (p - 1)])
-        eig_gram = np.array([[1.0 - u] + [1.0] * (q - 1)])
-        chi1 = _fractional_char_batch(kap, eig_inv)[0]
-        chi2 = _fractional_char_batch(iot, eig_gram)[0]
-        return const * (chi1 * chi2).real * (1.0 - u) ** float(s - (p + q)) * u ** (m - 1)
-
-    return g
 
 
 def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
@@ -198,7 +200,8 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     Deterministic radial quadrature when min(p,q) == 1 and the integrand is
     radial (it always is: characters only see the rank-one gram spectrum);
     Monte Carlo over :func:`~arczeta.group.sample_domain` otherwise or when
-    requested.
+    requested.  Both paths evaluate one integrand on the spectrum of the
+    smaller gram (1 - z z* or 1 - z* z).
     """
     kap = tuple(Fraction(k) for k in (kappas if not isinstance(kappas, (int, Fraction)) else [kappas] * p))
     iot = tuple(Fraction(i) for i in (iotas if not isinstance(iotas, (int, Fraction)) else [iotas] * q))
@@ -214,10 +217,26 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     if method == "auto":
         method = "quad" if min(p, q) == 1 else "mc"
 
+    m, big = min(p, q), max(p, q)
+    dim = gl_dim(kap) * gl_dim(iot)
+    chi_p, chi_q = _fractional_char(kap), _fractional_char(iot)
+
+    def integrand(eig, power):
+        # the grams 1 - z z* (p x p) and 1 - z* z (q x q) share their
+        # spectrum up to eigenvalues 1; ``eig`` is that of the smaller one
+        padded = np.concatenate([eig, np.ones((len(eig), big - m))], axis=1)
+        eig_p, eig_q = (eig, padded) if p == m else (padded, eig)
+        return chi_p(1.0 / eig_p) * chi_q(eig_q) * eig.prod(axis=1) ** power / dim
+
     if method == "quad":
-        if min(p, q) != 1:
+        if m != 1:
             raise InvalidParameterError("quadrature path needs min(p,q) == 1")
-        g = _s_integrand_radial(p, q, kap, iot, s)
+        const = math.pi**big / math.gamma(big)
+        expo = float(s - (p + q))
+
+        def g(u):
+            return const * integrand(np.array([[1.0 - u]]), expo)[0].real * u ** (big - 1)
+
         val, err = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
         est = Estimate(val, err, 0, seed, time.perf_counter() - t0)
         verdict, rel = _verdict(val, float(closed))
@@ -226,29 +245,29 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     # sample_domain carries det^e_imp in its weights (matched radially when
     # min(p,q) == 1, by rejection from the entry box otherwise); the rest of
     # the determinant power rides on each sample
-    dim = gl_dim(kap) * gl_dim(iot)
     e_imp = float(min(factors)) - 1.0
     resid = float(s - (p + q)) - e_imp
-    m = min(p, q)
+    accepted = 0
 
     def chunk(rng, size):
+        nonlocal accepted
         z, w = sample_domain(p, q, e_imp, rng, size=size)
         inside = np.flatnonzero(w)
-        # the grams 1 - z z* (p x p) and 1 - z* z (q x q) share their spectrum
-        # up to eigenvalues 1, so only the smaller one is diagonalized
+        accepted += inside.size
         zm = z[inside] if p == m else z[inside].conj().transpose(0, 2, 1)
         eig = np.linalg.eigvalsh(np.eye(m) - zm @ zm.conj().transpose(0, 2, 1))
-        padded = np.concatenate([eig, np.ones((inside.size, abs(p - q)))], axis=1)
-        eig_p, eig_q = (eig, padded) if p == m else (padded, eig)
-        chi = _fractional_char_batch(kap, 1.0 / eig_p) * _fractional_char_batch(iot, eig_q)
         vals = np.zeros(size, dtype=complex)
-        vals[inside] = w[inside] * chi * np.prod(eig, axis=1) ** resid / dim
+        vals[inside] = w[inside] * integrand(eig, resid)
         return vals
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
+    if accepted < MIN_ACCEPTED:
+        raise ConvergenceError(f"verify_S: the domain sampler accepted {accepted} of "
+                               f"{count} proposals, fewer than {MIN_ACCEPTED}")
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
     verdict, rel = _verdict(mean, float(closed), stderr)
-    return VerifyReport("verify_S", est, closed, verdict, rel, {"method": "mc"})
+    return VerifyReport("verify_S", est, closed, verdict, rel,
+                        {"method": "mc", "accepted": accepted})
 
 
 # ---------------------------------------------------------------------------
@@ -259,55 +278,14 @@ def verify_T(theta: ThetaDatum, s, *, samples: int = 200_000, seed: int = 0,
              workers: int = 1, method: str = "quad") -> VerifyReport:
     """Check the endomorphism scalar at parameter ``s``.
 
-    The integrand is the trace-normalized character of the triangular-factor
-    ratio, which is radial on the rank-one ball, so a deterministic radial
-    path is always available; a Monte Carlo path is kept for sampler
-    validation.
+    Its integrand is the domain integrand of :func:`verify_S` on the (n, 1)
+    ball at :func:`~arczeta.weights.T_arguments`, so this is that check
+    reported against :func:`~arczeta.weights.closed_T`.
     """
-    s = Fraction(s)
     closed = closed_T(theta, s)
-    factors = closed_T_factors(theta, s)
-    _guard_poles(factors, "verify_T")
-    n = theta.n
-    t0 = time.perf_counter()
-
-    if theta.case is Case.I:
-        kap = theta.LambdaDual.first
-        dim = gl_dim(kap)
-
-        def chi(u):  # character at diag((1-u)^{-1}, 1, .., 1) over the first factor
-            eigs = np.concatenate([1.0 / (1.0 - u)[:, None], np.ones((len(u), n - 1))], axis=1)
-            return _fractional_char_batch(kap, eigs) / dim
-    else:
-        iota = theta.LambdaDual.second[0]
-
-        def chi(u):  # the one-dimensional second factor at the scalar 1-u
-            return (1.0 - u) ** float(iota)
-
-    const = math.pi**n / math.gamma(n)
-    expo = float(s - (n + 1))
-
-    if method == "quad":
-        def g(u):
-            arr = np.array([u])
-            return const * chi(arr)[0].real * (1.0 - u) ** expo * u ** (n - 1)
-
-        val, err = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
-        est = Estimate(val, err, 0, seed, time.perf_counter() - t0)
-        verdict, rel = _verdict(val, float(closed))
-        return VerifyReport("verify_T", est, closed, verdict, rel, {"method": "quad"})
-
-    e_imp = float(min(factors)) - 1.0
-    c_norm = weighted_ball_volume(n, e_imp)
-
-    def chunk(rng, size):
-        u = rng.beta(n, e_imp + 1.0, size=size)
-        return c_norm * chi(u) * (1.0 - u) ** (expo - e_imp)
-
-    mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
-    est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
-    verdict, rel = _verdict(mean, float(closed), stderr)
-    return VerifyReport("verify_T", est, closed, verdict, rel, {"method": "mc"})
+    rep = verify_S(*T_arguments(theta), s, samples=samples, seed=seed, workers=workers,
+                   method=method)
+    return replace(rep, name="verify_T", closed=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +309,7 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     (``flip_roots``) must leave each sample bit-identical.
     """
     n = theta.n
-    u = rng.beta(n, e_imp + 1.0, size=size)
-    dirs = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    u, dirs = sample_ball(n, e_imp, rng, size)
     x = haar_unitary(n, rng, size=size)
     yang = rng.uniform(0.0, 2.0 * np.pi, size=size)
     y = np.exp(1j * yang)

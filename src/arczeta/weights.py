@@ -206,12 +206,9 @@ class ThetaDatum:
     case: Case
     p: int
     q: int
-    a: int
-    b: int
     gamma: Fraction
     alphas: tuple[Fraction, ...]
     betas: tuple[Fraction, ...]
-    m: Fraction
     Lambda: WeightPair
     LambdaDual: WeightPair
     LambdaPrime: WeightPair
@@ -316,7 +313,6 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
         gamma = fr[n] - half
         alphas = tuple(fr[i - 1] + i - n + half for i in range(1, n + 1))
         betas: tuple[Fraction, ...] = ()
-        m = -gamma
         if gamma < 0:
             raise InadmissibleParameterError(f"Case I needs gamma >= 0, got {gamma}")
         if any(x < y for x, y in zip(alphas, alphas[1:])):
@@ -338,7 +334,6 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
         gamma = -fr[n] + p - half
         betas = tuple(-fr[n - i] + i - p - half for i in range(1, p + 1))
         alphas = tuple(fr[r - 1] + r - q + half for r in range(1, q))
-        m = gamma
         if gamma <= 0:
             raise InadmissibleParameterError(f"Case II needs gamma > 0, got {gamma}")
         if any(x < 0 for x in betas) or any(x < y for x, y in zip(betas, betas[1:])):
@@ -372,8 +367,7 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     assert LambdaDual.second == (LambdaDual_entries[n],)
 
     return ThetaDatum(
-        lam=lam, n=n, case=case, p=p, q=q, a=a, b=b, gamma=gamma,
-        alphas=alphas, betas=betas, m=m,
+        lam=lam, n=n, case=case, p=p, q=q, gamma=gamma, alphas=alphas, betas=betas,
         Lambda=Lambda, LambdaDual=LambdaDual, LambdaPrime=LambdaPrime,
         nonstandard_congruence=nonstandard, closed_form_valid=closed_ok,
     )
@@ -584,6 +578,16 @@ def dual_S_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...],
     """(p, q, kappas, iotas) feeding :func:`closed_S` with the contragredient
     lowest K-type viewed on the (n, 1) domain."""
     return theta.n, 1, theta.LambdaDual.first, theta.LambdaDual.second
+
+
+def T_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(p, q, kappas, iotas) at which :func:`closed_S` on the (n, 1) domain is
+    :func:`closed_T`: the contragredient first factor against the trivial
+    weight (Case I) or the trivial weight against the second (Case II)."""
+    n = theta.n
+    if theta.case is Case.I:
+        return n, 1, theta.LambdaDual.first, (Fraction(0),)
+    return n, 1, (Fraction(0),) * n, theta.LambdaDual.second
 
 
 def admissible_sweep(n: int, max_entry) -> list[HCParameter]:

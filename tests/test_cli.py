@@ -144,6 +144,12 @@ class TestVerifyCommands:
                                "--kappa", "0", "--iota", "0", "--s", "7/5")
         assert code == 2 and "pole" in err
 
+    def test_starved_sampler_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify-s", "--p", "3", "--q", "3",
+                               "--kappa", "-1,-1,-1", "--iota", "1,1,1", "--s", "8",
+                               "--method", "mc", "--samples", "100000")
+        assert code == 2 and "accepted" in err
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCZETA_SEED", "42")
         code, out, _ = run_cli(capsys, "verify-zeta", "--lambda", "3/2,1/2",

@@ -16,6 +16,7 @@ from arczeta.group import (
     h_from_z,
     haar_unitary,
     random_group_element,
+    sample_ball,
     sample_domain,
     theta_t,
     theta_z,
@@ -207,7 +208,15 @@ class TestSampler:
 
     def test_nonintegrable_exponent_rejected(self, rng):
         with pytest.raises(ConvergenceError):
-            sample_domain(1, 1, -1.0, rng)
+            sample_domain(1, 1, -1.0, rng, size=1)
+
+    def test_rank_one_branch_is_the_ball_draw(self):
+        # sample_domain on the (3, 1) ball places sample_ball's radii and
+        # directions, consuming the stream in the same order
+        z, w = sample_domain(3, 1, 0.5, np.random.default_rng(4), size=1_000)
+        u, dirs = sample_ball(3, 0.5, np.random.default_rng(4), 1_000)
+        assert np.array_equal(z[:, :, 0], np.sqrt(u)[:, None] * dirs)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
 class TestCpow:

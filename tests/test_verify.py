@@ -8,6 +8,7 @@ from arczeta.errors import ConvergenceError
 from arczeta.fock import MatrixCoefficient
 from arczeta.verify import (
     Estimate,
+    _reduce_mean,
     verify_at_lemma,
     verify_formal_degree,
     verify_prop61,
@@ -21,6 +22,7 @@ from arczeta.weights import (
     ClosedValue,
     admissible_sweep,
     classify_theta,
+    closed_T,
     closed_T_factors,
 )
 
@@ -61,6 +63,36 @@ class TestVerifyS:
     def test_rejection_sampler_path(self):
         rep = verify_S(2, 2, (0, 0), 1, 3, method="mc", samples=60_000, seed=8)
         assert rep.passed
+        assert 0 < rep.details["accepted"] < 60_000
+
+    def test_starved_rejection_sampler_refused(self):
+        # the entry box almost never lands inside the (3,3) ball
+        with pytest.raises(ConvergenceError, match="accepted"):
+            verify_S(3, 3, (-1, -1, -1), (1, 1, 1), 8, method="mc", samples=100_000)
+
+
+class TestReduceMean:
+    def test_constant_integrand_has_no_variance(self):
+        # a one-pass E|x|^2 - |Ex|^2 reports about 4e-12 here
+        mean, stderr, count = _reduce_mean(lambda rng, size: np.full(size, 0.2 + 0j),
+                                           1_000_000, 2, 0)
+        assert count == 1_000_000 and abs(mean - 0.2) < 1e-15
+        assert stderr <= 1e-15
+
+    def test_merge_matches_direct_variance(self):
+        # chunks of unequal size and mean merge to the pooled sample variance
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal(250_003) * 2.0 + 1j * rng.standard_normal(250_003) + 5.0
+        pos = {}
+
+        def chunk(_rng, size):
+            start = pos.get("at", 0)
+            pos["at"] = start + size
+            return data[start:start + size]
+
+        mean, stderr, count = _reduce_mean(chunk, data.size, 1, 0)
+        direct = math.sqrt(np.mean(np.abs(data - data.mean()) ** 2) / data.size)
+        assert count == data.size and math.isclose(stderr, direct, rel_tol=1e-12)
 
 
 class TestVerifyT:
@@ -86,6 +118,12 @@ class TestVerifyT:
         th = classify_theta(lam("7/2", "3/2", "1/2"))
         rep = verify_T(th, 3, method="mc", samples=50_000, seed=2)
         assert rep.passed
+
+    def test_reports_as_verify_T_against_closed_T(self):
+        th = classify_theta(lam("-1/2", "-5/2"))
+        rep = verify_T(th, 2)
+        assert rep.name == "verify_T" and rep.closed == closed_T(th, 2)
+        assert rep.details == {"method": "quad"}
 
 
 class TestVerifyZeta:

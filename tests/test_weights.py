@@ -24,6 +24,7 @@ from arczeta.weights import (
     gl_dim,
     hc_to_blattner,
     weyl_dim,
+    T_arguments,
     zeta_closed,
 )
 
@@ -266,6 +267,22 @@ class TestClosedT:
         th1 = classify_theta(lam("3/2", "1/2"))
         with pytest.raises(PoleError):
             closed_T(th1, -1)  # alpha_1 - 1 + s = 0 at s = -1
+
+
+    def test_is_S_on_the_rank_one_ball(self):
+        # T(s) is the (n, 1) domain scalar at T_arguments, factor for factor;
+        # at a pole both sides refuse
+        for n in (1, 2, 3, 4):
+            for lv in admissible_sweep(n, F(15, 2)):
+                th = classify_theta(lv)
+                for s in (F(-3, 2), F(-1), F(1, 2), F(n + 1, 2), F(n + 3)):
+                    try:
+                        t_val = closed_T(th, s)
+                    except PoleError:
+                        with pytest.raises(PoleError):
+                            closed_S(*T_arguments(th), s)
+                        continue
+                    assert closed_S(*T_arguments(th), s) == t_val, (str(lv), s)
 
 
 class TestZetaAndProjection:
