@@ -111,7 +111,8 @@ def build_report(command: str, *, lam: HCParameter | None = None,
         out["verdict"] = report.verdict
         if report.closed is not None and closed is None:
             out["closed"] = _closed_dict(report.closed)
-        out["extra"].update({"rel_err": report.rel_err})
+        out["extra"].update(report.details)
+        out["extra"]["rel_err"] = report.rel_err
         out["wall_time"] = est.wall_time
     return out
 
@@ -306,29 +307,24 @@ def _verify_zeta(args, seed, samples):
     theta = classify_theta(lam)
     rep = verify_zeta(theta, samples=samples, seed=seed,
                       workers=args.workers, method=args.method)
-    doc = build_report("verify-zeta", lam=lam, theta=theta, report=rep,
-                       extra={"phi_norm2": rep.details.get("phi_norm2")})
-    return doc, rep.passed
+    return build_report("verify-zeta", lam=lam, theta=theta, report=rep), rep.passed
 
 
 def _verify_prop61(args, seed, samples):
     rep = verify_prop61(trials=args.trials, seed=seed, tol=args.tol)
-    doc = build_report("verify-prop61", report=rep, extra={"cases": rep.details["cases"]})
-    return doc, rep.passed
+    return build_report("verify-prop61", report=rep), rep.passed
 
 
 def _verify_at(args, seed, samples):
     rep = verify_at_lemma(max_degree=args.max_degree)
-    doc = build_report("verify-at", report=rep, extra={"monomials": rep.details["monomials"]})
-    return doc, rep.passed
+    return build_report("verify-at", report=rep), rep.passed
 
 
 def _verify_schur(args, seed, samples):
     weights = [[int(x) for x in w.split(",")] for w in args.weights.split(";")]
     rep = verify_schur_orthogonality(weights, samples=samples, seed=seed,
                                      workers=args.workers)
-    doc = build_report("verify-schur", report=rep, extra={"rows": rep.details["rows"]})
-    return doc, rep.passed
+    return build_report("verify-schur", report=rep), rep.passed
 
 
 def _verify_fd(args, seed, samples):
@@ -339,8 +335,7 @@ def _verify_fd(args, seed, samples):
             "(increase --max-entry)"
         )
     rep = verify_formal_degree(lams[: args.count])
-    doc = build_report("verify-fd", report=rep, extra={"rows": rep.details["rows"]})
-    return doc, rep.passed
+    return build_report("verify-fd", report=rep), rep.passed
 
 
 # each handler returns (report, passed); the CSV table prints itself and returns no report

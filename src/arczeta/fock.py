@@ -17,6 +17,7 @@ Gaussian rationals times integer powers of pi (:class:`~arczeta.exact.PiLaurent`
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,14 +56,56 @@ def _var(n: int, i: int, j: int) -> int:
     return (i - 1) * (n + 1) + (j - 1)
 
 
+def _exponents(n: int, *flat: int) -> tuple:
+    """Exponent vector of the product of the variables with these flat indices."""
+    e = [0] * ((n + 1) ** 2)
+    for v in flat:
+        e[v] += 1
+    return tuple(e)
+
+
+# -- the two coefficient modes -----------------------------------------------
+# Scalars enter either ring through these helpers, and every sum of terms
+# goes through one accumulator.
+
+
 def _is_exact(c) -> bool:
     return isinstance(c, (PiLaurent, QQi, Fraction, int))
 
 
+def _scalar(c, exact: bool):
+    """``c`` as a Gaussian rational (exact) or a complex float."""
+    return QQi.coerce(c) if exact else complex(c)
+
+
 def _coerce(c, exact: bool):
+    """``c`` as a polynomial coefficient: PiLaurent (exact) or complex (float)."""
+    return PiLaurent.coerce(c) if exact else complex(c)
+
+
+def _pi_scalar(value, k: int, exact: bool):
+    """``value * pi**k`` in the mode's ring: a PiLaurent of one power of pi,
+    or a float that divides by pi**-k when k < 0."""
     if exact:
-        return c if isinstance(c, PiLaurent) else PiLaurent.coerce(QQi.coerce(c) if not isinstance(c, QQi) else c)
-    return complex(c)
+        return PiLaurent.single(QQi.coerce(value), k)
+    return value * math.pi**k if k >= 0 else value / math.pi**-k
+
+
+def _collect(pairs) -> dict:
+    """Sum ``(exponents, coefficient)`` pairs into a term table, in order,
+    storing no zero coefficient."""
+    out: dict[tuple, object] = {}
+    for e, c in pairs:
+        if not c:
+            continue
+        prev = out.get(e)
+        if prev is not None:
+            c = c + prev
+            if not c:
+                del out[e]
+                continue
+        out[e] = c
+    return out
 
 
 class FockPoly:
@@ -78,20 +121,19 @@ class FockPoly:
         self.n = int(n)
         self.exact = bool(exact)
         nvars = (n + 1) * (n + 1)
-        clean: dict[tuple, object] = {}
+        pairs = []
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise InvalidParameterError(f"bad exponent vector {exps}")
-            c = _coerce(c, self.exact)
-            if c:
-                prev = clean.get(exps)
-                c = c + prev if prev is not None else c
-                if c:
-                    clean[exps] = c
-                else:
-                    clean.pop(exps, None)
-        self.terms = clean
+            pairs.append((exps, _coerce(c, self.exact)))
+        self.terms = _collect(pairs)
+
+    def _with(self, terms: dict) -> "FockPoly":
+        """A polynomial of this size and mode over an already clean term table."""
+        res = FockPoly.__new__(FockPoly)
+        res.n, res.exact, res.terms = self.n, self.exact, terms
+        return res
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -100,14 +142,11 @@ class FockPoly:
 
     @classmethod
     def one(cls, n: int, exact: bool = True) -> "FockPoly":
-        z = (0,) * ((n + 1) ** 2)
-        return cls(n, {z: 1}, exact)
+        return cls(n, {_exponents(n): 1}, exact)
 
     @classmethod
     def variable(cls, n: int, i: int, j: int, exact: bool = True) -> "FockPoly":
-        e = [0] * ((n + 1) ** 2)
-        e[_var(n, i, j)] = 1
-        return cls(n, {tuple(e): 1}, exact)
+        return cls(n, {_exponents(n, _var(n, i, j)): 1}, exact)
 
     # -- ring ops ------------------------------------------------------------
     def _check(self, other: "FockPoly"):
@@ -116,22 +155,10 @@ class FockPoly:
 
     def __add__(self, other: "FockPoly") -> "FockPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            s = c + prev if prev is not None else c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = FockPoly.zero(self.n, self.exact)
-        res.terms = out
-        return res
+        return self._with(_collect(itertools.chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "FockPoly":
-        res = FockPoly.zero(self.n, self.exact)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return self._with({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "FockPoly") -> "FockPoly":
         return self + (-other)
@@ -151,18 +178,13 @@ class FockPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = FockPoly.zero(self.n, self.exact)
-        res.terms = out
-        return res
+        return self._with(out)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "FockPoly":
         scalar = _coerce(scalar, self.exact)
-        res = FockPoly.zero(self.n, self.exact)
-        if scalar:
-            res.terms = {e: c * scalar for e, c in self.terms.items()}
-        return res
+        return self._with({e: c * scalar for e, c in self.terms.items()} if scalar else {})
 
     def __pow__(self, k: int) -> "FockPoly":
         if k < 0:
@@ -186,9 +208,7 @@ class FockPoly:
     def to_float(self) -> "FockPoly":
         if not self.exact:
             return self
-        res = FockPoly.zero(self.n, exact=False)
-        res.terms = {e: complex(c) for e, c in self.terms.items()}
-        return res
+        return FockPoly(self.n, self.terms, exact=False)
 
     def __eq__(self, other):
         return (
@@ -207,8 +227,12 @@ class FockPoly:
 # inner product and the basic Gaussian integral
 
 
-def _log_monomial_norm(exps) -> float:
-    return sum(math.lgamma(e + 1) for e in exps) - sum(exps) * math.log(math.pi)
+def _monomial_norm2(exps, exact: bool):
+    """Squared norm a!/pi^|a| of the monomial z^a.  The float route goes
+    through log-gamma and cannot overflow."""
+    if exact:
+        return _pi_scalar(math.prod(math.factorial(k) for k in exps), -sum(exps), True)
+    return math.exp(sum(math.lgamma(e + 1) for e in exps) - sum(exps) * math.log(math.pi))
 
 
 def bargmann_inner(f: FockPoly, g: FockPoly):
@@ -221,23 +245,11 @@ def bargmann_inner(f: FockPoly, g: FockPoly):
         raise InvalidParameterError("mismatched variable counts")
     if f.exact != g.exact:
         raise InvalidParameterError("mismatched coefficient modes")
-    if f.exact:
-        acc = PiLaurent()
-        for e, c in f.terms.items():
-            d = g.terms.get(e)
-            if d is None:
-                continue
-            norm = 1
-            for k in e:
-                norm *= math.factorial(k)
-            acc = acc + c * d.conjugate() * PiLaurent.single(norm, -sum(e))
-        return acc
-    acc = 0j
+    acc = _coerce(0, f.exact)
     for e, c in f.terms.items():
         d = g.terms.get(e)
-        if d is None:
-            continue
-        acc += c * d.conjugate() * math.exp(_log_monomial_norm(e))
+        if d is not None:
+            acc = acc + c * d.conjugate() * _monomial_norm2(e, f.exact)
     return acc
 
 
@@ -249,20 +261,10 @@ def gaussian_pair(i: int, j: int, c):
     """
     if i < 0 or j < 0:
         raise InvalidParameterError("exponents must be non-negative")
-    if _is_exact(c):
-        if i < j:
-            return PiLaurent()
-        cc = c if isinstance(c, QQi) else QQi.coerce(c)
-        coeff = QQi.coerce(math.factorial(i) // math.factorial(i - j)) * cc ** (i - j)
-        return PiLaurent.single(coeff, -j)
+    exact = _is_exact(c)
     if i < j:
-        return 0j
-    return (
-        math.factorial(i)
-        / math.factorial(i - j)
-        * complex(c) ** (i - j)
-        / math.pi**j
-    )
+        return _coerce(0, exact)
+    return _pi_scalar(math.perm(i, j) * _scalar(c, exact) ** (i - j), -j, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +417,29 @@ def _cover_data(k, exact: bool):
 
 def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> FockPoly:
     """Substitute each variable by a linear form (list of (var, coeff))."""
-    out = FockPoly.zero(f.n, f.exact)
     cache: dict[tuple[int, int], FockPoly] = {}
 
     def image_power(v: int, e: int) -> FockPoly:
-        key = (v, e)
-        if key in cache:
-            return cache[key]
-        lin = FockPoly.zero(f.n, f.exact)
-        for w, c in images[v]:
-            mono = FockPoly.variable(f.n, 1 + w // (f.n + 1), 1 + w % (f.n + 1), f.exact)
-            lin = lin + mono.scale(c)
-        val = lin**e
-        cache[key] = val
-        return val
+        if (v, e) not in cache:
+            lin = f._with(_collect((_exponents(f.n, w), _coerce(c, f.exact)) for w, c in images[v]))
+            cache[v, e] = lin**e
+        return cache[v, e]
 
+    pairs = []
     for exps, coeff in f.terms.items():
         term = FockPoly.one(f.n, f.exact)
         for v, e in enumerate(exps):
             if e:
                 term = term * image_power(v, e)
-        out = out + term.scale(coeff)
-    return out
+        pairs.extend((e, c * coeff) for e, c in term.terms.items())
+    return f._with(_collect(pairs))
+
+
+def _twist(f: FockPoly, ratio, power: int) -> FockPoly:
+    """Scale by the carried root ratio to the given det-twist power."""
+    if not power:
+        return f
+    return f.scale(ratio**power if f.exact else cpow_int(complex(ratio), power))
 
 
 def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
@@ -459,12 +462,7 @@ def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     for j in range(1, n + 2):
         v = _var(n, n + 1, j)
         images[v] = [(v, yi if j <= p else y)]
-    out = _substitute(f, images)
-    tw = p - theta.q
-    if tw:
-        twist = ratio**tw if f.exact else cpow_int(complex(ratio), tw)
-        out = out.scale(twist)
-    return out
+    return _twist(_substitute(f, images), ratio, p - theta.q)
 
 
 def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
@@ -505,12 +503,7 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
             images[v] = [
                 (_var(n, n + 1, p + c), yq_mat[c - 1][j - p - 1]) for c in range(1, q + 1)
             ]
-    out = _substitute(f, images)
-    tw = n - 1
-    if tw:
-        twist = ratio**tw if f.exact else cpow_int(complex(ratio), tw)
-        out = out.scale(twist)
-    return out
+    return _twist(_substitute(f, images), ratio, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +535,13 @@ class AtTransform:
 
     def exp_factor(self, max_degree: int) -> FockPoly:
         """The exponential tag expanded through total degree ``max_degree``."""
-        exact = self.poly.exact
-        bil = FockPoly.zero(self.n, exact)
-        for j in range(1, self.n + 2):
-            bil = bil + FockPoly.variable(self.n, 1, j, exact) * FockPoly.variable(
-                self.n, self.n + 1, j, exact
-            )
-        out = FockPoly.one(self.n, exact)
-        power = FockPoly.one(self.n, exact)
+        n, exact = self.n, self.poly.exact
+        bil = FockPoly(n, {_exponents(n, _var(n, 1, j), _var(n, n + 1, j)): 1
+                           for j in range(1, n + 2)}, exact)
+        out = power = FockPoly.one(n, exact)
         for m in range(1, max_degree // 2 + 1):
             power = power * bil
-            if exact:
-                coeff = PiLaurent.single(QQi.coerce(Fraction(self.tanh) ** m * Fraction(1, math.factorial(m))), m)
-            else:
-                coeff = (math.pi * self.tanh) ** m / math.factorial(m)
-            out = out + power.scale(coeff)
+            out = out + power.scale(_pi_scalar(self.tanh**m / math.factorial(m), m, exact))
         return out
 
     def pair_with(self, g: FockPoly):
@@ -578,53 +563,28 @@ def omega_at(t, f: FockPoly) -> AtTransform:
     by the integration row and the last row by its shifted image, then kill
     each integral with :func:`gaussian_pair`; the middle rows ride along.
     """
-    exact = f.exact
-    n = f.n
+    n, exact = f.n, f.exact
     ch, th = _hyperbolic_scalars(t, exact)
-    chinv = (1 / ch) if exact else 1.0 / ch
-
-    out = FockPoly.zero(n, exact)
+    chinv = 1 / ch
+    pairs = []
     for exps, coeff in f.terms.items():
-        # column data for the first and last variable rows
-        parts = [FockPoly.zero(n, exact)]
+        # column j moves the exponents of z_1j and z_(n+1)j together
         acc = [(exps, coeff)]
         for j in range(1, n + 2):
-            v1 = _var(n, 1, j)
-            v2 = _var(n, n + 1, j)
-            i_j = exps[v1]
-            g_j = exps[v2]
+            v1, v2 = _var(n, 1, j), _var(n, n + 1, j)
+            i_j, g_j = exps[v1], exps[v2]
             new_acc = []
             for cur_exps, cur_coeff in acc:
-                for ell in range(0, min(i_j, g_j) + 1):
-                    binom = math.comb(g_j, ell)
-                    fall = math.factorial(i_j) // math.factorial(i_j - ell)
-                    power = (g_j - ell) + (i_j - ell)
-                    if exact:
-                        scal = PiLaurent.single(
-                            QQi.coerce(
-                                Fraction(binom * fall)
-                                * (Fraction(-1) * th) ** ell
-                                * Fraction(chinv) ** power
-                            ),
-                            -ell,
-                        )
-                    else:
-                        scal = binom * fall * (-th) ** ell * chinv**power / math.pi**ell
+                for ell in range(min(i_j, g_j) + 1):
+                    scal = _pi_scalar(math.comb(g_j, ell) * math.perm(i_j, ell) * (-th) ** ell
+                                      * chinv ** (i_j + g_j - 2 * ell), -ell, exact)
                     e = list(cur_exps)
-                    e[v1] = i_j - ell
-                    e[v2] = g_j - ell
+                    e[v1], e[v2] = i_j - ell, g_j - ell
                     new_acc.append((tuple(e), cur_coeff * scal))
             acc = new_acc
-        for e, c in acc:
-            out = out + FockPoly(n, {e: c}, exact)
-
-    if exact:
-        pref = PiLaurent.single(QQi.coerce(Fraction(chinv) ** (n + 1)), 0)
-        tanh_val = th
-    else:
-        pref = chinv ** (n + 1)
-        tanh_val = th
-    return AtTransform(n=n, prefactor=pref, tanh=tanh_val, poly=out)
+        pairs.extend(acc)
+    return AtTransform(n=n, prefactor=_pi_scalar(chinv ** (n + 1), 0, exact), tanh=th,
+                       poly=f._with(_collect(pairs)))
 
 
 def weil_transform_bruteforce(t, f: FockPoly) -> AtTransform:
@@ -633,83 +593,43 @@ def weil_transform_bruteforce(t, f: FockPoly) -> AtTransform:
     (middle rows one source, corner rows two sources including the joint
     antiholomorphic term) and each variable is integrated by monomial
     orthogonality.  Used as the oracle against :func:`omega_at`."""
-    exact = f.exact
-    n = f.n
+    n, exact = f.n, f.exact
     ch, th = _hyperbolic_scalars(t, exact)
-    chinv = (1 / ch) if exact else 1.0 / ch
-
-    out = FockPoly.zero(n, exact)
+    chinv = 1 / ch
+    pairs = []
     for exps, coeff in f.terms.items():
-        acc = [(list(exps), coeff)]
         # middle rows: single kernel source pi * z_rj wbar_rj; the expansion
         # order is forced to the monomial exponent and the integral returns
         # the same monomial.
         # corner columns: sources pi/ch * z_1j wbar_1j, pi/ch * z_(n+1)j
         # wbar_(n+1)j, and -pi*th * wbar_1j wbar_(n+1)j.
-        new_acc = []
-        for cur_exps, cur_coeff in acc:
-            items = [(list(cur_exps), cur_coeff)]
-            for j in range(1, n + 2):
-                v1 = _var(n, 1, j)
-                v2 = _var(n, n + 1, j)
-                i_j = exps[v1]
-                g_j = exps[v2]
-                expanded = []
-                for e_cur, c_cur in items:
-                    for m in range(0, min(i_j, g_j) + 1):
-                        a = i_j - m
-                        b = g_j - m
-                        # kernel coefficient: (pi/ch)^a/a! * (pi/ch)^b/b! *
-                        # (-pi th)^m/m!, integrals give i!/pi^i * g!/pi^g
-                        if exact:
-                            num = (
-                                Fraction(chinv) ** (a + b)
-                                * (Fraction(-1) * th) ** m
-                                * Fraction(
-                                    math.factorial(i_j) * math.factorial(g_j),
-                                    math.factorial(a) * math.factorial(b) * math.factorial(m),
-                                )
-                            )
-                            scal = PiLaurent.single(QQi.coerce(num), (a + b + m) - i_j - g_j)
-                        else:
-                            scal = (
-                                (math.pi * chinv) ** a
-                                / math.factorial(a)
-                                * (math.pi * chinv) ** b
-                                / math.factorial(b)
-                                * (-math.pi * th) ** m
-                                / math.factorial(m)
-                                * math.factorial(i_j)
-                                / math.pi**i_j
-                                * math.factorial(g_j)
-                                / math.pi**g_j
-                            )
-                        e = list(e_cur)
-                        e[v1] = a
-                        e[v2] = b
-                        expanded.append((e, c_cur * scal))
-                items = expanded
-            new_acc.extend(items)
-        for e, c in new_acc:
-            out = out + FockPoly(n, {tuple(e): c}, exact)
-
-    # (det P)^(-1/2) with P = diag(ch,1,...,1,ch) tensor identity
-    if exact:
-        detp = (Fraction(ch) * Fraction(ch)) ** (n + 1)
-        root = Fraction(ch) ** (n + 1)
-        assert root * root == detp
-        pref = PiLaurent.single(QQi.coerce(1 / root), 0)
-    else:
-        pref = (ch * ch) ** (-(n + 1) / 2.0)
-    return AtTransform(n=n, prefactor=pref, tanh=th, poly=out)
+        items = [(exps, coeff)]
+        for j in range(1, n + 2):
+            v1, v2 = _var(n, 1, j), _var(n, n + 1, j)
+            i_j, g_j = exps[v1], exps[v2]
+            expanded = []
+            for e_cur, c_cur in items:
+                for m in range(min(i_j, g_j) + 1):
+                    a, b = i_j - m, g_j - m
+                    # kernel coefficient: (pi/ch)^a/a! * (pi/ch)^b/b! *
+                    # (-pi th)^m/m!, integrals give i!/pi^i * g!/pi^g
+                    num = chinv ** (a + b) * (-th) ** m * Fraction(
+                        math.factorial(i_j) * math.factorial(g_j),
+                        math.factorial(a) * math.factorial(b) * math.factorial(m),
+                    )
+                    scal = _pi_scalar(num, (a + b + m) - i_j - g_j, exact)
+                    e = list(e_cur)
+                    e[v1], e[v2] = a, b
+                    expanded.append((tuple(e), c_cur * scal))
+            items = expanded
+        pairs.extend(items)
+    # (det P)^(-1/2) with P = diag(ch,1,...,1,ch) tensor identity, det P = ch^(2(n+1))
+    return AtTransform(n=n, prefactor=_pi_scalar(1 / ch ** (n + 1), 0, exact), tanh=th,
+                       poly=f._with(_collect(pairs)))
 
 
 # ---------------------------------------------------------------------------
 # matrix coefficients of the compact action
-
-
-def _bt_sign(theta: ThetaDatum) -> int:
-    return +1 if theta.case is Case.I else -1
 
 
 def omega_matcoef(kp, t, k, theta: ThetaDatum, phi: Optional[FockPoly] = None):
@@ -723,19 +643,14 @@ def omega_matcoef(kp, t, k, theta: ThetaDatum, phi: Optional[FockPoly] = None):
     exact = isinstance(k, ExactCover)
     if phi is None:
         phi = harmonic_hwv(theta, exact=exact)
-    sign = _bt_sign(theta)
+    ch, _ = _hyperbolic_scalars(t, exact)
+    inverse = theta.case is Case.II
     if exact:
-        ch, _ = _hyperbolic_scalars(t, True)
-        mid = ExactCover.hyperbolic(ch, n, inverse=(sign < 0))
-        el = kp.compose(mid).compose(k)
-        pref = PiLaurent.single(QQi.coerce((1 / Fraction(ch)) ** (n + 1)), 0)
+        mid = ExactCover.hyperbolic(ch, n, inverse=inverse)
     else:
-        mid = b_t_cover(t, n)
-        if sign < 0:
-            mid = mid.inverse()
-        el = kp.compose(mid).compose(k)
-        pref = math.cosh(t) ** (-(n + 1))
-    return pref * bargmann_inner(omega_k(el, phi, theta), phi)
+        mid = b_t_cover(t, n).inverse() if inverse else b_t_cover(t, n)
+    el = kp.compose(mid).compose(k)
+    return _pi_scalar(ch ** -(n + 1), 0, exact) * bargmann_inner(omega_k(el, phi, theta), phi)
 
 
 def omega_matcoef_transform_route(kp, t, k, theta: ThetaDatum, phi: Optional[FockPoly] = None):
@@ -791,7 +706,7 @@ def _monomial_weight(exps, wmap, axes: int):
 
 def _first_order(poly: FockPoly, moves: list[tuple[int, int, int]]) -> FockPoly:
     """Apply sum of sign * z_src d/d z_dst to the polynomial."""
-    out = FockPoly.zero(poly.n, poly.exact)
+    pairs = []
     for exps, coeff in poly.terms.items():
         for src, dst, sign in moves:
             e = exps[dst]
@@ -799,8 +714,8 @@ def _first_order(poly: FockPoly, moves: list[tuple[int, int, int]]) -> FockPoly:
                 newe = list(exps)
                 newe[dst] -= 1
                 newe[src] += 1
-                out = out + FockPoly(poly.n, {tuple(newe): coeff * (sign * e)}, poly.exact)
-    return out
+                pairs.append((tuple(newe), coeff * (sign * e)))
+    return poly._with(_collect(pairs))
 
 
 @dataclass

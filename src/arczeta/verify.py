@@ -118,6 +118,8 @@ def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
 
     Squared deviations are summed about each chunk's own mean and the chunks
     merged pairwise in worker order (Chan, Golub & LeVeque 1979)."""
+    if workers < 1:
+        raise InvalidParameterError(f"need at least one worker, got {workers}")
     total = 0.0 + 0.0j
     sq_dev = 0.0
     count = 0
@@ -443,6 +445,9 @@ def verify_prop61(*, trials: int = 20, seed: int = 0, tol: float = 1e-9,
             th = classify_theta(lam)
             if th.case is Case.I:
                 thetas.append(th)
+    if trials < 1 or not thetas:
+        raise InvalidParameterError(
+            f"need at least one case and one trial, got {len(thetas)} cases x {trials} trials")
     worst = 0.0
     failures = []
     for theta in thetas:
@@ -470,6 +475,8 @@ def verify_at_lemma(*, max_degree: int = 4, rho: Fraction = Fraction(1, 3)) -> V
     exact arithmetic, every monomial of bounded degree in one ball variable."""
     import itertools
 
+    if max_degree < 0:
+        raise InvalidParameterError(f"max_degree must be non-negative, got {max_degree}")
     t0 = time.perf_counter()
     ch, sh = rational_hyperbolic(rho)
     bad = []

@@ -175,6 +175,38 @@ class TestVerifyCommands:
         validate_report(doc)
         assert [row["pass"] for row in doc["extra"]["rows"]] == [True, True]
 
+    def test_verify_s_reports_sampler_diagnostics(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-s", "--p", "2", "--q", "2",
+                               "--kappa", "-1,-1", "--iota", "1,1", "--s", "4",
+                               "--method", "mc", "--samples", "20000")
+        doc = json.loads(out)
+        validate_report(doc)
+        assert code == 0 and doc["extra"]["method"] == "mc"
+        assert doc["extra"]["accepted"] > 0
+
+    def test_verify_zeta_reports_importance_exponent(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-zeta", "--lambda", "3/2,1/2",
+                               "--samples", "20000")
+        doc = json.loads(out)
+        assert code == 0 and doc["extra"]["method"] == "mc"
+        assert doc["extra"]["importance_exponent"] == 1.0
+        assert doc["extra"]["phi_norm2"] > 0
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run_cli(capsys, "verify-zeta", "--lambda", "3/2,1/2",
+                                 "--samples", "20000", "--workers", workers)
+        assert code == 2 and not out and "worker" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_prop61_without_trials_exit_2(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify-prop61", "--trials", trials)
+        assert code == 2 and not out and "trial" in err
+
+    def test_verify_at_negative_degree_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify-at", "--max-degree", "-1")
+        assert code == 2 and not out and "max_degree" in err
+
     def test_radial_zeta_method(self, capsys):
         code, out, _ = run_cli(capsys, "verify-zeta", "--lambda", "-1/2,-5/2",
                                "--method", "radial", "--samples", "10000")

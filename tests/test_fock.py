@@ -40,6 +40,16 @@ class TestFockPoly:
         f = var(1, 1, 1) - var(1, 1, 1)
         assert f.is_zero() and not f.terms
 
+    def test_collect_drops_zeros_and_keeps_later_terms(self):
+        from arczeta.fock import _collect
+
+        f = var(1, 1, 1) * var(1, 2, 2).scale(QQi(2, -1)) + var(1, 1, 2)
+        assert not (f + (-f)).terms
+        e, c = (1, 0, 0, 0), PiLaurent.single(3, -1)
+        assert _collect([(e, c), ((0, 1, 0, 0), c), (e, -c), (e, c + c)]) == {
+            (0, 1, 0, 0): c, e: c + c}
+        assert _collect([(e, 0.5j), (e, -0.5j), (e, 0j), (e, 2.0)]) == {e: 2.0}
+
     def test_ring_laws_random_small(self, rng):
         # associativity and distributivity on random small exact polynomials
         def random_poly():
@@ -297,10 +307,14 @@ class TestOmegaAt:
         ch, sh = rational_hyperbolic(F(1, 2))
         t = math.asinh(float(sh))
         f_ex = FockPoly(1, {(2, 1, 1, 0): 1}, exact=True)
-        a = omega_at((ch, sh), f_ex)
-        b = omega_at(t, f_ex.to_float())
-        for exps, c in a.poly.terms.items():
-            assert np.isclose(complex(c), b.poly.terms[exps])
+        for transform in (omega_at, weil_transform_bruteforce):
+            a = transform((ch, sh), f_ex)
+            b = transform(t, f_ex.to_float())
+            assert a.poly.terms.keys() == b.poly.terms.keys()
+            for exps, c in a.poly.terms.items():
+                assert np.isclose(complex(c), b.poly.terms[exps])
+            assert np.isclose(complex(a.prefactor), b.prefactor)
+            assert np.isclose(float(a.tanh), b.tanh)
 
     def test_pairing_against_transform_degree_bound(self):
         # orders of the exponential tag beyond deg(g) cannot contribute
