@@ -1,9 +1,19 @@
 """Characters of compact unitary groups and their complexifications.
 
-Characters are evaluated as Schur polynomials at eigenvalue multisets via the
-Jacobi-Trudi determinant in complete homogeneous symmetric functions.  The
+Characters are evaluated as Schur polynomials via the Jacobi-Trudi
+determinant in complete homogeneous symmetric functions, which are generated
+from the elementary symmetric functions e_0..e_m of the eigenvalues.  The
 determinant route is total: it has no 0/0 issue at repeated eigenvalues,
 which occur structurally at the diagonal elements used everywhere here.
+
+The batch evaluator :func:`schur_eval_batch` takes rows of e_k.  A class
+function of a matrix needs only its characteristic polynomial, so the Monte
+Carlo paths over the compact group get the rows from traces
+(:func:`char_poly_batch`, Newton's identities) and compute no eigenvalue.
+Paths that hold eigenvalues anyway (the scalar checks, and the gram spectra
+on which the domain integrand is evaluated) pass them through
+:func:`elementary_batch`.  The exact scalar :func:`schur_eval` is the oracle
+for both.
 
 Genuine (double-cover) weights carry half-integral determinant twists; the
 twist is consumed as an integer power of the carried root of the block
@@ -25,6 +35,8 @@ __all__ = [
     "GLWeight",
     "schur_eval",
     "schur_eval_batch",
+    "elementary_batch",
+    "char_poly_batch",
     "genuine_char",
     "char_of_cover",
     "psi_pi",
@@ -114,31 +126,71 @@ def schur_eval(mu, eigs):
     return leibniz_det(rows)
 
 
-def schur_eval_batch(mu, eigs: np.ndarray) -> np.ndarray:
-    """Vectorized Schur evaluation over a batch of eigenvalue rows (N, m)."""
-    mu = _normalize_parts(mu)
+def elementary_batch(eigs: np.ndarray) -> np.ndarray:
+    """Elementary symmetric functions e_0..e_m of eigenvalue rows (N, m), as
+    complex rows (N, m+1)."""
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.ndim == 1:
         eigs = eigs[None, :]
     count, m = eigs.shape
+    e = np.zeros((count, m + 1), dtype=complex)
+    e[:, 0] = 1.0
+    for idx in range(m):
+        x = eigs[:, idx]
+        e[:, 1 : idx + 2] = e[:, 1 : idx + 2] + x[:, None] * e[:, 0 : idx + 1]
+    return e
+
+
+def char_poly_batch(mats: np.ndarray) -> np.ndarray:
+    """Elementary symmetric functions e_0..e_m of the eigenvalues of a batch of
+    matrices (N, m, m), computed without eigenvalues: det(t - A) is
+    sum_k (-1)^k e_k t^(m-k).
+
+    The power sums p_k = tr(A^k) are contracted from A^(k-1) and A (m - 2
+    batched products, no (N, m, m) temporary per trace) and turned into e_k
+    by Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).
+    """
+    a = np.asarray(mats, dtype=complex)
+    count, m, _ = a.shape
+    p = [None, np.einsum("nii->n", a)]
+    power = a  # A^(k-1)
+    for k in range(2, m + 1):
+        p.append(np.einsum("nij,nji->n", power, a))
+        if k < m:
+            power = power @ a
+    e = np.zeros((count, m + 1), dtype=complex)
+    e[:, 0] = 1.0
+    for k in range(1, m + 1):
+        acc = np.zeros(count, dtype=complex)
+        for i in range(1, k + 1):
+            term = e[:, k - i] * p[i]
+            acc = acc + term if i % 2 == 1 else acc - term
+        e[:, k] = acc / k
+    return e
+
+
+def schur_eval_batch(mu, e: np.ndarray) -> np.ndarray:
+    """Vectorized Schur evaluation over a batch of elementary symmetric rows
+    (N, m+1), as made by :func:`char_poly_batch` or :func:`elementary_batch`.
+    A negative smallest part is a power of the determinant e_m."""
+    mu = _normalize_parts(mu)
+    e = np.asarray(e, dtype=complex)
+    if e.ndim == 1:
+        e = e[None, :]
+    count, m = e.shape[0], e.shape[1] - 1
     if m != len(mu):
-        raise InvalidParameterError("eigenvalue rows must match the weight length")
+        raise InvalidParameterError("elementary rows must have one entry more than the weight")
     shift = mu[-1] if mu else 0
     pref = np.ones(count, dtype=complex)
     if shift != 0:
-        det = np.prod(eigs, axis=1)
-        pref = cpow_int(det, shift)
+        pref = cpow_int(e[:, m], shift)
         mu = [x - shift for x in mu]
     nu = [x for x in mu if x > 0]
     ell = len(nu)
     if ell == 0:
         return pref
     kmax = nu[0] + ell - 1
-    e = np.zeros((count, m + 1), dtype=complex)
-    e[:, 0] = 1.0
-    for idx in range(m):
-        x = eigs[:, idx]
-        e[:, 1 : idx + 2] = e[:, 1 : idx + 2] + x[:, None] * e[:, 0 : idx + 1]
     h = np.zeros((count, kmax + 1), dtype=complex)
     h[:, 0] = 1.0
     for k in range(1, kmax + 1):
@@ -163,7 +215,7 @@ def genuine_char(w: GLWeight, block, zeta: complex) -> complex:
     if block.shape[0] != w.rank:
         raise InvalidParameterError(f"block size {block.shape[0]} != weight rank {w.rank}")
     eigs = np.linalg.eigvals(block)
-    value = complex(schur_eval_batch(list(w.parts), eigs[None, :])[0])
+    value = complex(schur_eval_batch(list(w.parts), elementary_batch(eigs))[0])
     if w.det_twist_numerator:
         value *= cpow_int(complex(zeta), w.det_twist_numerator)
     return value

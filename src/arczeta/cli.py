@@ -328,6 +328,8 @@ def _verify_schur(args, seed, samples):
 
 
 def _verify_fd(args, seed, samples):
+    if args.count < 1:
+        raise InvalidParameterError(f"need --count >= 1, got {args.count}")
     lams = admissible_sweep(args.n, Fraction(args.max_entry))
     if len(lams) < args.count:
         raise InvalidParameterError(

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .characters import schur_eval_batch
+from .characters import char_poly_batch, elementary_batch, schur_eval_batch
 from .errors import ConvergenceError, InvalidParameterError
 from .exact import rational_hyperbolic
 from .fock import (
@@ -183,7 +183,7 @@ def _fractional_char(kappas: Sequence[Fraction]):
     tau = float(tau)
 
     def char(eigs):
-        out = schur_eval_batch(parts, eigs)
+        out = schur_eval_batch(parts, elementary_batch(eigs))
         if tau:
             out = out * eigs.prod(axis=1) ** tau
         return out
@@ -337,8 +337,7 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     m_t_n = thz_n @ x
     m_t_1 = one_minus_u ** (-0.5) * y
     (parts_n, tw2n), (parts_1, _) = theta.lambda_gl()
-    eigs = np.linalg.eigvals(m_t_n)
-    psi = schur_eval_batch(list(parts_n), eigs)
+    psi = schur_eval_batch(list(parts_n), char_poly_batch(m_t_n))
     if parts_1[0]:
         psi = psi * cpow_int(m_t_1, parts_1[0])
     if tw2n:
@@ -511,8 +510,7 @@ def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int
 
         def chunk(rng, size, mu=mu, m=m):
             k = haar_unitary(m, rng, size=size)
-            eigs = np.linalg.eigvals(k)
-            chi = schur_eval_batch(mu, eigs)
+            chi = schur_eval_batch(mu, char_poly_batch(k))
             return (np.abs(chi) ** 2).astype(complex)
 
         mean, stderr, count = _reduce_mean(chunk, samples, workers, seed + idx)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from arczeta.characters import (
     GLWeight,
     char_of_cover,
+    char_poly_batch,
+    elementary_batch,
     genuine_char,
     psi_pi,
     schur_eval,
@@ -21,6 +23,7 @@ from arczeta.group import (
     haar_unitary,
     random_group_element,
 )
+from arczeta.verify import _rank_one_batch
 from arczeta.weights import classify_theta, gl_dim, weyl_dim
 
 from conftest import lam, random_cover
@@ -79,9 +82,24 @@ class TestSchur:
     def test_batch_agrees_with_scalar(self, rng):
         mu = [2, 1, -1]
         eigs = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
-        vals = schur_eval_batch(mu, eigs)
+        vals = schur_eval_batch(mu, elementary_batch(eigs))
         for row, v in zip(eigs, vals):
             assert abs(schur_eval(mu, list(row)) - v) < 1e-10 * max(1, abs(v))
+
+    @pytest.mark.parametrize("mu", [[1, 0], [2, 2], [3, 1, 0], [1, 0, -2], [2, 1, 0, -1]])
+    def test_batch_from_char_poly_agrees_with_scalar(self, rng, mu):
+        # e-rows from traces of Haar unitaries against the exact scalar
+        # evaluator at the eigenvalues; [1, 0, -2] and [2, 1, 0, -1] take
+        # the determinant shift through e_m
+        mats = haar_unitary(len(mu), rng, size=30)
+        vals = schur_eval_batch(mu, char_poly_batch(mats))
+        for mat, v in zip(mats, vals):
+            exact = schur_eval(mu, list(np.linalg.eigvals(mat)))
+            assert abs(exact - v) < 1e-10 * max(1, abs(v))
+
+    def test_batch_rejects_row_length(self):
+        with pytest.raises(InvalidParameterError):
+            schur_eval_batch([1, 0], np.ones((4, 2)))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.permutations(range(3)))
@@ -90,6 +108,39 @@ class TestSchur:
         mu = [2, 1, 0]
         base = schur_eval(mu, list(eigs))
         assert abs(schur_eval(mu, list(eigs[list(perm)])) - base) <= 1e-12 * abs(base)
+
+
+class TestCharPoly:
+    """Traces and Newton's identities against the eigenvalue route."""
+
+    @staticmethod
+    def _batches(m, rng, size=200):
+        ginibre = (rng.standard_normal((size, m, m))
+                   + 1j * rng.standard_normal((size, m, m))) / np.sqrt(2 * m)
+        x = haar_unitary(m, rng, size=size)
+        dirs = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # the zeta chunk's contraction thz_n @ x at 1 - u = 1e-8 (scale sqrt(1 - u))
+        boundary = _rank_one_batch(dirs, np.full(size, 1e-4)) @ x
+        return {"haar": haar_unitary(m, rng, size=size), "ginibre": ginibre,
+                "boundary": boundary}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_eigenvalue_route(self, rng, m):
+        for kind, mats in self._batches(m, rng).items():
+            e = char_poly_batch(mats)
+            assert e.shape == (len(mats), m + 1)
+            ref = elementary_batch(np.linalg.eigvals(mats))
+            assert np.abs(e - ref).max() <= 1e-13, (kind, m)
+
+    def test_exact_on_diagonal(self):
+        eigs = np.array([[2.0, -1.0, 0.5j], [1.0, 1.0, 1.0]])
+        mats = np.stack([np.diag(row) for row in eigs])
+        assert np.allclose(char_poly_batch(mats), elementary_batch(eigs), rtol=0, atol=1e-15)
+
+    def test_elementary_rows(self):
+        e = elementary_batch(np.array([1.0, 2.0, 3.0]))
+        assert e.shape == (1, 4) and np.array_equal(e[0], [1, 6, 11, 6])
 
 
 class TestGenuineChar:
@@ -165,7 +216,7 @@ class TestPsiPi:
                 c_blk, d_blk = g[n, :n], g[n, n]
                 theta_n = a_blk - np.outer(b_blk, c_blk) / d_blk
                 eigs = np.linalg.eigvals(theta_n)
-                chi_sq = schur_eval_batch(list(parts_n), eigs[None, :])[0] ** 2
+                chi_sq = schur_eval_batch(list(parts_n), elementary_batch(eigs))[0] ** 2
                 chi_sq *= np.linalg.det(theta_n) ** tw2n
                 chi_sq *= d_blk ** (2 * parts_1[0] - tw2n)
                 val = psi_pi(GroupElement(g), th) ** 2

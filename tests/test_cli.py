@@ -203,6 +203,11 @@ class TestVerifyCommands:
         code, out, err = run_cli(capsys, "verify-prop61", "--trials", trials)
         assert code == 2 and not out and "trial" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_verify_fd_count_below_one_exit_2(self, capsys, count):
+        code, out, err = run_cli(capsys, "verify-fd", "--n", "1", "--count", count)
+        assert code == 2 and not out and "count" in err
+
     def test_verify_at_negative_degree_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "verify-at", "--max-degree", "-1")
         assert code == 2 and not out and "max_degree" in err

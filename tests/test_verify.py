@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import arczeta.verify
 from arczeta.errors import ConvergenceError
 from arczeta.fock import MatrixCoefficient
 from arczeta.verify import (
@@ -268,3 +269,23 @@ class TestSuites:
             rep = verify_schur_orthogonality([[2, 2]], samples=20_000, seed=seed)
             assert rep.passed, seed
         assert rep.details["rows"][0]["pass"] is True
+
+    def test_monte_carlo_chunks_compute_no_eigenvalues(self, monkeypatch):
+        # both class-function chunks take their characteristic polynomial
+        # from traces and go through the one batch evaluator
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvals called on a Monte Carlo path")
+
+        calls = []
+        batch = arczeta.verify.schur_eval_batch
+
+        def counted(mu, e):
+            calls.append(len(mu))
+            return batch(mu, e)
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(arczeta.verify, "schur_eval_batch", counted)
+        zeta = verify_zeta(lam("5/2", "3/2", "1/2"), samples=2000, seed=1)
+        assert zeta.verdict in ("PASS", "FAIL") and calls == [2]
+        schur = verify_schur_orthogonality([[2, 1, 0]], samples=2000, seed=1)
+        assert schur.verdict in ("PASS", "FAIL") and calls == [2, 3]
