@@ -22,9 +22,9 @@ for kappa, iota, s in ((0, 0, 3), (-2, 0, 0), (-1, 2, F(5, 2))):
 
 print()
 print("=" * 72)
-print("2. Monte Carlo over the (2,1) and (1,2) balls")
+print("2. Monte Carlo over the (2,1), (1,2) and (3,3) balls")
 print("=" * 72)
-for args in ((2, 1, (-1, -1), (2,), 2), (1, 2, (-1,), (2, 1), 3)):
+for args in ((2, 1, (-1, -1), (2,), 2), (1, 2, (-1,), (2, 1), 3), (3, 3, (0, 0, 0), (2, 1, 0), 9)):
     rep = verify_S(*args, method="mc", samples=200_000, seed=12)
     print(f"  (p,q)=({args[0]},{args[1]}): estimate={rep.estimate.value.real:.8f} "
           f"+- {rep.estimate.stderr:.1e}, closed={float(rep.closed):.8f}  {rep.verdict}")

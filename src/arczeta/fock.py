@@ -34,7 +34,6 @@ __all__ = [
     "FockPoly",
     "ExactCover",
     "bargmann_inner",
-    "gaussian_pair",
     "minors",
     "harmonic_hwv",
     "omega_k",
@@ -67,15 +66,6 @@ def _exponents(n: int, *flat: int) -> tuple:
 # -- the two coefficient modes -----------------------------------------------
 # Scalars enter either ring through these helpers, and every sum of terms
 # goes through one accumulator.
-
-
-def _is_exact(c) -> bool:
-    return isinstance(c, (PiLaurent, QQi, Fraction, int))
-
-
-def _scalar(c, exact: bool):
-    """``c`` as a Gaussian rational (exact) or a complex float."""
-    return QQi.coerce(c) if exact else complex(c)
 
 
 def _coerce(c, exact: bool):
@@ -251,20 +241,6 @@ def bargmann_inner(f: FockPoly, g: FockPoly):
         if d is not None:
             acc = acc + c * d.conjugate() * _monomial_norm2(e, f.exact)
     return acc
-
-
-def gaussian_pair(i: int, j: int, c):
-    """The one-variable Gaussian integral of w^i wbar^j against e^{pi c wbar}.
-
-    Returns ``i!/(i-j)! * c^(i-j) / pi^j`` for i >= j, else 0.  Exact scalar
-    inputs give a :class:`PiLaurent`, floats give a complex number.
-    """
-    if i < 0 or j < 0:
-        raise InvalidParameterError("exponents must be non-negative")
-    exact = _is_exact(c)
-    if i < j:
-        return _coerce(0, exact)
-    return _pi_scalar(math.perm(i, j) * _scalar(c, exact) ** (i - j), -j, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +537,9 @@ def omega_at(t, f: FockPoly) -> AtTransform:
     ``t`` is a float in float mode, or an exact ``(cosh, sinh)`` pair of
     Fractions in exact mode.  Derivation: substitute the first variable row
     by the integration row and the last row by its shifted image, then kill
-    each integral with :func:`gaussian_pair`; the middle rows ride along.
+    each integral by the one-variable Gaussian pairing
+    int w^i wbar^l e^{pi c wbar} = i!/(i-l)! c^(i-l) / pi^l (zero for l > i);
+    the middle rows ride along.
     """
     n, exact = f.n, f.exact
     ch, th = _hyperbolic_scalars(t, exact)

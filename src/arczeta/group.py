@@ -402,35 +402,36 @@ def sample_ball(m: int, exponent: float, rng: np.random.Generator, size: int):
 
 
 def sample_domain(p: int, q: int, weight_exponent: float, rng: np.random.Generator, size: int):
-    """Sample the (p, q) matrix ball with importance weights.
+    """Sample the (p, q) matrix ball with a constant importance weight.
 
     Contract: ``mean(w * f(z))`` estimates
-    ``integral_D f(z) det(1 - z z*)**weight_exponent dz`` (Lebesgue measure).
+    ``integral_D f(z) det(1 - z z*)**weight_exponent dz`` (Lebesgue measure),
+    with ``w`` one float.
 
-    For min(p, q) == 1 the radial density is matched analytically to the
-    requested determinant power (the weights are constant); otherwise points
-    are proposed uniformly in the entry-wise box and rejected outside the
-    ball, with the determinant power carried explicitly in the weight
-    (rejected proposals keep weight 0 so the estimator stays unbiased).
+    Hua's polar reduction draws the ball as m = min(p, q) nested rank-one
+    balls: splitting off the first column, Z = [z_1 | S_1 W] with
+    S_1 = (1 - z_1 z_1*)**(1/2) turns det(1 - Z Z*)**e dZ into
+    (1 - |z_1|^2)**(e + m - 1) dz_1 * det(1 - W W*)**e dW.  So column j of the
+    max(p, q) x m matrix is S_1 ... S_(j-1) v_j with v_j drawn by
+    :func:`sample_ball` at exponent e + m - j, and the weight is the product
+    of the matched radial normalizations.  The matrix is transposed when
+    p < q.  For m == 1 this is one :func:`sample_ball` call.
     """
     if weight_exponent <= -1.0:
         raise ConvergenceError(
             f"non-integrable determinant exponent {weight_exponent} (needs > -1)"
         )
-    if min(p, q) == 1:
-        m = max(p, q)
-        u, direction = sample_ball(m, weight_exponent, rng, size)
-        vec = np.sqrt(u)[:, None] * direction
-        z = vec[:, :, None] if q == 1 else vec[:, None, :]
-        return z, np.full(size, weighted_ball_volume(m, weight_exponent))
-    w = np.zeros(size)
-    box_vol = 4.0 ** (p * q)
-    re = rng.uniform(-1.0, 1.0, size=(size, p, q))
-    im = rng.uniform(-1.0, 1.0, size=(size, p, q))
-    z = re + 1j * im
-    gram = np.eye(p)[None] - z @ z.conj().transpose(0, 2, 1)
-    eigmin = np.linalg.eigvalsh(gram)[:, 0]
-    ok = eigmin > 0
-    det = np.where(ok, np.real(np.linalg.det(gram)), 1.0)
-    w[ok] = box_vol * det[ok] ** weight_exponent
-    return z, w
+    m, big = min(p, q), max(p, q)
+    z = np.empty((size, big, m), dtype=complex)
+    roots = []  # (1 - sqrt(1 - u_k), d_k) of each S_k drawn so far
+    weight = 1.0
+    for j in range(m):
+        exponent = weight_exponent + m - 1 - j
+        u, direction = sample_ball(big, exponent, rng, size)
+        col = np.sqrt(u)[:, None] * direction
+        for shrink, d in reversed(roots):  # S_(j-1) first, S_1 last
+            col = col - (shrink * np.einsum("ni,ni->n", d.conj(), col))[:, None] * d
+        z[:, :, j] = col
+        roots.append((1.0 - np.sqrt(1.0 - u), direction))
+        weight *= weighted_ball_volume(big, exponent)
+    return (z if q <= p else z.transpose(0, 2, 1)), weight

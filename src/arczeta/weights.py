@@ -29,7 +29,6 @@ __all__ = [
     "ThetaDatum",
     "ClosedValue",
     "hc_to_blattner",
-    "blattner_to_hc",
     "classify_theta",
     "weyl_dim",
     "gl_dim",
@@ -269,13 +268,6 @@ def hc_to_blattner(lam: HCParameter) -> tuple[Fraction, ...]:
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
     shift = _rho_shift(lam.n)
     return tuple(e.fraction + s for e, s in zip(lam.entries, shift))
-
-
-def blattner_to_hc(weight: Sequence[Fraction]) -> HCParameter:
-    """Inverse of :func:`hc_to_blattner`."""
-    n = len(weight) - 1
-    shift = _rho_shift(n)
-    return HCParameter(tuple(HalfInt.coerce(Fraction(w) - s) for w, s in zip(weight, shift)))
 
 
 def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True) -> ThetaDatum:

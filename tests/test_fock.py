@@ -12,7 +12,6 @@ from arczeta.fock import (
     FockPoly,
     MatrixCoefficient,
     bargmann_inner,
-    gaussian_pair,
     harmonic_hwv,
     highest_weight_check,
     minors,
@@ -111,18 +110,6 @@ class TestBargmann:
         val = bargmann_inner(f, var(1, 1, 1))
         coeff, k = val.as_single()
         assert coeff == QQi(0, 1) and k == -1
-
-
-class TestGaussianPair:
-    def test_examples(self):
-        c = QQi(F(2), F(1))
-        assert gaussian_pair(3, 1, c) == PiLaurent.single(QQi.coerce(3) * c * c, -1)
-        assert not gaussian_pair(1, 2, c)
-        assert gaussian_pair(0, 0, c) == PiLaurent.single(1, 0)
-
-    def test_float(self):
-        assert np.isclose(gaussian_pair(3, 1, 2.0), 3 * 4.0 / math.pi)
-        assert gaussian_pair(1, 2, 2.0) == 0j
 
 
 class TestMinors:

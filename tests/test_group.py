@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,16 +174,16 @@ class TestSampler:
         # mean(w) -> vol = pi, mean with exponent 1 -> pi/2
         z0, w0 = sample_domain(1, 1, 0.0, rng, size=120_000)
         z1, w1 = sample_domain(1, 1, 1.0, rng, size=120_000)
-        assert math.isclose(w0.mean(), math.pi, rel_tol=1e-12)  # constant weights
-        assert math.isclose(w1.mean(), math.pi / 2, rel_tol=1e-12)
+        assert math.isclose(w0, math.pi, rel_tol=1e-12)  # constant weights
+        assert math.isclose(w1, math.pi / 2, rel_tol=1e-12)
 
     def test_moment_ratio_matches_calculus(self, rng):
         # E[(1 - |z|^2)] under the flat weights = (pi/2) / pi
         z, w = sample_domain(1, 1, 0.0, rng, size=200_000)
         u = np.abs(z.reshape(-1)) ** 2
         vals = w * (1 - u)
-        ratio = vals.mean() / w.mean()
-        stderr = vals.std() / math.sqrt(len(vals)) / w.mean()
+        ratio = vals.mean() / w
+        stderr = vals.std() / math.sqrt(len(vals)) / w
         assert abs(ratio - 0.5) <= 3 * stderr
 
     def test_points_inside_ball(self, rng):
@@ -193,18 +194,42 @@ class TestSampler:
         # int (1-|z|^2)^(s-2) dz = closed value at kappa = iota = 0
         s = 3.0
         z, w = sample_domain(1, 1, s - 2.0, rng, size=50_000)
-        est = w.mean()  # the exponent is fully absorbed by the sampler
+        est = w  # the exponent is fully absorbed by the sampler
         assert math.isclose(est, float(closed_S(1, 1, 0, 0, 3)), rel_tol=1e-10)
 
     def test_rejection_path_volume(self, rng):
-        # volume of the (2,2) ball against the exact closed form at s = p+q
+        # at exponent 0 the constant weight is the (2,2) ball's volume, and
+        # every drawn point lies inside
         z, w = sample_domain(2, 2, 0.0, rng, size=200_000)
-        vol = float(closed_S(2, 2, (0, 0), (0, 0), 4))
-        stderr = w.std() / math.sqrt(len(w))
-        assert abs(w.mean() - vol) <= 3 * stderr
-        accepted = w > 0
-        gram = np.eye(2)[None] - z[accepted] @ z[accepted].conj().transpose(0, 2, 1)
+        assert math.isclose(w, float(closed_S(2, 2, (0, 0), (0, 0), 4)), rel_tol=1e-12)
+        gram = np.eye(2)[None] - z @ z.conj().transpose(0, 2, 1)
         assert np.linalg.eigvalsh(gram).min() > 0
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 4), (4, 4)])
+    def test_constant_weight_is_the_closed_integral(self, p, q):
+        # the product of the nested radial normalizations equals the closed
+        # scalar at zero weights, s = p + q + e
+        for e in (Fraction(0), Fraction(1, 2), Fraction(2)):
+            _, w = sample_domain(p, q, float(e), np.random.default_rng(0), size=1)
+            closed = float(closed_S(p, q, (0,) * p, (0,) * q, p + q + e))
+            assert math.isclose(w, closed, rel_tol=1e-12), (p, q, e)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 4), (4, 4)])
+    def test_nested_draw_moments(self, p, q):
+        # E[w det(1 - zz*)^k] is the closed scalar at s + k, and every drawn
+        # gram is positive definite; applying the square roots S_k in the
+        # wrong order puts points outside the ball and biases the first
+        # moment at (4,4)
+        for e in (Fraction(0), Fraction(1, 2), Fraction(2)):
+            z, w = sample_domain(p, q, float(e), np.random.default_rng(0), size=50_000)
+            gram = np.eye(p)[None] - z @ z.conj().transpose(0, 2, 1)
+            assert np.linalg.eigvalsh(gram).min() > 0, (p, q, e)
+            det = np.linalg.det(gram).real
+            for k in (1, 2):
+                vals = w * det**k
+                closed = float(closed_S(p, q, (0,) * p, (0,) * q, p + q + e + k))
+                stderr = vals.std() / math.sqrt(len(vals))
+                assert abs(vals.mean() - closed) <= 3 * stderr, (p, q, e, k)
 
     def test_nonintegrable_exponent_rejected(self, rng):
         with pytest.raises(ConvergenceError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import arczeta.verify
-from arczeta.errors import ConvergenceError
+from arczeta.errors import ConvergenceError, InvalidParameterError
 from arczeta.fock import MatrixCoefficient
 from arczeta.verify import (
     Estimate,
@@ -62,14 +62,47 @@ class TestVerifyS:
             verify_S(1, 1, 0, 0, F(7, 5))
 
     def test_rejection_sampler_path(self):
+        # every point of the (2,2) draw is inside, so no acceptance count is reported
         rep = verify_S(2, 2, (0, 0), 1, 3, method="mc", samples=60_000, seed=8)
         assert rep.passed
-        assert 0 < rep.details["accepted"] < 60_000
+        assert rep.details == {"method": "mc"}
 
-    def test_starved_rejection_sampler_refused(self):
-        # the entry box almost never lands inside the (3,3) ball
-        with pytest.raises(ConvergenceError, match="accepted"):
-            verify_S(3, 3, (-1, -1, -1), (1, 1, 1), 8, method="mc", samples=100_000)
+    def test_33_ball_passes(self):
+        # every drawn point lies inside the (3,3) ball; one-dimensional
+        # weights make the integrand constant, so the estimate is the closed value
+        rep = verify_S(3, 3, (-1, -1, -1), (1, 1, 1), 8, method="mc", samples=100_000)
+        assert rep.passed and rep.estimate.samples == 100_000
+        assert math.isclose(rep.estimate.value.real, 8.3822333e-4, rel_tol=1e-7)
+
+    @pytest.mark.parametrize("args", [
+        (2, 2, (0, 0), (2, 1), 6),
+        (3, 3, (0, 0, 0), (2, 1, 0), 9),
+        (2, 3, (0, 0), (2, 1, 1), 8),
+    ])
+    def test_real_variance_gate(self, args):
+        # two-sided weights leave real per-sample variance at min(p,q) >= 2,
+        # so the 3-sigma rule is exercised, not its rounding floor
+        rep = verify_S(*args, method="mc", samples=200_000, seed=1, workers=2)
+        relstd = rep.estimate.stderr * math.sqrt(rep.estimate.samples) / abs(rep.estimate.value)
+        assert rep.passed and relstd > 0.05, (args, relstd)
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify_S(2, 1, (-1, -1), 2, 2, method="mc", samples=0),
+        lambda: verify_zeta(lam("3/2", "1/2"), samples=-5),
+        lambda: verify_schur_orthogonality([[1, 0]], samples=0),
+    ], ids=["verify_S", "verify_zeta", "verify_schur"])
+    def test_samples_below_one_refused(self, call):
+        with pytest.raises(InvalidParameterError, match="sample"):
+            call()
+
+    @pytest.mark.parametrize("call, allowed", [
+        (lambda: verify_S(2, 1, (-1, -1), 2, 2, method="bogus"), "auto, quad, mc"),
+        (lambda: verify_T(classify_theta(lam("3/2", "1/2")), 1, method="bogus"), "auto, quad, mc"),
+        (lambda: verify_zeta(lam("3/2", "1/2"), samples=1000, method="bogus"), "mc, radial"),
+    ], ids=["verify_S", "verify_T", "verify_zeta"])
+    def test_unknown_method_refused(self, call, allowed):
+        with pytest.raises(InvalidParameterError, match=allowed):
+            call()
 
 
 class TestReduceMean:
@@ -257,6 +290,10 @@ class TestSuites:
     def test_at_lemma(self):
         rep = verify_at_lemma()
         assert rep.passed and rep.details["monomials"] == 70
+
+    def test_schur_without_weights_refused(self):
+        with pytest.raises(InvalidParameterError, match="weight"):
+            verify_schur_orthogonality([])
 
     def test_schur_orthogonality_small(self):
         rep = verify_schur_orthogonality([[1, 0], [2, 1], [1, 1, 0]], samples=40_000, seed=3)
