@@ -3,7 +3,10 @@
 Every ``verify_*`` entry point returns a report with an :class:`Estimate`
 (value, standard error, sample count, seed), the exact closed value where one
 exists, and a PASS/FAIL verdict at the three-standard-error band (or the
-quadrature tolerance for the deterministic one-dimensional paths).
+quadrature tolerance for the deterministic one-dimensional paths).  Every
+Monte Carlo estimate also reports its per-sample relative standard deviation
+(``relstd``) and whether that sits at the rounding floor (``degenerate``), in
+which case the three-standard-error band tests nothing.
 
 Estimates are reproducible bit for bit for a fixed (seed, workers) pair: the
 sample budget is split into per-worker substreams with spawned seed
@@ -70,6 +73,7 @@ __all__ = [
 
 POLE_DISTANCE = Fraction(1, 2)
 DEFAULT_CHUNK = 100_000
+DEGENERATE_RELSTD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,15 @@ def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
     mean = total / count
     stderr = math.sqrt(sq_dev / count / count)
     return mean, stderr, count
+
+
+def _estimator_health(mean, stderr: float, count: int) -> dict:
+    """Per-sample relative standard deviation stderr * sqrt(N) / |mean| of a
+    Monte Carlo estimate, and whether it sits at the rounding floor: a
+    degenerate (constant) integrand passes the 3-sigma rule without testing
+    it."""
+    relstd = float(stderr * math.sqrt(count) / abs(mean))
+    return {"relstd": relstd, "degenerate": relstd < DEGENERATE_RELSTD}
 
 
 def _check_method(method: str, allowed: tuple[str, ...], context: str):
@@ -269,7 +282,8 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
     verdict, rel = _verdict(mean, float(closed), stderr)
-    return VerifyReport("verify_S", est, closed, verdict, rel, {"method": "mc"})
+    return VerifyReport("verify_S", est, closed, verdict, rel,
+                        {"method": "mc", **_estimator_health(mean, stderr, count)})
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +306,6 @@ def verify_T(theta: ThetaDatum, s, *, samples: int = 200_000, seed: int = 0,
 
 # ---------------------------------------------------------------------------
 # the end-to-end group integral
-
-
-def _rank_one_batch(dirs: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Batch of I + (scale - 1) u u* for unit rows ``dirs`` (N, n)."""
-    count, n = dirs.shape
-    outer = dirs[:, :, None] * dirs.conj()[:, None, :]
-    return np.eye(n)[None] + (scale - 1.0)[:, None, None] * outer
 
 
 def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: int,
@@ -326,15 +333,15 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
 
     one_minus_u = 1.0 - u
     sign = +1 if theta.case is Case.I else -1
+    # both ball blocks are I + (scale - 1) d d* on the sampled direction d, so
+    # each product with x is the rank-one update x + (scale - 1) d (d* x)
+    d_dx = dirs[:, :, None] * np.einsum("ni,nij->nj", dirs.conj(), x)[:, None, :]
     bz_scale = one_minus_u ** (-0.5 * sign)
-    bz_n = _rank_one_batch(dirs, bz_scale)
-    bz_1 = one_minus_u ** (-0.5 * sign)
-    m_b_n = bz_n @ x
-    m_b_1 = bz_1 * y
+    m_b_n = x + (bz_scale - 1.0)[:, None, None] * d_dx
+    m_b_1 = bz_scale * y
     coeff = coeff_eval.evaluate(m_b_n, m_b_1, ratio_k)
 
-    thz_n = _rank_one_batch(dirs, one_minus_u**0.5)
-    m_t_n = thz_n @ x
+    m_t_n = x + (one_minus_u**0.5 - 1.0)[:, None, None] * d_dx
     m_t_1 = one_minus_u ** (-0.5) * y
     (parts_n, tw2n), (parts_1, _) = theta.lambda_gl()
     psi = schur_eval_batch(list(parts_n), char_poly_batch(m_t_n))
@@ -391,8 +398,8 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
     verdict, rel = _verdict(mean, target_float, stderr)
     return VerifyReport("verify_zeta", est, closed, verdict, rel,
-                        {"method": "mc", "phi_norm2": norm2,
-                         "importance_exponent": e_imp})
+                        {"method": "mc", "phi_norm2": norm2, "importance_exponent": e_imp,
+                         **_estimator_health(mean, stderr, count)})
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +528,7 @@ def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int
         ok = ok and verdict == "PASS"
         worst = max(worst, dev)
         rows.append({"weight": mu, "mean": float(mean.real), "stderr": stderr,
-                     "pass": verdict == "PASS"})
+                     "pass": verdict == "PASS", **_estimator_health(mean, stderr, count)})
     est = Estimate(complex(worst), 0.0, samples * len(weights), seed, time.perf_counter() - t0)
     return VerifyReport("verify_schur", est, None, "PASS" if ok else "FAIL", worst,
                         {"rows": rows})

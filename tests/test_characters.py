@@ -23,7 +23,6 @@ from arczeta.group import (
     haar_unitary,
     random_group_element,
 )
-from arczeta.verify import _rank_one_batch
 from arczeta.weights import classify_theta, gl_dim, weyl_dim
 
 from conftest import lam, random_cover
@@ -120,8 +119,10 @@ class TestCharPoly:
         x = haar_unitary(m, rng, size=size)
         dirs = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        # the zeta chunk's contraction thz_n @ x at 1 - u = 1e-8 (scale sqrt(1 - u))
-        boundary = _rank_one_batch(dirs, np.full(size, 1e-4)) @ x
+        # the zeta chunk's contraction (1 - u)**(1/2) block times x at
+        # 1 - u = 1e-8: I + (scale - 1) d d* with scale 1e-4
+        outer = dirs[:, :, None] * dirs.conj()[:, None, :]
+        boundary = (np.eye(m) + (1e-4 - 1.0) * outer) @ x
         return {"haar": haar_unitary(m, rng, size=size), "ginibre": ginibre,
                 "boundary": boundary}
 

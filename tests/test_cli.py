@@ -182,6 +182,8 @@ class TestVerifyCommands:
         doc = json.loads(out)
         validate_report(doc)
         assert code == 0 and doc["extra"]["method"] == "mc"
+        # one-dimensional weights: the integrand is constant on the nested draw
+        assert doc["extra"]["degenerate"] is True and doc["extra"]["relstd"] < 1e-12
 
     def test_verify_zeta_reports_importance_exponent(self, capsys):
         code, out, _ = run_cli(capsys, "verify-zeta", "--lambda", "3/2,1/2",

@@ -65,7 +65,8 @@ class TestVerifyS:
         # every point of the (2,2) draw is inside, so no acceptance count is reported
         rep = verify_S(2, 2, (0, 0), 1, 3, method="mc", samples=60_000, seed=8)
         assert rep.passed
-        assert rep.details == {"method": "mc"}
+        assert set(rep.details) == {"method", "relstd", "degenerate"}
+        assert rep.details["method"] == "mc"
 
     def test_33_ball_passes(self):
         # every drawn point lies inside the (3,3) ball; one-dimensional
@@ -73,6 +74,7 @@ class TestVerifyS:
         rep = verify_S(3, 3, (-1, -1, -1), (1, 1, 1), 8, method="mc", samples=100_000)
         assert rep.passed and rep.estimate.samples == 100_000
         assert math.isclose(rep.estimate.value.real, 8.3822333e-4, rel_tol=1e-7)
+        assert rep.details["degenerate"] is True
 
     @pytest.mark.parametrize("args", [
         (2, 2, (0, 0), (2, 1), 6),
@@ -85,6 +87,7 @@ class TestVerifyS:
         rep = verify_S(*args, method="mc", samples=200_000, seed=1, workers=2)
         relstd = rep.estimate.stderr * math.sqrt(rep.estimate.samples) / abs(rep.estimate.value)
         assert rep.passed and relstd > 0.05, (args, relstd)
+        assert rep.details["relstd"] == relstd and rep.details["degenerate"] is False
 
     @pytest.mark.parametrize("call", [
         lambda: verify_S(2, 1, (-1, -1), 2, 2, method="mc", samples=0),
@@ -201,6 +204,23 @@ class TestVerifyZeta:
         b = zeta_integrand_samples(th, np.random.default_rng(5), 4_000, e, mc, flip_roots=True)
         assert np.array_equal(a, b)
 
+    def test_estimator_health_in_details(self):
+        # criterion 9's (3/2,1/2) integrand is constant: the estimate passes on
+        # the rounding floor, and the report says so
+        flat = verify_zeta(lam("3/2", "1/2"), samples=100_000, seed=101)
+        assert flat.details["degenerate"] is True and flat.details["relstd"] < 1e-12
+        real = verify_zeta(lam("7/2", "3/2", "1/2"), samples=100_000, seed=101)
+        assert real.details["degenerate"] is False
+        assert math.isclose(real.details["relstd"], 1.3, rel_tol=0.05)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("text", ["7/2,3/2,1/2", "1/2,-7/2,-9/2", "3/2,1/2,-5/2,-9/2"])
+    def test_real_variance_gate(self, text, seed):
+        # per-sample relstd 1.3-3.1, where criterion 9's parameters sit at
+        # ~1e-15: these exercise the 3-sigma rule, not its rounding floor
+        rep = verify_zeta(lam(*text.split(",")), samples=200_000, seed=seed, workers=2)
+        assert rep.passed and rep.details["relstd"] > 1.0, (text, seed, rep.details)
+
     def test_case_two_both_routes(self):
         # in-domain second-shape parameters verify end to end as well
         for text in ("-1/2,-5/2", "1/2,-3/2,-5/2", "1/2,-3/2"):
@@ -306,6 +326,10 @@ class TestSuites:
             rep = verify_schur_orthogonality([[2, 2]], samples=20_000, seed=seed)
             assert rep.passed, seed
         assert rep.details["rows"][0]["pass"] is True
+        assert rep.details["rows"][0]["degenerate"] is True
+        real = verify_schur_orthogonality([[2, 1]], samples=20_000, seed=0)
+        assert real.details["rows"][0]["degenerate"] is False
+        assert real.details["rows"][0]["relstd"] > 0.5
 
     def test_monte_carlo_chunks_compute_no_eigenvalues(self, monkeypatch):
         # both class-function chunks take their characteristic polynomial
