@@ -7,58 +7,38 @@ determinant route is total: it has no 0/0 issue at repeated eigenvalues,
 which occur structurally at the diagonal elements used everywhere here.
 
 The batch evaluator :func:`schur_eval_batch` takes rows of e_k.  A class
-function of a matrix needs only its characteristic polynomial, so the Monte
-Carlo paths over the compact group get the rows from traces
-(:func:`char_poly_batch`, Newton's identities) and compute no eigenvalue.
-Paths that hold eigenvalues anyway (the scalar checks, and the gram spectra
-on which the domain integrand is evaluated) pass them through
-:func:`elementary_batch`.  The exact scalar :func:`schur_eval` is the oracle
-for both.
+function of a matrix needs only its characteristic polynomial, so every
+character of a group element gets its rows from traces
+(:func:`char_poly_batch`, Newton's identities) and computes no eigenvalue.
+Only the domain integrand holds eigenvalues anyway (the gram spectra of
+``verify_S``) and passes them through :func:`elementary_batch`.  The exact
+scalar :func:`schur_eval` is the oracle for both.
 
-Genuine (double-cover) weights carry half-integral determinant twists; the
-twist is consumed as an integer power of the carried root of the block
-determinant.
+The canonical matrix coefficient of the lowest K-type (psi_pi) is evaluated
+in one place, :func:`psi_batch`: the Monte Carlo chunk of the group integral
+calls it on a batch and :func:`psi_pi` on a batch of one.  Genuine
+(double-cover) weights carry half-integral determinant twists; the twist is
+consumed as an integer power of the carried root ratio of the block
+determinants.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .exact import leibniz_det
-from .group import CoverElement, cartan_decompose, cpow_int, theta_t_cover, theta_z_cover
+from .group import cartan_decompose, cpow_int, theta_t_cover, theta_z_cover
 from .weights import ThetaDatum
 
 __all__ = [
-    "GLWeight",
     "schur_eval",
     "schur_eval_batch",
     "elementary_batch",
     "char_poly_batch",
-    "genuine_char",
-    "char_of_cover",
+    "psi_batch",
     "psi_pi",
 ]
-
-
-@dataclass(frozen=True)
-class GLWeight:
-    """Integer highest weight plus a det twist stored as a doubled exponent."""
-
-    parts: tuple[int, ...]
-    det_twist_numerator: int = 0
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise InvalidParameterError(f"weight parts must be weakly decreasing: {parts}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.parts)
 
 
 def _elementary(eigs):
@@ -208,52 +188,39 @@ def schur_eval_batch(mu, e: np.ndarray) -> np.ndarray:
     return pref * np.linalg.det(mat)
 
 
-def genuine_char(w: GLWeight, block, zeta: complex) -> complex:
-    """Holomorphically extended character of one block, with the half-integer
-    determinant twist consumed by the carried root ``zeta``."""
-    block = np.atleast_2d(np.asarray(block, dtype=complex))
-    if block.shape[0] != w.rank:
-        raise InvalidParameterError(f"block size {block.shape[0]} != weight rank {w.rank}")
-    eigs = np.linalg.eigvals(block)
-    value = complex(schur_eval_batch(list(w.parts), elementary_batch(eigs))[0])
-    if w.det_twist_numerator:
-        value *= cpow_int(complex(zeta), w.det_twist_numerator)
-    return value
+def psi_batch(theta: ThetaDatum, block_n: np.ndarray, block_1: np.ndarray,
+              ratio: np.ndarray) -> np.ndarray:
+    """The genuine character of the lowest K-type on a batch of block-diagonal
+    cover elements: block_n (N, n, n), block_1 (N,) and the root ratio
+    zeta_n / zeta_1 (N,).
+
+    The two det twists of :meth:`~arczeta.weights.ThetaDatum.lambda_gl` are
+    opposite, so together they are the integer power tw2n of the root ratio;
+    flipping both roots leaves the ratio and the value unchanged.
+    """
+    (parts_n, tw2n), (parts_1, _) = theta.lambda_gl()
+    psi = schur_eval_batch(list(parts_n), char_poly_batch(block_n))
+    if parts_1[0]:
+        psi = psi * cpow_int(block_1, parts_1[0])
+    if tw2n:
+        psi = psi * cpow_int(ratio, tw2n)
+    return psi
 
 
-def char_of_cover(w_n: GLWeight, w_1: GLWeight, el: CoverElement) -> complex:
-    """Product character of a block-diagonal cover element."""
-    a = genuine_char(w_n, el.block_n, el.zeta_n)
-    b = genuine_char(w_1, np.array([[el.block_1]]), el.zeta_1)
-    return a * b
-
-
-def _lambda_glweights(theta: ThetaDatum) -> tuple[GLWeight, GLWeight]:
-    (pn, tn2), (p1, t12) = theta.lambda_gl()
-    return GLWeight(pn, tn2), GLWeight(p1, t12)
-
-
-def psi_pi(g, lam_weights, zeta_sign: int = +1, route: str = "direct") -> complex:
+def psi_pi(g, theta: ThetaDatum, route: str = "direct") -> complex:
     """Canonical conjugation-invariant matrix coefficient at ``g``.
 
-    ``lam_weights`` is either a :class:`~arczeta.weights.ThetaDatum` or an
-    explicit pair of :class:`GLWeight`.  ``zeta_sign`` flips the carried
-    roots of the unitary factor; it never changes the value because the two
-    det twists balance.  ``route="conjugated"`` evaluates through the
-    rotation that diagonalizes the positive factor instead (both routes agree
-    to numerical precision, which is tested).
+    With g = h_z k, the value is :func:`psi_batch` at the cover element
+    theta_z k.  ``route="conjugated"`` evaluates at theta_t k_z^-1 k k_z
+    instead, through the rotation k_z that carries z to the first axis (both
+    routes agree to numerical precision, which is tested).
     """
-    if isinstance(lam_weights, ThetaDatum):
-        w_n, w_1 = _lambda_glweights(lam_weights)
-    else:
-        w_n, w_1 = lam_weights
     z, t, k_z, k = cartan_decompose(g)
-    if zeta_sign == -1:
-        k = k.flip_both()
     if route == "direct":
         el = theta_z_cover(z).compose(k)
     elif route == "conjugated":
         el = theta_t_cover(t, z.n).compose(k_z.inverse().compose(k).compose(k_z))
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
-    return char_of_cover(w_n, w_1, el)
+    return complex(psi_batch(theta, el.block_n[None], np.array([el.block_1]),
+                             np.array([el.zeta_ratio]))[0])

@@ -229,7 +229,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("verify-prop61", help="two evaluation routes of the compact matrix coefficient")
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out", default=None)
 
     sa = subs.add_parser("verify-at", help="hyperbolic transform vs brute-force kernel (exact)")
@@ -311,7 +310,7 @@ def _verify_zeta(args, seed, samples):
 
 
 def _verify_prop61(args, seed, samples):
-    rep = verify_prop61(trials=args.trials, seed=seed, tol=args.tol)
+    rep = verify_prop61(trials=args.trials, seed=seed)
     return build_report("verify-prop61", report=rep), rep.passed
 
 

@@ -5,10 +5,10 @@ realization is the complex unit ball (column vectors of length n); the
 polar-type factorization writes every element as a positive-definite factor
 parametrized by a ball point times a block-diagonal unitary.
 
-All distinguished elements (the hyperbolic one-parameter family and its
-triangular-factor companions) are built here, both as full matrices and as
-block-diagonal cover elements carrying chosen square roots of the block
-determinants.
+The hyperbolic one-parameter family is built here as a full matrix; its
+triangular-factor companions and the factors of a ball point are built by one
+rank-one builder as block-diagonal cover elements carrying positive square
+roots of the block determinants.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ __all__ = [
     "h_from_z",
     "cartan_decompose",
     "a_t",
-    "theta_t",
-    "b_t",
-    "theta_z",
-    "b_z",
     "theta_t_cover",
     "b_t_cover",
     "theta_z_cover",
@@ -168,9 +164,6 @@ class CoverElement:
     def flip_n(self) -> "CoverElement":
         return CoverElement(self.block_n, self.block_1, -self.zeta_n, self.zeta_1)
 
-    def flip_both(self) -> "CoverElement":
-        return CoverElement(self.block_n, self.block_1, -self.zeta_n, -self.zeta_1)
-
     def compose(self, other: "CoverElement") -> "CoverElement":
         """Product with multiplicative root threading."""
         return CoverElement(
@@ -208,96 +201,73 @@ def a_t(t: float, n: int) -> np.ndarray:
     return m
 
 
-def theta_t(t: float, n: int) -> np.ndarray:
-    """Diagonal factor of the triangular decomposition of ``a_t``."""
-    d = np.ones(n + 1, dtype=complex)
-    d[0] = 1.0 / math.cosh(t)
-    d[n] = math.cosh(t)
-    return np.diag(d)
+def _ball_cover(d: np.ndarray, gram: float, power: float) -> CoverElement:
+    """The block-diagonal factor diag(I + (gram**power - 1) d d*, gram**(-1/2))
+    of a ball point z = |z| d with gram = 1 - |z|**2, and its positive roots.
+
+    The n-block is (1 - z z*)**power: z z* has the single eigenvalue |z|**2 on
+    the unit direction d, so its determinant is gram**power.  Power 1/2 gives
+    theta_z and power -1/2 gives b_z.
+    """
+    scale = gram**power
+    block_n = np.eye(d.shape[0], dtype=complex) + (scale - 1.0) * np.outer(d, d.conj())
+    return CoverElement(block_n, gram**-0.5, math.sqrt(scale), gram**-0.25)
 
 
-def b_t(t: float, n: int) -> np.ndarray:
-    """Companion diagonal element diag(cosh t, 1, ..., 1, cosh t)."""
-    d = np.ones(n + 1, dtype=complex)
-    d[0] = d[n] = math.cosh(t)
-    return np.diag(d)
+def _hyperbolic_cover(t: float, n: int, power: float) -> CoverElement:
+    """The ball block at d = e_1 with 1 - |z|**2 = sech(t)**2 taken from cosh t,
+    not recomputed through tanh t."""
+    return _ball_cover(np.eye(n, dtype=complex)[0], math.cosh(t) ** -2, power)
 
 
 def theta_t_cover(t: float, n: int) -> CoverElement:
-    return CoverElement.from_blocks(theta_t(t, n)[:n, :n], math.cosh(t))
+    """Diagonal factor diag(sech t, 1, ..., 1, cosh t) of the triangular
+    decomposition of ``a_t``."""
+    return _hyperbolic_cover(t, n, 0.5)
 
 
 def b_t_cover(t: float, n: int) -> CoverElement:
-    return CoverElement.from_blocks(b_t(t, n)[:n, :n], math.cosh(t))
+    """Companion diagonal element diag(cosh t, 1, ..., 1, cosh t)."""
+    return _hyperbolic_cover(t, n, -0.5)
 
 
-def _check_interior(z: np.ndarray) -> tuple[np.ndarray, float]:
+def _ball_point(z) -> tuple[np.ndarray, float]:
+    """Direction and 1 - |z|**2 of an interior ball point."""
+    if isinstance(z, DomainPoint):
+        z = z.z
     z = np.asarray(z, dtype=complex).reshape(-1)
     r = float(np.linalg.norm(z))
     if r > BOUNDARY_CUTOFF:
         raise BoundaryError(f"|z| = {r} too close to the boundary for stable evaluation")
-    return z, r
-
-
-def _rank_one_power(z: np.ndarray, exponent: float) -> np.ndarray:
-    """(1 - z z*)**exponent for a column z, via the rank-one eigenstructure."""
-    n = z.shape[0]
     u2 = float(np.real(np.vdot(z, z)))
-    if u2 == 0.0:
-        return np.eye(n, dtype=complex)
-    u = z / math.sqrt(u2)
-    return np.eye(n, dtype=complex) + ((1.0 - u2) ** exponent - 1.0) * np.outer(u, u.conj())
+    return (z / math.sqrt(u2) if u2 else z), 1.0 - u2
 
 
 def h_from_z(z) -> GroupElement:
     """Positive-definite group element attached to a ball point."""
     if isinstance(z, DomainPoint):
         z = z.z
-    z, r = _check_interior(z)
-    n = z.shape[0]
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    block_n = b_z_cover(z).block_n
+    n, r = z.shape[0], float(np.linalg.norm(z))
     ch = 1.0 / math.sqrt(1.0 - r * r)
     m = np.zeros((n + 1, n + 1), dtype=complex)
-    m[:n, :n] = _rank_one_power(z, -0.5)
+    m[:n, :n] = block_n
     m[:n, n] = z * ch
     m[n, :n] = z.conj() * ch
     m[n, n] = ch
     return GroupElement(m)
 
 
-def theta_z(z) -> np.ndarray:
-    """diag((1 - z z*)**(1/2), (1 - z* z)**(-1/2))."""
-    if isinstance(z, DomainPoint):
-        z = z.z
-    z, r = _check_interior(z)
-    n = z.shape[0]
-    m = np.zeros((n + 1, n + 1), dtype=complex)
-    m[:n, :n] = _rank_one_power(z, 0.5)
-    m[n, n] = 1.0 / math.sqrt(1.0 - r * r)
-    return m
-
-
-def b_z(z) -> np.ndarray:
-    """diag((1 - z z*)**(-1/2), (1 - z* z)**(-1/2))."""
-    if isinstance(z, DomainPoint):
-        z = z.z
-    z, r = _check_interior(z)
-    n = z.shape[0]
-    m = np.zeros((n + 1, n + 1), dtype=complex)
-    m[:n, :n] = _rank_one_power(z, -0.5)
-    m[n, n] = 1.0 / math.sqrt(1.0 - r * r)
-    return m
-
-
 def theta_z_cover(z) -> CoverElement:
-    m = theta_z(z)
-    n = m.shape[0] - 1
-    return CoverElement.from_blocks(m[:n, :n], m[n, n])
+    """diag((1 - z z*)**(1/2), (1 - z* z)**(-1/2))."""
+    return _ball_cover(*_ball_point(z), 0.5)
 
 
 def b_z_cover(z, sign: int = +1) -> CoverElement:
-    m = b_z(z)
-    n = m.shape[0] - 1
-    cov = CoverElement.from_blocks(m[:n, :n], m[n, n])
+    """diag((1 - z z*)**(-1/2), (1 - z* z)**(-1/2)), or its inverse for
+    ``sign`` -1."""
+    cov = _ball_cover(*_ball_point(z), -0.5)
     return cov if sign == +1 else cov.inverse()
 
 

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arczeta.characters import (
-    GLWeight,
-    char_of_cover,
     char_poly_batch,
     elementary_batch,
-    genuine_char,
+    psi_batch,
     psi_pi,
     schur_eval,
     schur_eval_batch,
@@ -145,26 +143,38 @@ class TestCharPoly:
 
 
 class TestGenuineChar:
+    """The genuine character :func:`psi_batch` on block-diagonal cover batches."""
+
     def test_half_twist_on_circle(self):
-        theta = 0.77
-        w = GLWeight((0,), 1)
-        val = genuine_char(w, np.array([[np.exp(1j * theta)]]), np.exp(0.5j * theta))
-        assert np.isclose(val, np.exp(0.5j * theta))
+        # identity blocks: the value is dim times the root ratio to the
+        # doubled twist, an odd power for a half-integral twist
+        th = classify_theta(lam("5/2", "3/2", "1/2"))
+        (_, tw2n), _ = th.lambda_gl()
+        assert tw2n % 2 == 1
+        phase = np.exp(0.5j * np.array([0.77, -2.1]))
+        val = psi_batch(th, np.stack([np.eye(2)] * 2), np.ones(2), phase)
+        assert np.allclose(val, weyl_dim(th.lam) * phase**tw2n, rtol=1e-14, atol=0)
 
     def test_flip_sign(self, rng):
-        w = GLWeight((2, 0), 3)
-        x = haar_unitary(2, rng)
-        zeta = np.exp(0.5j * np.angle(np.linalg.det(x)))
-        assert np.isclose(
-            genuine_char(w, x, -zeta), (-1) ** 3 * genuine_char(w, x, zeta)
-        )
+        # negating the root ratio multiplies the value by (-1)**tw2n
+        for text in ("5/2,3/2,1/2", "3/2,1/2", "1/2,-3/2,-5/2", "7/2,3/2,1/2"):
+            th = classify_theta(lam(*text.split(",")))
+            (_, tw2n), _ = th.lambda_gl()
+            els = [random_cover(th.n, rng) for _ in range(5)]
+            bn = np.stack([el.block_n for el in els])
+            b1 = np.array([el.block_1 for el in els])
+            ratio = np.array([el.zeta_ratio for el in els])
+            flipped = psi_batch(th, bn, b1, -ratio)
+            assert np.array_equal(flipped, (-1) ** tw2n * psi_batch(th, bn, b1, ratio))
 
     def test_positive_on_positive_diagonal(self):
-        w = GLWeight((2, -1), -2)
-        block = np.diag([1.7, 0.3])
-        zeta = math.sqrt(1.7 * 0.3)
-        val = genuine_char(w, block, zeta)
-        assert abs(val.imag) < 1e-14 and val.real > 0
+        for text in ("5/2,3/2,1/2", "1/2,-3/2,-5/2", "-1/2,-5/2"):
+            th = classify_theta(lam(*text.split(",")))
+            block = np.diag([1.7, 0.3][: th.n]).astype(complex)
+            b1 = 0.6
+            ratio = math.sqrt(np.linalg.det(block).real / b1)
+            val = psi_batch(th, block[None], np.array([b1 + 0j]), np.array([ratio + 0j]))[0]
+            assert abs(val.imag) < 1e-14 * abs(val) and val.real > 0, text
 
 
 class TestPsiPi:
@@ -198,11 +208,6 @@ class TestPsiPi:
             b = psi_pi(g, th, route="conjugated")
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
-    def test_zeta_sign_irrelevant(self, rng):
-        th = classify_theta(lam("5/2", "3/2", "1/2"))
-        g = random_group_element(2, rng)
-        assert np.isclose(psi_pi(g, th, zeta_sign=+1), psi_pi(g, th, zeta_sign=-1))
-
     def test_against_triangular_factorization(self, rng):
         # independent oracle: block-triangular factorization gives the
         # diagonal factor directly as (Schur complement, corner entry); the
@@ -222,14 +227,3 @@ class TestPsiPi:
                 chi_sq *= d_blk ** (2 * parts_1[0] - tw2n)
                 val = psi_pi(GroupElement(g), th) ** 2
                 assert abs(val - chi_sq) <= 1e-8 * max(1.0, abs(val)), text
-
-
-class TestCharOfCover:
-    def test_product_structure(self, rng):
-        th = classify_theta(lam("5/2", "3/2", "1/2"))
-        (pn, tn2), (p1, t12) = th.lambda_gl()
-        el = random_cover(2, rng)
-        val = char_of_cover(GLWeight(pn, tn2), GLWeight(p1, t12), el)
-        flipped = char_of_cover(GLWeight(pn, tn2), GLWeight(p1, t12), el.flip_both())
-        # balanced twists: flipping both roots leaves the product unchanged
-        assert np.isclose(val, flipped)

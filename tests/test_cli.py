@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import arczeta.verify
 from arczeta.cli import main, parse_table_csv, table_rows, table_to_csv, validate_report
 
 
@@ -121,12 +122,24 @@ class TestVerifyCommands:
                                "--samples", "100")
         assert code == 2 and "samples" in err
 
-    def test_numerical_fail_exit_1(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-prop61", "--trials", "1", "--tol", "0")
+    def test_numerical_fail_exit_1(self, capsys, monkeypatch):
+        # a substitution route off by 1e-6 relative must fail the 1e-9 check
+        route = arczeta.verify.omega_matcoef
+        monkeypatch.setattr(arczeta.verify, "omega_matcoef",
+                            lambda *args: route(*args) * (1 + 1e-6))
+        code, out, _ = run_cli(capsys, "verify-prop61", "--trials", "1")
         assert code == 1
         doc = json.loads(out)
         assert doc["verdict"] == "FAIL"
         validate_report(doc)
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_prop61_tolerance_is_not_an_option(self, capsys, tol):
+        # the route check runs at the fixed 1e-9; a tolerance flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-prop61", "--trials", "1", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_verify_at(self, capsys):
         code, out, _ = run_cli(capsys, "verify-at")

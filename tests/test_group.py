@@ -10,8 +10,8 @@ from arczeta.group import (
     DomainPoint,
     GroupElement,
     a_t,
-    b_t,
-    b_z,
+    b_t_cover,
+    b_z_cover,
     cartan_decompose,
     cpow_int,
     h_from_z,
@@ -19,8 +19,8 @@ from arczeta.group import (
     random_group_element,
     sample_ball,
     sample_domain,
-    theta_t,
-    theta_z,
+    theta_t_cover,
+    theta_z_cover,
     unitary_completion,
 )
 from arczeta.weights import closed_S
@@ -28,27 +28,33 @@ from arczeta.weights import closed_S
 
 class TestDistinguishedElements:
     def test_t_zero_all_identity(self):
-        for fn in (a_t, theta_t, b_t):
-            assert np.allclose(fn(0.0, 3), np.eye(4))
+        assert np.allclose(a_t(0.0, 3), np.eye(4))
+        for cover in (theta_t_cover, b_t_cover):
+            el = cover(0.0, 3)
+            assert np.allclose(el.embed(), np.eye(4))
+            assert el.zeta_n == el.zeta_1 == 1.0
 
     def test_theta_b_product(self):
         t = 0.83
-        prod = theta_t(t, 2) @ b_t(t, 2)
+        prod = theta_t_cover(t, 2).embed() @ b_t_cover(t, 2).embed()
         expect = np.diag([1.0, 1.0, math.cosh(t) ** 2])
         assert np.allclose(prod, expect)
+        ch = math.cosh(t)
+        assert np.allclose(theta_t_cover(t, 2).embed(), np.diag([1 / ch, 1.0, ch]))
+        assert np.allclose(b_t_cover(t, 2).embed(), np.diag([ch, 1.0, ch]))
 
     def test_a_t_in_group(self):
         GroupElement(a_t(1.1, 2))  # must not raise
 
     def test_theta_z_n1(self):
         r = 0.4
-        m = theta_z(np.array([r]))
+        m = theta_z_cover(np.array([r])).embed()
         assert np.allclose(m, np.diag([math.sqrt(1 - r * r), 1 / math.sqrt(1 - r * r)]))
 
     def test_triangular_ratio_identities(self):
         rng = np.random.default_rng(3)
         z = 0.7 * rng.standard_normal(3) / 3 + 0.1j * rng.standard_normal(3)
-        tz, bz = theta_z(z), b_z(z)
+        tz, bz = theta_z_cover(z).embed(), b_z_cover(z).embed()
         n = 3
         gram = np.eye(n) - np.outer(z, z.conj())
         lhs = np.linalg.inv(tz) @ bz
@@ -60,6 +66,18 @@ class TestDistinguishedElements:
         expect2 = np.eye(4, dtype=complex)
         expect2[n, n] = 1.0 - np.vdot(z, z)
         assert np.allclose(lhs2, expect2)
+        assert np.allclose(b_z_cover(z, -1).embed(), np.linalg.inv(bz))
+
+    def test_hyperbolic_covers_are_ball_covers_on_first_axis(self):
+        # theta_t and b_t are theta_z and b_z at z = tanh(t) e_1, roots included
+        t, n = 0.91, 3
+        z = np.zeros(n)
+        z[0] = math.tanh(t)
+        pairs = ((theta_t_cover(t, n), theta_z_cover(z)), (b_t_cover(t, n), b_z_cover(z)))
+        for at_t, at_z in pairs:
+            assert np.allclose(at_t.embed(), at_z.embed(), rtol=1e-14, atol=0)
+            assert math.isclose(at_t.zeta_ratio.real, at_z.zeta_ratio.real, rel_tol=1e-14)
+            assert at_t.zeta_ratio.imag == at_z.zeta_ratio.imag == 0.0
 
     def test_det_gram_equals_sech_squared(self):
         z = np.array([0.3 + 0.2j, -0.1j])
@@ -131,7 +149,6 @@ class TestCover:
     def test_flips_and_ratio(self, rng):
         c = CoverElement.from_blocks(haar_unitary(2, rng), np.exp(0.3j))
         assert np.isclose(c.flip_n().zeta_ratio, -c.zeta_ratio)
-        assert np.isclose(c.flip_both().zeta_ratio, c.zeta_ratio)
         inv = c.inverse()
         assert np.isclose(inv.zeta_ratio * c.zeta_ratio, 1.0)
 

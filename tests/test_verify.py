@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import arczeta.characters
 import arczeta.verify
+from arczeta.characters import psi_pi
 from arczeta.errors import ConvergenceError, InvalidParameterError
 from arczeta.fock import MatrixCoefficient
+from arczeta.group import random_group_element
 from arczeta.verify import (
     Estimate,
     _reduce_mean,
@@ -204,6 +207,35 @@ class TestVerifyZeta:
         b = zeta_integrand_samples(th, np.random.default_rng(5), 4_000, e, mc, flip_roots=True)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("text", ["3/2,1/2", "7/2,3/2,1/2", "1/2,-3/2,-5/2",
+                                      "3/2,1/2,-5/2,-9/2"])
+    def test_chunk_psi_is_psi_pi_at_sampled_point(self, text):
+        # with a coefficient of one, a chunk sample is c_norm (1-u)^(-(n+1)/2-e)
+        # times psi_pi(h_z diag(x, y)) at the replayed draw; odd twists fix
+        # psi only up to the sign of the root ratio, so compare squares
+        from arczeta.group import (GroupElement, h_from_z, haar_unitary, sample_ball,
+                                   weighted_ball_volume)
+
+        class Ones:
+            def evaluate(self, block_n, block_1, ratio):
+                return np.ones(len(block_1), dtype=complex)
+
+        th = classify_theta(lam(*text.split(",")))
+        n, size = th.n, 40
+        e = float(min(closed_T_factors(th, F(n + 1, 2)))) - 1.0
+        vals = zeta_integrand_samples(th, np.random.default_rng(8), size, e, Ones())
+        rng = np.random.default_rng(8)
+        u, dirs = sample_ball(n, e, rng, size)
+        x = haar_unitary(n, rng, size=size)
+        y = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=size))
+        psi = vals / (weighted_ball_volume(n, e) * (1.0 - u) ** (-0.5 * (n + 1) - e))
+        for i in range(size):
+            k = np.zeros((n + 1, n + 1), dtype=complex)
+            k[:n, :n], k[n, n] = x[i], y[i]
+            g = GroupElement(h_from_z(math.sqrt(u[i]) * dirs[i]).matrix @ k)
+            ref = psi_pi(g, th) ** 2
+            assert abs(psi[i] ** 2 - ref) <= 1e-12 * abs(ref), (text, i)
+
     def test_estimator_health_in_details(self):
         # criterion 9's (3/2,1/2) integrand is constant: the estimate passes on
         # the rounding floor, and the report says so
@@ -345,8 +377,15 @@ class TestSuites:
             return batch(mu, e)
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        # the zeta chunk reaches the batch evaluator through psi_batch, which
+        # looks it up in arczeta.characters; the Schur chunk calls it directly
+        monkeypatch.setattr(arczeta.characters, "schur_eval_batch", counted)
         monkeypatch.setattr(arczeta.verify, "schur_eval_batch", counted)
         zeta = verify_zeta(lam("5/2", "3/2", "1/2"), samples=2000, seed=1)
         assert zeta.verdict in ("PASS", "FAIL") and calls == [2]
         schur = verify_schur_orthogonality([[2, 1, 0]], samples=2000, seed=1)
         assert schur.verdict in ("PASS", "FAIL") and calls == [2, 3]
+        # the scalar coefficient is the same evaluator on a batch of one
+        g = random_group_element(2, np.random.default_rng(1))
+        psi_pi(g, classify_theta(lam("5/2", "3/2", "1/2")))
+        assert calls == [2, 3, 2]
