@@ -2,9 +2,9 @@
 
 Library layout:
 
-* :mod:`arczeta.weights`: exact half-integer parameters, Case I/II
-  classification, closed-form evaluators (zeta values, endomorphism
-  scalars, projection constants).
+* :mod:`arczeta.weights`: half-integral parameters with Fraction entries,
+  Case I/II classification, closed-form evaluators (zeta values,
+  endomorphism scalars, projection constants).
 * :mod:`arczeta.group`: matrix structure, polar decomposition of the
   indefinite unitary group, Haar and ball samplers.
 * :mod:`arczeta.characters`: Schur polynomial characters with genuine
@@ -21,7 +21,6 @@ from .weights import (
     Case,
     ClosedValue,
     HCParameter,
-    HalfInt,
     ThetaDatum,
     WeightPair,
     admissible_sweep,
@@ -42,7 +41,6 @@ __all__ = [
     "Case",
     "ClosedValue",
     "HCParameter",
-    "HalfInt",
     "ThetaDatum",
     "WeightPair",
     "admissible_sweep",

@@ -36,6 +36,7 @@ __all__ = [
     "bargmann_inner",
     "minors",
     "harmonic_hwv",
+    "hwv_norm2",
     "omega_k",
     "omega_kprime",
     "omega_at",
@@ -299,6 +300,13 @@ def harmonic_hwv(theta: ThetaDatum, exact: bool = True) -> FockPoly:
                 out = out * minors(n, i, exact)[1] ** e
         out = out * FockPoly.variable(n, n + 1, theta.p + 1, exact) ** int(gamma)
     return out
+
+
+def hwv_norm2(theta: ThetaDatum) -> float:
+    """Squared norm of the joint highest-weight vector, from its exact
+    polynomial and the exact inner product."""
+    phi = harmonic_hwv(theta, exact=True)
+    return complex(bargmann_inner(phi, phi)).real
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +801,7 @@ class MatrixCoefficient:
 
     def __init__(self, theta: ThetaDatum):
         n = theta.n
-        phi = harmonic_hwv(theta, exact=True)
-        self.phi_norm2 = complex(bargmann_inner(phi, phi))
+        self.phi_norm2 = complex(hwv_norm2(theta))
         self._ratio_exp = theta.p - theta.q
         exps = [0] * (n + 1)  # exponent of D_k, k = 0..n
         alphas = [int(a) for a in theta.alphas] + [0]

@@ -161,9 +161,6 @@ class CoverElement:
     def zeta_ratio(self) -> complex:
         return self.zeta_n / self.zeta_1
 
-    def flip_n(self) -> "CoverElement":
-        return CoverElement(self.block_n, self.block_1, -self.zeta_n, self.zeta_1)
-
     def compose(self, other: "CoverElement") -> "CoverElement":
         """Product with multiplicative root threading."""
         return CoverElement(
@@ -264,11 +261,9 @@ def theta_z_cover(z) -> CoverElement:
     return _ball_cover(*_ball_point(z), 0.5)
 
 
-def b_z_cover(z, sign: int = +1) -> CoverElement:
-    """diag((1 - z z*)**(-1/2), (1 - z* z)**(-1/2)), or its inverse for
-    ``sign`` -1."""
-    cov = _ball_cover(*_ball_point(z), -0.5)
-    return cov if sign == +1 else cov.inverse()
+def b_z_cover(z) -> CoverElement:
+    """diag((1 - z z*)**(-1/2), (1 - z* z)**(-1/2))."""
+    return _ball_cover(*_ball_point(z), -0.5)
 
 
 def unitary_completion(u: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ from .exact import rational_hyperbolic
 from .fock import (
     FockPoly,
     MatrixCoefficient,
-    bargmann_inner,
     harmonic_hwv,
+    hwv_norm2,
     omega_at,
     omega_matcoef,
     omega_matcoef_transform_route,
@@ -369,8 +369,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     t0 = time.perf_counter()
 
     if method == "radial":
-        phi = harmonic_hwv(theta, exact=True)
-        norm2 = complex(bargmann_inner(phi, phi)).real
+        norm2 = hwv_norm2(theta)
         target_float = float(closed) * norm2
         rep = verify_T(theta, s0, method="quad")
         val = rep.estimate.value * norm2 / theta.dim_sigma()
@@ -431,25 +430,22 @@ def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
 # identity suites
 
 
-def verify_prop61(*, trials: int = 20, seed: int = 0,
-                  thetas: Optional[Sequence[ThetaDatum]] = None) -> VerifyReport:
+def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
     """Substitution route versus transform route at random (t, k, k'); a
     trial fails above relative disagreement ``PROP61_TOL``.
 
-    By default the cases are every admissible parameter at n=1 up to 3 and
-    the Case I parameters at n=2 up to 7/2.
+    The cases are every admissible parameter at n=1 up to 3 and the Case I
+    parameters at n=2 up to 7/2.
     """
     t0 = time.perf_counter()
+    if trials < 1:
+        raise InvalidParameterError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
-    if thetas is None:
-        thetas = [classify_theta(lam) for lam in admissible_sweep(1, 3)]
-        for lam in admissible_sweep(2, Fraction(7, 2)):
-            th = classify_theta(lam)
-            if th.case is Case.I:
-                thetas.append(th)
-    if trials < 1 or not thetas:
-        raise InvalidParameterError(
-            f"need at least one case and one trial, got {len(thetas)} cases x {trials} trials")
+    thetas = [classify_theta(lam) for lam in admissible_sweep(1, 3)]
+    for lam in admissible_sweep(2, Fraction(7, 2)):
+        th = classify_theta(lam)
+        if th.case is Case.I:
+            thetas.append(th)
     worst = 0.0
     failures = []
     for theta in thetas:
@@ -472,15 +468,16 @@ def verify_prop61(*, trials: int = 20, seed: int = 0,
                         {"cases": len(thetas), "failures": failures})
 
 
-def verify_at_lemma(*, max_degree: int = 4, rho: Fraction = Fraction(1, 3)) -> VerifyReport:
+def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
     """Closed hyperbolic transform versus brute-force kernel integration,
-    exact arithmetic, every monomial of bounded degree in one ball variable."""
+    exact arithmetic, every monomial of bounded degree in one ball variable,
+    at the rational point tanh(t/2) = 1/3."""
     import itertools
 
     if max_degree < 0:
         raise InvalidParameterError(f"max_degree must be non-negative, got {max_degree}")
     t0 = time.perf_counter()
-    ch, sh = rational_hyperbolic(rho)
+    ch, sh = rational_hyperbolic(Fraction(1, 3))
     bad = []
     total = 0
     for exps in itertools.product(range(max_degree + 1), repeat=4):

@@ -1,8 +1,9 @@
 """Exact weight combinatorics and closed-form evaluators.
 
-Everything here is exact: half-integers are stored as doubled integers,
-closed forms as rational multiples of integer powers of pi.  Floating point
-enters only when a caller converts a result for comparison with quadrature.
+Everything here is exact: parameter entries are half-integers held as
+Fractions, closed forms rational multiples of integer powers of pi.
+Floating point enters only when a caller converts a result for comparison
+with quadrature.
 
 The central object is :class:`ThetaDatum`, the complete classification of an
 admissible strictly decreasing parameter into one of two shapes (Case I when
@@ -17,12 +18,11 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .errors import InadmissibleParameterError, InvalidParameterError, PoleError
 
 __all__ = [
-    "HalfInt",
     "HCParameter",
     "WeightPair",
     "Case",
@@ -41,82 +41,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=False)
-class HalfInt:
-    """A half-integer stored as its doubled value.
-
-    Parity of ``twice`` distinguishes integers from proper half-integers;
-    there is no separate denominator so the representation is canonical.
-    """
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise InvalidParameterError("HalfInt requires an integer doubled value")
-
-    @classmethod
-    def coerce(cls, x) -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, int):
-            return cls(2 * x)
-        if isinstance(x, Fraction):
-            if x.denominator not in (1, 2):
-                raise InvalidParameterError(f"{x} is not a half-integer")
-            return cls(int(x * 2))
-        if isinstance(x, str):
-            return cls.parse(x)
-        raise InvalidParameterError(f"cannot interpret {x!r} as a half-integer")
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        """Parse ``'a'`` or ``'a/2'`` (also tolerates ``'a/1'``)."""
+def _half_integer(x) -> Fraction:
+    """An entry given as an int, a Fraction or text, checked to be a half-integer."""
+    if isinstance(x, str):
         try:
-            frac = Fraction(text.strip())
+            value = Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParameterError(f"cannot parse half-integer {text!r}: {exc}") from None
-        return cls.coerce(frac)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __float__(self):
-        return self.twice / 2.0
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self):
-        return f"HalfInt({self.twice})"
-
-    # arithmetic stays in Fraction-land on purpose; HalfInt is a storage type
-    def __add__(self, other):
-        return self.fraction + (other.fraction if isinstance(other, HalfInt) else other)
-
-    def __sub__(self, other):
-        return self.fraction - (other.fraction if isinstance(other, HalfInt) else other)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __lt__(self, other):
-        return self.twice < HalfInt.coerce(other).twice
-
-    def __le__(self, other):
-        return self.twice <= HalfInt.coerce(other).twice
-
-    def __gt__(self, other):
-        return self.twice > HalfInt.coerce(other).twice
-
-    def __ge__(self, other):
-        return self.twice >= HalfInt.coerce(other).twice
+            raise InvalidParameterError(f"cannot parse half-integer {x!r}: {exc}") from None
+    elif isinstance(x, (int, Fraction)):
+        value = Fraction(x)
+    else:
+        raise InvalidParameterError(f"cannot interpret {x!r} as a half-integer")
+    if value.denominator not in (1, 2):
+        raise InvalidParameterError(f"{value} is not a half-integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -124,39 +62,38 @@ class HCParameter:
     """Strictly decreasing tuple of mutually congruent half-integers.
 
     Strict decrease over the full length is the holomorphy condition; mutual
-    congruence mod 1 keeps the determinant-twist class consistent.
+    congruence mod 1 (one common denominator) keeps the determinant-twist
+    class consistent.  Entries are given as ints, Fractions or text and kept
+    as Fractions.
     """
 
-    entries: tuple[HalfInt, ...]
+    entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ent = tuple(HalfInt.coerce(e) for e in self.entries)
+        ent = tuple(_half_integer(e) for e in self.entries)
         object.__setattr__(self, "entries", ent)
         if len(ent) < 2:
             raise InvalidParameterError("parameter needs at least two entries")
-        for a, b in zip(ent, ent[1:]):
-            if not a.twice > b.twice:
-                raise InvalidParameterError(
-                    f"entries must be strictly decreasing, got {self}"
-                )
-        parities = {e.twice % 2 for e in ent}
-        if len(parities) > 1:
+        if any(a <= b for a, b in zip(ent, ent[1:])):
+            raise InvalidParameterError(
+                f"entries must be strictly decreasing, got {self}"
+            )
+        if len({e.denominator for e in ent}) > 1:
             raise InvalidParameterError(
                 f"entries must be mutually congruent mod 1, got {self}"
             )
 
     @classmethod
     def of(cls, *values) -> "HCParameter":
-        return cls(tuple(HalfInt.coerce(v) for v in values))
+        return cls(values)
 
     @classmethod
     def parse(cls, text: str) -> "HCParameter":
         """Parse a comma list of fractions, reporting the failing position."""
-        parts = text.split(",")
         ents = []
-        for pos, part in enumerate(parts):
+        for pos, part in enumerate(text.split(",")):
             try:
-                ents.append(HalfInt.parse(part))
+                ents.append(_half_integer(part))
             except InvalidParameterError as exc:
                 raise InvalidParameterError(
                     f"bad entry at position {pos}: {exc}"
@@ -169,7 +106,8 @@ class HCParameter:
 
     @property
     def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(e.fraction for e in self.entries)
+        """The entries (they are Fractions already)."""
+        return self.entries
 
     def __iter__(self):
         return iter(self.entries)
@@ -267,7 +205,7 @@ def hc_to_blattner(lam: HCParameter) -> tuple[Fraction, ...]:
     """Lowest-K-type highest weight attached to a strictly decreasing parameter."""
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
     shift = _rho_shift(lam.n)
-    return tuple(e.fraction + s for e, s in zip(lam.entries, shift))
+    return tuple(e + s for e, s in zip(lam.entries, shift))
 
 
 def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True) -> ThetaDatum:
@@ -283,7 +221,7 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
     n = lam.n
     fr = lam.fractions
-    nonstandard = lam.entries[0].is_integer()
+    nonstandard = lam.entries[0].denominator == 1
 
     b = 1 if fr[n] <= 0 else 0
     a = sum(1 for i in range(n) if fr[i] <= 0)
@@ -381,28 +319,18 @@ def gl_dim(mu: Sequence[Fraction]) -> int:
     return int(num)
 
 
-def weyl_dim(param: Union[HCParameter, Sequence[Fraction]]) -> int:
-    """Dimension of the lowest K-type.
-
-    Accepts either an :class:`HCParameter` (product of entry differences over
-    the compact positive roots) or a Blattner-style weight vector of length
-    n+1 (classical dimension formula on its first n entries); the two agree
-    on matching inputs.
-    """
-    if isinstance(param, HCParameter):
-        fr = param.fractions
-        n = param.n
-        num = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                num *= Fraction(fr[i] - fr[j], j - i)
-        if num.denominator != 1 or num <= 0:
-            raise InvalidParameterError(f"not strictly dominant: {param}")
-        return int(num)
-    if isinstance(param, WeightPair):
-        param = param.first + param.second
-    entries = [Fraction(x) for x in param]
-    return gl_dim(entries[:-1])
+def weyl_dim(lam: HCParameter) -> int:
+    """Dimension of the lowest K-type: the product of entry differences over
+    the compact positive roots."""
+    fr = lam.fractions
+    n = lam.n
+    num = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= Fraction(fr[i] - fr[j], j - i)
+    if num.denominator != 1 or num <= 0:
+        raise InvalidParameterError(f"not strictly dominant: {lam}")
+    return int(num)
 
 
 def formal_degree_product(lam: HCParameter) -> Fraction:
@@ -613,4 +541,4 @@ def admissible_sweep(n: int, max_entry) -> list[HCParameter]:
             if p > 0 or tail[0] <= -3:
                 found.append(head + tail)
     found.sort(key=lambda twices: [-t for t in twices])
-    return [HCParameter(tuple(HalfInt(t) for t in twices)) for twices in found]
+    return [HCParameter(tuple(Fraction(t, 2) for t in twices)) for twices in found]

@@ -125,8 +125,9 @@ def test_criterion_04_hyperbolic_transform_exact():
 
 
 def test_criterion_05_two_route_matrix_coefficients(prop61_cases):
-    rep = verify_prop61(trials=20, seed=17, thetas=prop61_cases)
+    rep = verify_prop61(trials=20, seed=17)
     assert rep.passed, rep.details["failures"]
+    assert rep.details["cases"] == len(prop61_cases)
     _report(5, f"substitution and transform routes agree to {rep.rel_err:.2e} rel "
                f"over {rep.details['cases']} cases x 20 random (t,k,k')")
 

@@ -14,6 +14,7 @@ from arczeta.fock import (
     bargmann_inner,
     harmonic_hwv,
     highest_weight_check,
+    hwv_norm2,
     minors,
     omega_at,
     omega_k,
@@ -158,6 +159,15 @@ class TestHighestWeightVectors:
         expect = minors(2, 2)[0] * var(2, 3, 3) ** 5
         assert harmonic_hwv(th) == expect
 
+    def test_norm2(self):
+        # z_12^2 has squared norm 2!/pi^2 and z_21 has 1/pi
+        assert math.isclose(hwv_norm2(classify_theta(lam("3/2", "1/2"))), 2 / math.pi**2,
+                            rel_tol=1e-15)
+        assert math.isclose(hwv_norm2(classify_theta(lam("1/2", "-3/2"))), 1 / math.pi,
+                            rel_tol=1e-15)
+        th = classify_theta(lam("7/2", "3/2", "1/2"))
+        assert MatrixCoefficient(th).phi_norm2 == hwv_norm2(th)
+
 
 class TestOmegaK:
     def test_identity_action(self, rng):
@@ -197,7 +207,7 @@ class TestOmegaK:
         phi = harmonic_hwv(th, exact=False)
         k = random_cover(2, rng)
         out = omega_k(k, phi, th)
-        flipped = omega_k(k.flip_n(), phi, th)
+        flipped = omega_k(CoverElement(k.block_n, k.block_1, -k.zeta_n, k.zeta_1), phi, th)
         sign = (-1) ** (th.p - th.q)
         diff = flipped - out.scale(sign)
         assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-12

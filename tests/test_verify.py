@@ -305,7 +305,8 @@ class TestVerifyZeta:
                 z *= rng.uniform(0.1, 0.85) / np.linalg.norm(z)
                 k = CoverElement.from_blocks(haar_unitary(n, rng),
                                              np.exp(2j * np.pi * rng.uniform()))
-                el = b_z_cover(z, sign).compose(k)
+                bz = b_z_cover(z)
+                el = (bz if sign == +1 else bz.inverse()).compose(k)
                 ch = 1.0 / math.sqrt(1.0 - float(np.vdot(z, z).real))
                 lhs = ch ** (-(n + 1)) * bargmann_inner(omega_k(el, phi, th), phi)
                 # independent route through the polar factorization of h_z k

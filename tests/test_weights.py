@@ -11,7 +11,6 @@ from arczeta.weights import (
     Case,
     ClosedValue,
     HCParameter,
-    HalfInt,
     admissible_sweep,
     c_squared,
     classify_theta,
@@ -33,26 +32,28 @@ from conftest import lam
 F = Fraction
 
 
-class TestHalfInt:
+class TestHCParameter:
     def test_parse_and_canonical(self):
-        assert HalfInt.parse("3/2").twice == 3
-        assert HalfInt.parse("-2").twice == -4
-        assert HalfInt.coerce(F(5, 2)).twice == 5
-        assert str(HalfInt(4)) == "2"
-        assert str(HalfInt(-3)) == "-3/2"
+        a = HCParameter.parse(" 3/2, 1/2 ,-6/4")
+        assert a.entries == (F(3, 2), F(1, 2), F(-3, 2))
+        assert all(type(e) is F for e in a.entries) and a.fractions == a.entries
+        assert HCParameter.of(F(3, 2), "1/2", "-3/2") == a
+        assert [str(e) for e in HCParameter.of(3, "4/2", F(-3))] == ["3", "2", "-3"]
+        assert str(a) == "(3/2,1/2,-3/2)"
 
     def test_rejects_non_half_integer(self):
-        with pytest.raises(InvalidParameterError):
-            HalfInt.coerce(F(1, 3))
-        with pytest.raises(InvalidParameterError):
-            HalfInt.parse("nope")
+        with pytest.raises(InvalidParameterError, match="4/3 is not a half-integer"):
+            HCParameter.of(F(4, 3), F(1, 3))
+        with pytest.raises(InvalidParameterError, match="position 0: 4/3 is not"):
+            HCParameter.parse("4/3,1/3")
+        for bad in (1.5, None, (3, 2)):
+            with pytest.raises(InvalidParameterError, match="cannot interpret"):
+                HCParameter.of(bad, F(1, 2))
 
-    def test_parity_distinguishes_classes(self):
-        assert HalfInt(4).is_integer()
-        assert not HalfInt(3).is_integer()
+    def test_denominator_distinguishes_classes(self):
+        assert classify_theta(HCParameter.of(2, 1)).nonstandard_congruence
+        assert not classify_theta(lam("3/2", "1/2")).nonstandard_congruence
 
-
-class TestHCParameter:
     def test_strictly_decreasing_required(self):
         with pytest.raises(InvalidParameterError):
             lam("1/2", "3/2")
@@ -60,11 +61,12 @@ class TestHCParameter:
             lam("1/2", "1/2")
 
     def test_congruence_required(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="congruent"):
             HCParameter.of(F(3, 2), F(0))
 
     def test_parse_error_positions(self):
-        with pytest.raises(InvalidParameterError, match="position 1"):
+        with pytest.raises(InvalidParameterError,
+                           match="position 1: cannot parse half-integer 'x'"):
             HCParameter.parse("3/2,x")
 
 
@@ -79,8 +81,8 @@ class TestBlattner:
         # the map is translation by a fixed vector: differences are preserved
         a = lam("7/2", "3/2", "1/2")
         b = lam("9/2", "5/2", "3/2")
-        sa = [x - e.fraction for x, e in zip(hc_to_blattner(a), a.entries)]
-        sb = [x - e.fraction for x, e in zip(hc_to_blattner(b), b.entries)]
+        sa = [x - e for x, e in zip(hc_to_blattner(a), a.entries)]
+        sb = [x - e for x, e in zip(hc_to_blattner(b), b.entries)]
         assert sa == sb == [F(0), F(1), F(-1)]
 
 
@@ -152,13 +154,14 @@ class TestDimensions:
         assert weyl_dim(lam("7/2", "3/2", "1/2")) == 2
 
     def test_blattner_input_agrees(self):
+        # the classical dimension formula on the first n Blattner entries
         for lv in admissible_sweep(2, F(9, 2)) + admissible_sweep(3, F(7, 2)):
-            assert weyl_dim(lv) == weyl_dim(hc_to_blattner(lv))
+            assert weyl_dim(lv) == gl_dim(hc_to_blattner(lv)[:-1])
 
     def test_weight_pair_input(self):
         for lv in admissible_sweep(2, F(9, 2)):
             th = classify_theta(lv)
-            assert weyl_dim(th.Lambda) == weyl_dim(lv)
+            assert gl_dim(th.Lambda.first) == weyl_dim(lv)
 
     def test_gl_dim_standard(self):
         assert gl_dim([1, 0, 0]) == 3
@@ -182,7 +185,7 @@ def _brute_force_sweep(n, bound):
     grid = [-g for g in reversed(grid)] + grid
     out = []
     for combo in itertools.combinations(sorted(grid, reverse=True), n + 1):
-        lamv = HCParameter(tuple(HalfInt.coerce(c) for c in combo))
+        lamv = HCParameter(combo)
         try:
             classify_theta(lamv)
         except InadmissibleParameterError:
@@ -198,8 +201,13 @@ class TestAdmissibleSweep:
         for n in range(1, 6):
             full = _brute_force_sweep(n, F(15, 2))
             for twice_bound in range(0, 16):
-                ref = [lv for lv in full if all(abs(e.twice) <= twice_bound for e in lv)]
+                ref = [lv for lv in full if all(abs(2 * e) <= twice_bound for e in lv)]
                 assert admissible_sweep(n, F(twice_bound, 2)) == ref, (n, twice_bound)
+
+    def test_str_round_trips_through_parse(self):
+        for n in range(1, 5):
+            for lv in admissible_sweep(n, F(15, 2)):
+                assert HCParameter.parse(str(lv).strip("()")) == lv
 
     def test_rejects_empty_rank(self):
         for n in (0, -1):
@@ -349,7 +357,7 @@ def test_classify_total_on_decreasing_input(twices):
     # the admissibility error, never anything else; on success the projection
     # constant lies in (0, 1]
     ent = sorted((2 * t + 1 for t in twices), reverse=True)
-    lamv = HCParameter(tuple(HalfInt(t) for t in ent))
+    lamv = HCParameter(tuple(F(t, 2) for t in ent))
     try:
         th = classify_theta(lamv)
     except InadmissibleParameterError:
