@@ -13,12 +13,14 @@ from arczeta.weights import admissible_sweep
 F = Fraction
 
 print("=" * 72)
-print("1. The scalar domain integral, deterministic radial quadrature")
+print("1. The scalar domain integral, deterministic Gauss-Jacobi quadrature")
 print("=" * 72)
-for kappa, iota, s in ((0, 0, 3), (-2, 0, 0), (-1, 2, F(5, 2))):
-    rep = verify_S(1, 1, kappa, iota, s)
-    print(f"  (kappa,iota,s)=({kappa},{iota},{s}): estimate={rep.estimate.value:.12f} "
-          f"closed={float(rep.closed):.12f}  {rep.verdict}")
+for args in ((1, 1, 0, 0, 3), (1, 1, -2, 0, 0), (1, 1, -1, 2, F(5, 2)),
+             (3, 3, (0, 0, 0), (2, 1, 0), 9)):
+    rep = verify_S(*args)
+    print(f"  (p,q)=({args[0]},{args[1]}) kappa={args[2]} iota={args[3]} s={args[4]}: "
+          f"estimate={rep.estimate.value:.12e} closed={float(rep.closed):.12e} "
+          f"nodes/axis={rep.details['nodes']}  {rep.verdict}")
 
 print()
 print("=" * 72)

@@ -6,9 +6,7 @@ Two tiny rings cover every exact computation in the package:
 * ``PiLaurent``: finite sums ``sum_k c_k * pi**k`` with ``c_k`` in ``QQi``.
 
 Monomial norms in the holomorphic-polynomial model are ``alpha!/pi**|alpha|``,
-so inner products of exact polynomials land in ``PiLaurent``; when an identity
-claims a single power of pi the ``as_single`` accessor recovers it and raises
-otherwise.
+so inner products of exact polynomials land in ``PiLaurent``.
 """
 
 from __future__ import annotations
@@ -198,15 +196,6 @@ class PiLaurent:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def as_single(self) -> tuple[QQi, int]:
-        """Return (coefficient, pi exponent), requiring a single-power value."""
-        if not self.terms:
-            return QQI_ZERO, 0
-        if len(self.terms) > 1:
-            raise ValueError(f"value mixes several powers of pi: {self!r}")
-        ((k, c),) = self.terms.items()
-        return c, k
 
     def __complex__(self):
         return sum(complex(c) * math.pi**k for k, c in self.terms.items()) or 0j

@@ -196,11 +196,6 @@ class FockPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def to_float(self) -> "FockPoly":
-        if not self.exact:
-            return self
-        return FockPoly(self.n, self.terms, exact=False)
-
     def __eq__(self, other):
         return (
             isinstance(other, FockPoly)

@@ -107,10 +107,6 @@ class DomainPoint:
     def n(self) -> int:
         return self.z.shape[0]
 
-    @property
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.z))
-
 
 def _principal_root(det: complex) -> complex:
     return np.sqrt(abs(det)) * np.exp(0.5j * np.angle(det))

@@ -3,7 +3,7 @@
 Every ``verify_*`` entry point returns a report with an :class:`Estimate`
 (value, standard error, sample count, seed), the exact closed value where one
 exists, and a PASS/FAIL verdict at the three-standard-error band (or the
-quadrature tolerance for the deterministic one-dimensional paths).  Every
+quadrature tolerance for the deterministic Gauss–Jacobi paths).  Every
 Monte Carlo estimate also reports its per-sample relative standard deviation
 (``relstd``) and whether that sits at the rounding floor (``degenerate``), in
 which case the three-standard-error band tests nothing.
@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .characters import char_poly_batch, elementary_batch, psi_batch, schur_eval_batch
 from .errors import ConvergenceError, InvalidParameterError
@@ -44,6 +43,7 @@ from .weights import (
     ClosedValue,
     HCParameter,
     ThetaDatum,
+    _as_tuple,
     admissible_sweep,
     classify_theta,
     closed_S,
@@ -61,6 +61,7 @@ from .weights import (
 __all__ = [
     "Estimate",
     "VerifyReport",
+    "quad",
     "verify_S",
     "verify_T",
     "verify_zeta",
@@ -215,21 +216,50 @@ def _fractional_char(kappas: Sequence[Fraction]):
 # the scalar domain integral
 
 
+def quad(p: int, q: int, exponent: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss–Jacobi rule, the deterministic twin of :func:`sample_domain`:
+    ``(w * f(eig)).sum()`` equals ``integral_D f det(1 - z z*)**exponent dz``
+    exactly when f is a polynomial of degree <= ``degree`` in each eigenvalue
+    of the smaller gram (``eig`` rows, m = min(p, q) wide).
+
+    In Hua's polar coordinates these eigenvalues x = 1 - lambda (lambda the
+    squared singular values) carry the density prod x**exponent
+    (1 - x)**|p - q| times the squared Vandermonde, so each axis takes
+    N = degree // 2 + m Gauss nodes.  Nodes and weights are the eigenvalues
+    and squared first eigenvector components of the Jacobi matrix (Golub &
+    Welsch 1969; ``scipy.special.roots_jacobi`` overflows at large exponents);
+    the weights are scaled to the constant weight of ``sample_domain``.
+    """
+    m, big = min(p, q), max(p, q)
+    n, a, b = degree // 2 + m, exponent, big - m
+    k = np.arange(1, n, dtype=float)
+    two_k = 2.0 * k + a + b
+    diag = np.concatenate([[(a - b) / (a + b + 2.0)],
+                           (a - b) * (a + b) / (two_k * (two_k + 2.0))])
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                  / (two_k**2 * (two_k + 1.0) * (two_k - 1.0)))
+    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    grid = np.indices((n,) * m).reshape(m, -1).T
+    eig = 0.5 * (1.0 + t[grid])
+    i, j = np.triu_indices(m, 1)
+    w = (vecs[0, grid] ** 2).prod(axis=1) * ((eig[:, i] - eig[:, j]) ** 2).prod(axis=1)
+    volume = math.prod(weighted_ball_volume(big, exponent + m - 1 - r) for r in range(m))
+    return eig, w * (volume / w.sum())
+
+
 def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
-             seed: int = 0, workers: int = 1, method: str = "auto") -> VerifyReport:
+             seed: int = 0, workers: int = 1, method: str = "quad") -> VerifyReport:
     """Check the closed scalar of the twisted domain integral numerically.
 
-    ``method`` is ``"quad"``, ``"mc"`` or ``"auto"``.  Deterministic radial
-    quadrature needs min(p,q) == 1 (the characters then only see the rank-one
-    gram spectrum); ``"auto"`` takes it there and Monte Carlo otherwise.
-    Monte Carlo draws every ball inside the domain through
-    :func:`~arczeta.group.sample_domain`, whose constant weight carries part
-    of the determinant power.  Both paths evaluate one integrand on the
-    spectrum of the smaller gram (1 - z z* or 1 - z* z).
+    ``method`` is ``"quad"`` (the exact rule :func:`quad`, standard error the
+    gap to one more node per axis, i.e. rounding) or ``"mc"`` (Monte Carlo
+    over :func:`~arczeta.group.sample_domain`).  Both weights carry
+    det(1 - z z*)**(min(factor) - 1), and both evaluate one integrand, a
+    polynomial in the spectrum of the smaller gram (1 - z z* or 1 - z* z).
+    A scalar weight argument is the constant weight of its side.
     """
-    _check_method(method, ("auto", "quad", "mc"), "verify_S")
-    kap = tuple(Fraction(k) for k in (kappas if not isinstance(kappas, (int, Fraction)) else [kappas] * p))
-    iot = tuple(Fraction(i) for i in (iotas if not isinstance(iotas, (int, Fraction)) else [iotas] * q))
+    _check_method(method, ("quad", "mc"), "verify_S")
+    kap, iot = _as_tuple(kappas, p), _as_tuple(iotas, q)
     s = Fraction(s)
     closed = closed_S(p, q, kap, iot, s)
     t0 = time.perf_counter()
@@ -239,38 +269,30 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     factors = closed_S_factors(p, q, kap, iot, s)
     _guard_poles(factors, "verify_S")
 
-    if method == "auto":
-        method = "quad" if min(p, q) == 1 else "mc"
-
     m, big = min(p, q), max(p, q)
     dim = gl_dim(kap) * gl_dim(iot)
     chi_p, chi_q = _fractional_char(kap), _fractional_char(iot)
+    e_imp = float(min(factors)) - 1.0
+    resid = float(s - (p + q)) - e_imp
 
-    def integrand(eig, power):
+    def integrand(eig):
         # the grams 1 - z z* (p x p) and 1 - z* z (q x q) share their
         # spectrum up to eigenvalues 1; ``eig`` is that of the smaller one
         padded = np.concatenate([eig, np.ones((len(eig), big - m))], axis=1)
         eig_p, eig_q = (eig, padded) if p == m else (padded, eig)
-        return chi_p(1.0 / eig_p) * chi_q(eig_q) * eig.prod(axis=1) ** power / dim
+        return chi_p(1.0 / eig_p) * chi_q(eig_q) * eig.prod(axis=1) ** resid / dim
 
     if method == "quad":
-        if m != 1:
-            raise InvalidParameterError("quadrature path needs min(p,q) == 1")
-        const = math.pi**big / math.gamma(big)
-        expo = float(s - (p + q))
+        def rule(degree):
+            eig, w = quad(p, q, e_imp, degree)
+            return float(np.real((w * integrand(eig)).sum()))
 
-        def g(u):
-            return const * integrand(np.array([[1.0 - u]]), expo)[0].real * u ** (big - 1)
-
-        val, err = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=400)
-        est = Estimate(val, err, 0, seed, time.perf_counter() - t0)
+        degree = int(max(kap) - min(kap) + max(iot) - min(iot))
+        val = rule(degree)
+        est = Estimate(val, abs(val - rule(degree + 2)), 0, seed, time.perf_counter() - t0)
         verdict, rel = _verdict(val, float(closed))
-        return VerifyReport("verify_S", est, closed, verdict, rel, {"method": "quad"})
-
-    # sample_domain carries det^e_imp in its constant weight; the rest of the
-    # determinant power rides on each sample
-    e_imp = float(min(factors)) - 1.0
-    resid = float(s - (p + q)) - e_imp
+        return VerifyReport("verify_S", est, closed, verdict, rel,
+                            {"method": "quad", "nodes": degree // 2 + m})
 
     def chunk(rng, size):
         z, w = sample_domain(p, q, e_imp, rng, size=size)
@@ -278,7 +300,7 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
         eig = np.linalg.eigvalsh(np.eye(m) - zm @ zm.conj().transpose(0, 2, 1))
         # complex even when the integrand is real: the reduction's |v - mean|^2
         # rounds differently on real arrays
-        return (w * integrand(eig, resid)).astype(complex, copy=False)
+        return (w * integrand(eig)).astype(complex, copy=False)
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
@@ -377,7 +399,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
                        time.perf_counter() - t0)
         verdict, rel = _verdict(val, target_float)
         return VerifyReport("verify_zeta", est, closed, verdict, rel,
-                            {"method": "radial", "phi_norm2": norm2})
+                            {"method": "radial", "phi_norm2": norm2, "nodes": rep.details["nodes"]})
 
     coeff_eval = MatrixCoefficient(theta)
     norm2 = coeff_eval.phi_norm2.real

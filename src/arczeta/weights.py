@@ -379,16 +379,16 @@ class ClosedValue:
         return f"{self.rational} * pi^{self.pi_exp}"
 
 
-def _as_tuple(x) -> tuple[Fraction, ...]:
+def _as_tuple(x, length: int) -> tuple[Fraction, ...]:
     if isinstance(x, (int, Fraction)):
-        return (Fraction(x),)
+        return (Fraction(x),) * length
     return tuple(Fraction(v) for v in x)
 
 
 def _S_factors(p: int, q: int, kappas, iotas, s) -> list[tuple[Fraction, str]]:
     """The linear denominator factors of :func:`closed_S`, each with its label."""
-    kap = _as_tuple(kappas)
-    iot = _as_tuple(iotas)
+    kap = _as_tuple(kappas, p)
+    iot = _as_tuple(iotas, q)
     s = Fraction(s)
     if len(kap) != p or len(iot) != q:
         raise InvalidParameterError(

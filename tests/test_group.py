@@ -114,7 +114,7 @@ class TestHFromZ:
 class TestCartan:
     def test_identity(self):
         z, t, k_z, k = cartan_decompose(np.eye(3))
-        assert z.radius == 0 and t == 0
+        assert np.linalg.norm(z.z) == 0 and t == 0
         assert np.allclose(k.embed(), np.eye(3))
 
     def test_hyperbolic_element(self):

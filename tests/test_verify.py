@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,21 @@ class TestVerifyS:
         with pytest.raises(ConvergenceError):
             verify_S(1, 1, 0, 0, F(7, 5))
 
+    @pytest.mark.parametrize("args", [
+        (2, 2, (0, 0), (2, 1), 6),
+        (3, 2, (0, 0, 0), (2, 1), 9),
+        (2, 3, (0, 0), (2, 1, 1), 8),
+        (3, 3, (0, 0, 0), (2, 1, 0), 9),
+        (4, 4, (0, 0, 0, 0), (2, 1, 1, 0), 12),
+        (3, 2, (1, 0, -1), (2, 2), 9),
+    ])
+    def test_quadrature_on_matrix_balls(self, args):
+        # two-sided weights: the integrand varies on the spectrum at
+        # min(p,q) >= 2, where the rule still integrates it exactly
+        rep = verify_S(*args)
+        assert rep.details["method"] == "quad"
+        assert rep.passed and rep.rel_err <= 1e-12, (args, rep.rel_err)
+
     def test_rejection_sampler_path(self):
         # every point of the (2,2) draw is inside, so no acceptance count is reported
         rep = verify_S(2, 2, (0, 0), 1, 3, method="mc", samples=60_000, seed=8)
@@ -102,8 +118,8 @@ class TestVerifyS:
             call()
 
     @pytest.mark.parametrize("call, allowed", [
-        (lambda: verify_S(2, 1, (-1, -1), 2, 2, method="bogus"), "auto, quad, mc"),
-        (lambda: verify_T(classify_theta(lam("3/2", "1/2")), 1, method="bogus"), "auto, quad, mc"),
+        (lambda: verify_S(2, 1, (-1, -1), 2, 2, method="bogus"), "quad, mc"),
+        (lambda: verify_T(classify_theta(lam("3/2", "1/2")), 1, method="bogus"), "quad, mc"),
         (lambda: verify_zeta(lam("3/2", "1/2"), samples=1000, method="bogus"), "mc, radial"),
     ], ids=["verify_S", "verify_T", "verify_zeta"])
     def test_unknown_method_refused(self, call, allowed):
@@ -153,6 +169,7 @@ class TestVerifyT:
         th = classify_theta(lam("3/2", "1/2"))
         rep = verify_T(th, 4000)
         assert rep.passed and abs(rep.estimate.value) < 1e-3
+        assert rep.rel_err <= 1e-10
 
     def test_mc_path(self):
         th = classify_theta(lam("7/2", "3/2", "1/2"))
@@ -163,7 +180,22 @@ class TestVerifyT:
         th = classify_theta(lam("-1/2", "-5/2"))
         rep = verify_T(th, 2)
         assert rep.name == "verify_T" and rep.closed == closed_T(th, 2)
-        assert rep.details == {"method": "quad"}
+        assert rep.details == {"method": "quad", "nodes": 1}
+
+    def test_quadrature_exact_on_the_sweep(self):
+        # every convergent (theta, s) of the n=1..4 sweep to 15/2: the
+        # Gauss-Jacobi rule is exact, so only rounding separates it from
+        # closed_T, and its N versus N+1 gap is rounding as well
+        cases = 0
+        for n in range(1, 5):
+            for lv in admissible_sweep(n, F(15, 2)):
+                th = classify_theta(lv)
+                for s in (F(n + 1, 2), F(n + 1), n + F(7, 2)):
+                    rep = verify_T(th, s)
+                    assert rep.rel_err <= 1e-12, (str(lv), s, rep.rel_err)
+                    assert rep.estimate.stderr <= 1e-12 * abs(rep.estimate.value), (str(lv), s)
+                    cases += 1
+        assert cases == 2142
 
 
 class TestVerifyZeta:
@@ -178,6 +210,14 @@ class TestVerifyZeta:
         radial = verify_zeta(th, method="radial")
         band = 3 * mc.estimate.stderr + 3 * radial.estimate.stderr + 1e-12
         assert abs(mc.estimate.value - radial.estimate.value) <= band
+
+    def test_radial_high_degree_without_warnings(self):
+        # a high-degree n=3 datum: the rule stays exact to rounding, with no
+        # warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_zeta(lam("15/2", "5/2", "3/2", "1/2"), method="radial")
+        assert rep.passed and rep.rel_err <= 1e-12, rep.rel_err
 
     def test_bit_reproducible(self):
         th = classify_theta(lam("7/2", "3/2", "1/2"))

@@ -258,6 +258,11 @@ class TestClosedS:
     def test_degenerate_empty_side(self):
         assert closed_S(0, 2, (), (F(1), F(1)), 2) == ClosedValue(F(1), 0)
 
+    def test_scalar_weight_is_the_constant_weight(self):
+        # a scalar broadcasts to its side's length, as in verify_S
+        assert closed_S(2, 1, -1, 2, 2) == closed_S(2, 1, (-1, -1), (2,), 2)
+        assert closed_S_factors(2, 1, -1, 2, 2) == closed_S_factors(2, 1, (-1, -1), (2,), 2)
+
 
 class TestClosedT:
     def test_examples(self):
