@@ -14,9 +14,15 @@ Only the domain integrand holds eigenvalues anyway (the gram spectra of
 ``verify_S``) and passes them through :func:`elementary_batch`.  The exact
 scalar :func:`schur_eval` is the oracle for both.
 
+Both evaluators take the Jacobi-Trudi determinant from the one division-free
+expansion of :func:`~arczeta.exact.leading_minors`, except that the batch
+evaluator keeps LAPACK's pivoted LU for matrices of size 3 and more, where
+the pivot-free expansion loses accuracy.
+
 The canonical matrix coefficient of the lowest K-type (psi_pi) is evaluated
-in one place, :func:`psi_batch`: the Monte Carlo chunk of the group integral
-calls it on a batch and :func:`psi_pi` on a batch of one.  Genuine
+in one place, :func:`psi_batch`, from the e-rows of the block: the Monte Carlo
+chunk of the group integral makes them once for a batch and also reads det x
+off their last entry, :func:`psi_pi` makes them for a batch of one.  Genuine
 (double-cover) weights carry half-integral determinant twists; the twist is
 consumed as an integer power of the carried root ratio of the block
 determinants.
@@ -27,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import leibniz_det
+from .exact import leading_minors
 from .group import cartan_decompose, cpow_int, theta_t_cover, theta_z_cover
 from .weights import ThetaDatum
 
@@ -103,7 +109,7 @@ def schur_eval(mu, eigs):
         return h[k] if 0 <= k < len(h) else 0
 
     rows = [[h_at(nu[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)]
-    return leibniz_det(rows)
+    return leading_minors(rows)[-1]
 
 
 def elementary_batch(eigs: np.ndarray) -> np.ndarray:
@@ -179,27 +185,33 @@ def schur_eval_batch(mu, e: np.ndarray) -> np.ndarray:
             term = e[:, i] * h[:, k - i]
             acc = acc + term if i % 2 == 1 else acc - term
         h[:, k] = acc
-    mat = np.zeros((count, ell, ell), dtype=complex)
+    mat = np.zeros((ell, ell, count), dtype=complex)
     for i in range(ell):
         for j in range(ell):
             k = nu[i] - (i + 1) + (j + 1)
             if 0 <= k <= kmax:
-                mat[:, i, j] = h[:, k]
-    return pref * np.linalg.det(mat)
+                mat[i, j] = h[:, k]
+    if ell <= 2:
+        return pref * leading_minors(mat)[-1]
+    # pivot-free, the worst verify_T error of the n<=4 sweep rises from
+    # 6.9e-14 to 1.3e-12 at length 3, so the longer matrices keep LAPACK's
+    # partial pivoting
+    return pref * np.linalg.det(mat.transpose(2, 0, 1))
 
 
-def psi_batch(theta: ThetaDatum, block_n: np.ndarray, block_1: np.ndarray,
+def psi_batch(theta: ThetaDatum, e_rows: np.ndarray, block_1: np.ndarray,
               ratio: np.ndarray) -> np.ndarray:
     """The genuine character of the lowest K-type on a batch of block-diagonal
-    cover elements: block_n (N, n, n), block_1 (N,) and the root ratio
-    zeta_n / zeta_1 (N,).
+    cover elements, given as the e-rows of block_n (N, n+1), made by
+    :func:`char_poly_batch`, block_1 (N,) and the root ratio zeta_n / zeta_1
+    (N,).
 
     The two det twists of :meth:`~arczeta.weights.ThetaDatum.lambda_gl` are
     opposite, so together they are the integer power tw2n of the root ratio;
     flipping both roots leaves the ratio and the value unchanged.
     """
     (parts_n, tw2n), (parts_1, _) = theta.lambda_gl()
-    psi = schur_eval_batch(list(parts_n), char_poly_batch(block_n))
+    psi = schur_eval_batch(list(parts_n), e_rows)
     if parts_1[0]:
         psi = psi * cpow_int(block_1, parts_1[0])
     if tw2n:
@@ -222,5 +234,5 @@ def psi_pi(g, theta: ThetaDatum, route: str = "direct") -> complex:
         el = theta_t_cover(t, z.n).compose(k_z.inverse().compose(k).compose(k_z))
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
-    return complex(psi_batch(theta, el.block_n[None], np.array([el.block_1]),
+    return complex(psi_batch(theta, char_poly_batch(el.block_n[None]), np.array([el.block_1]),
                              np.array([el.zeta_ratio]))[0])

@@ -356,7 +356,10 @@ def _run(args) -> int:
     if seed is None:
         seed = int(os.environ.get("ARCZETA_SEED", "0"))
     samples = getattr(args, "samples", None)
-    if samples is not None and samples < MIN_STATISTICAL_SAMPLES:
+    # the floor binds only where samples are drawn: Monte Carlo methods and
+    # verify-schur, which has no method; quadrature and radial ignore samples
+    statistical = samples is not None and getattr(args, "method", "mc") == "mc"
+    if statistical and samples < MIN_STATISTICAL_SAMPLES:
         raise InvalidParameterError(
             f"statistical commands need samples >= {MIN_STATISTICAL_SAMPLES}"
         )

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import PiLaurent, QQi, exact_inverse, leibniz_det
+from .exact import PiLaurent, QQi, exact_inverse, leading_minors
 from .group import CoverElement, b_t_cover, cpow_int
 from .weights import Case, ThetaDatum
 
@@ -250,7 +250,7 @@ def minors(n: int, i: int, exact: bool = True) -> tuple[FockPoly, FockPoly]:
         raise InvalidParameterError(f"minor index {i} out of range for n={n}")
 
     def det(rows, cols):
-        return leibniz_det([[FockPoly.variable(n, r, c, exact) for c in cols] for r in rows])
+        return leading_minors([[FockPoly.variable(n, r, c, exact) for c in cols] for r in rows])[-1]
 
     delta = det(range(1, i + 1), range(1, i + 1))
     delta_p = det(range(n - i + 1, n + 1), range(n - i + 2, n + 2))
@@ -328,7 +328,7 @@ class ExactCover:
         object.__setattr__(self, "block_n", bn)
         object.__setattr__(self, "block_1", QQi.coerce(self.block_1))
         object.__setattr__(self, "zeta_ratio", QQi.coerce(self.zeta_ratio))
-        dn = leibniz_det(bn)
+        dn = leading_minors(bn)[-1]
         if not dn or not self.block_1:
             raise InvalidParameterError("cover blocks must be invertible")
         if self.zeta_ratio * self.zeta_ratio * self.block_1 != dn:
@@ -790,8 +790,9 @@ class MatrixCoefficient:
         Case II: |phi|^2 r^(p-q) y^gamma  prod_{i<=p} D_i^(beta_i - beta_{i+1})
                                           prod_{i<q} (D_{n-i}/D_n)^(alpha_i - alpha_{i+1})
 
-    Setup collects one exponent per D_k; evaluation costs one batched
-    determinant per minor that occurs and forms no inverse.
+    Setup collects one exponent per D_k; evaluation takes every D_k from one
+    division-free expansion (:func:`~arczeta.exact.leading_minors`) of the
+    leading block, laid out (row, col, batch), and forms no inverse.
     """
 
     def __init__(self, theta: ThetaDatum):
@@ -815,8 +816,11 @@ class MatrixCoefficient:
     def evaluate(self, block_n: np.ndarray, block_1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
         """Batched evaluation; block_n is (N, n, n), block_1 and ratio (N,)."""
         out = self.phi_norm2 * cpow_int(block_1, self._y_exp)
-        for k, e in self._minor_exps:
-            out = out * cpow_int(np.linalg.det(block_n[:, :k, :k]), e)
+        if self._minor_exps:
+            kmax = self._minor_exps[-1][0]
+            lead = leading_minors(np.ascontiguousarray(block_n[:, :kmax, :kmax].transpose(1, 2, 0)))
+            for k, e in self._minor_exps:
+                out = out * cpow_int(lead[k - 1], e)
         if self._ratio_exp:
             out = out * cpow_int(ratio, self._ratio_exp)
         return out

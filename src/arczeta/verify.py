@@ -346,14 +346,6 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     yang = rng.uniform(0.0, 2.0 * np.pi, size=size)
     y = np.exp(1j * yang)
 
-    detx = np.linalg.det(x)
-    ratio_k = np.exp(0.5j * np.angle(detx)) * np.exp(-0.5j * yang)
-    if flip_roots:
-        # flipping the carried root of the block determinant negates the
-        # ratio; the two genuine factors consume opposite integer powers, so
-        # every sample below must come out bit-identical
-        ratio_k = -ratio_k
-
     one_minus_u = 1.0 - u
     sign = +1 if theta.case is Case.I else -1
     # both ball blocks are I + (scale - 1) d d* on the sampled direction d, so
@@ -362,8 +354,16 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     # psi at theta_z k, whose positive roots have the ratio sqrt(1 - u); the
     # coefficient at b_z^(+-1) k
     sech = one_minus_u**0.5
-    psi = psi_batch(theta, x + (sech - 1.0)[:, None, None] * d_dx, one_minus_u ** (-0.5) * y,
-                    sech * ratio_k)
+    e_psi = char_poly_batch(x + (sech - 1.0)[:, None, None] * d_dx)
+    # det of the psi block is e_n = sech det x with sech > 0, so det x has the
+    # argument of e_n
+    ratio_k = np.exp(0.5j * np.angle(e_psi[:, n])) * np.exp(-0.5j * yang)
+    if flip_roots:
+        # flipping the carried root of the block determinant negates the
+        # ratio; the two genuine factors consume opposite integer powers, so
+        # every sample below must come out bit-identical
+        ratio_k = -ratio_k
+    psi = psi_batch(theta, e_psi, one_minus_u ** (-0.5) * y, sech * ratio_k)
     bz_scale = one_minus_u ** (-0.5 * sign)
     coeff = coeff_eval.evaluate(x + (bz_scale - 1.0)[:, None, None] * d_dx, bz_scale * y, ratio_k)
 

@@ -152,7 +152,7 @@ class TestGenuineChar:
         (_, tw2n), _ = th.lambda_gl()
         assert tw2n % 2 == 1
         phase = np.exp(0.5j * np.array([0.77, -2.1]))
-        val = psi_batch(th, np.stack([np.eye(2)] * 2), np.ones(2), phase)
+        val = psi_batch(th, char_poly_batch(np.stack([np.eye(2)] * 2)), np.ones(2), phase)
         assert np.allclose(val, weyl_dim(th.lam) * phase**tw2n, rtol=1e-14, atol=0)
 
     def test_flip_sign(self, rng):
@@ -161,11 +161,11 @@ class TestGenuineChar:
             th = classify_theta(lam(*text.split(",")))
             (_, tw2n), _ = th.lambda_gl()
             els = [random_cover(th.n, rng) for _ in range(5)]
-            bn = np.stack([el.block_n for el in els])
+            e_rows = char_poly_batch(np.stack([el.block_n for el in els]))
             b1 = np.array([el.block_1 for el in els])
             ratio = np.array([el.zeta_ratio for el in els])
-            flipped = psi_batch(th, bn, b1, -ratio)
-            assert np.array_equal(flipped, (-1) ** tw2n * psi_batch(th, bn, b1, ratio))
+            flipped = psi_batch(th, e_rows, b1, -ratio)
+            assert np.array_equal(flipped, (-1) ** tw2n * psi_batch(th, e_rows, b1, ratio))
 
     def test_positive_on_positive_diagonal(self):
         for text in ("5/2,3/2,1/2", "1/2,-3/2,-5/2", "-1/2,-5/2"):
@@ -173,7 +173,8 @@ class TestGenuineChar:
             block = np.diag([1.7, 0.3][: th.n]).astype(complex)
             b1 = 0.6
             ratio = math.sqrt(np.linalg.det(block).real / b1)
-            val = psi_batch(th, block[None], np.array([b1 + 0j]), np.array([ratio + 0j]))[0]
+            val = psi_batch(th, char_poly_batch(block[None]), np.array([b1 + 0j]),
+                            np.array([ratio + 0j]))[0]
             assert abs(val.imag) < 1e-14 * abs(val) and val.real > 0, text
 
 

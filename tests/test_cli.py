@@ -124,6 +124,20 @@ class TestVerifyCommands:
                                "--samples", "100")
         assert code == 2 and "samples" in err
 
+    def test_min_samples_enforced_for_schur(self, capsys):
+        code, _, err = run_cli(capsys, "verify-schur", "--weights", "1,0", "--samples", "100")
+        assert code == 2 and "samples" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-s", "--p", "1", "--q", "1", "--kappa", "0", "--iota", "0", "--s", "3"),
+        ("verify-zeta", "--lambda", "3/2,1/2", "--method", "radial"),
+    ])
+    def test_min_samples_not_applied_to_deterministic_methods(self, capsys, argv):
+        # quadrature and radial draw no samples, so a small --samples is moot
+        code, out, _ = run_cli(capsys, *argv, "--samples", "100")
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "PASS" and doc["estimate"]["samples"] == 0
+
     def test_numerical_fail_exit_1(self, capsys, monkeypatch):
         # a substitution route off by 1e-6 relative must fail the 1e-9 check
         route = arczeta.verify.omega_matcoef

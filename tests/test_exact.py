@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from arczeta.exact import (
     PiLaurent,
     QQi,
     exact_inverse,
-    leibniz_det,
+    leading_minors,
     rational_hyperbolic,
 )
+from arczeta.fock import FockPoly, minors
+from arczeta.group import haar_unitary, sample_ball
 
 F = Fraction
 
@@ -19,6 +23,20 @@ rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 gaussians = st.builds(QQi, rationals, rationals)
+
+
+def leibniz(rows):
+    """Reference determinant: the sum over all m! permutations."""
+    m = len(rows)
+    total = None
+    for perm in itertools.permutations(range(m)):
+        term = rows[0][perm[0]]
+        for i in range(1, m):
+            term = term * rows[i][perm[i]]
+        if sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m)) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -92,12 +110,50 @@ class TestExactLinearAlgebra:
 
     def test_det_triangular(self):
         m = [[QQi(2), QQi(5)], [QQi(0), QQi(F(1, 2))]]
-        assert leibniz_det(m) == QQi(1)
+        assert leading_minors(m) == [QQi(2), QQi(1)]
 
     def test_singular(self):
         with pytest.raises(ZeroDivisionError):
             exact_inverse([[QQi(1), QQi(1)], [QQi(1), QQi(1)]])
-        assert leibniz_det([[QQi(1), QQi(1)], [QQi(1), QQi(1)]]) == QQi(0)
+        assert leading_minors([[QQi(1), QQi(1)], [QQi(1), QQi(1)]])[-1] == QQi(0)
+
+
+class TestLeadingMinors:
+    """The one division-free determinant against the Leibniz sum and LAPACK."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.lists(st.lists(gaussians, min_size=m, max_size=m), min_size=m, max_size=m)))
+    def test_equals_leibniz_on_gaussian_rationals(self, rows):
+        got = leading_minors(rows)
+        assert got == [leibniz([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_leibniz_on_fock_minors(self, n):
+        for i in range(1, n + 1):
+            delta, delta_p = minors(n, i)
+            for rows, cols, got in ((range(1, i + 1), range(1, i + 1), delta),
+                                    (range(n - i + 1, n + 1), range(n - i + 2, n + 2), delta_p)):
+                ref = leibniz([[FockPoly.variable(n, r, c, True) for c in cols] for r in rows])
+                assert got.terms == ref.terms
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_batches_match_lapack(self, n, sign):
+        # the zeta chunk's blocks: Haar x updated by (scale - 1) d d* x, with
+        # scale = (1 - u)^(-+1/2) on a sampled ball point
+        rng = np.random.default_rng(100 * n + sign)
+        size = 50_000
+        x = haar_unitary(n, rng, size=size)
+        u, dirs = sample_ball(n, 0.0, rng, size)
+        scale = (1.0 - u) ** (-0.5 * sign)
+        block = x + (scale - 1.0)[:, None, None] * (
+            dirs[:, :, None] * np.einsum("ni,nij->nj", dirs.conj(), x)[:, None, :])
+        got = leading_minors(np.ascontiguousarray(block.transpose(1, 2, 0)))
+        assert len(got) == n
+        for k, minor in enumerate(got, start=1):
+            ref = np.linalg.det(block[:, :k, :k])
+            assert np.max(np.abs(minor - ref) / np.abs(ref)) <= 1e-12
 
 
 class TestRationalHyperbolic:

@@ -192,10 +192,18 @@ class TestVerifyT:
                 th = classify_theta(lv)
                 for s in (F(n + 1, 2), F(n + 1), n + F(7, 2)):
                     rep = verify_T(th, s)
-                    assert rep.rel_err <= 1e-12, (str(lv), s, rep.rel_err)
+                    assert rep.rel_err <= 1e-13, (str(lv), s, rep.rel_err)
                     assert rep.estimate.stderr <= 1e-12 * abs(rep.estimate.value), (str(lv), s)
                     cases += 1
         assert cases == 2142
+
+
+    def test_largest_sweep_error(self):
+        # the sweep's worst case, 6.85e-14 with LU on its length-3
+        # Jacobi-Trudi matrices; the pivot-free expansion there gives
+        # 1.29e-12, which is why schur_eval_batch keeps LAPACK for lengths >= 3
+        rep = verify_T(classify_theta(lam("15/2", "7/2", "5/2", "3/2", "1/2")), F(5, 2))
+        assert rep.rel_err <= 1e-13, rep.rel_err
 
 
 class TestVerifyZeta:
@@ -246,6 +254,71 @@ class TestVerifyZeta:
         a = zeta_integrand_samples(th, np.random.default_rng(5), 4_000, e, mc, flip_roots=False)
         b = zeta_integrand_samples(th, np.random.default_rng(5), 4_000, e, mc, flip_roots=True)
         assert np.array_equal(a, b)
+
+    # the benchmark's Monte Carlo zeta ops (seeds 1000.., 2 workers, 1e5
+    # samples) before the chunk took det x from the psi block's e_n and its
+    # minors from one expansion
+    @pytest.mark.parametrize("seed, text, recorded", [
+        (1000, "3/2,1/2", 0.3183098861837907 + 1.5147494217882703e-19j),
+        (1001, "5/2,3/2,1/2", 0.2026423672846755 + 2.0533183757382487e-19j),
+        (1002, "7/2,3/2,1/2", 0.048605771592571734 + 5.0776405483078364e-05j),
+        (1003, "1/2,-7/2,-9/2", 0.006290370801956166 + 7.305645112741923e-05j),
+        (1004, "3/2,1/2,-5/2,-9/2", 0.0019667226539469935 + 6.785749283004777e-06j),
+    ])
+    def test_benchmark_estimates_recorded(self, seed, text, recorded):
+        rep = verify_zeta(lam(*text.split(",")), samples=100_000, seed=seed, workers=2)
+        assert rep.passed
+        assert abs(rep.estimate.value - recorded) <= 1e-14 * abs(recorded), rep.estimate.value
+
+    def test_chunk_rng_consumption(self):
+        # a chunk draws the ball point, the Haar factor and the U(1) angle and
+        # nothing else, so the stream after it is unchanged
+        from arczeta.group import haar_unitary, sample_ball
+
+        th = classify_theta(lam("3/2", "1/2", "-5/2", "-9/2"))
+        e = float(min(closed_T_factors(th, F(th.n + 1, 2)))) - 1.0
+        rng = np.random.default_rng(12)
+        zeta_integrand_samples(th, rng, 3_000, e, MatrixCoefficient(th))
+        replay = np.random.default_rng(12)
+        sample_ball(th.n, e, replay, 3_000)
+        haar_unitary(th.n, replay, size=3_000)
+        replay.uniform(0.0, 2.0 * np.pi, size=3_000)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_x_is_e_n_over_sech(self, n):
+        # the psi block (I + (sech - 1) d d*) x has determinant sech det x,
+        # which is how the chunk gets det x without a determinant call
+        from arczeta.characters import char_poly_batch
+        from arczeta.group import haar_unitary, sample_ball
+
+        rng = np.random.default_rng(30 + n)
+        u, dirs = sample_ball(n, 0.0, rng, 20_000)
+        x = haar_unitary(n, rng, size=20_000)
+        sech = (1.0 - u) ** 0.5
+        block = x + (sech - 1.0)[:, None, None] * (
+            dirs[:, :, None] * np.einsum("ni,nij->nj", dirs.conj(), x)[:, None, :])
+        det_x = char_poly_batch(block)[:, n] / sech
+        assert np.max(np.abs(det_x - np.linalg.det(x))) <= 1e-12
+
+    def test_chunks_call_lapack_det_only_for_long_jacobi_trudi(self, monkeypatch):
+        # the zeta chunk takes det x from e_n and the coefficient's minors
+        # from one expansion; the batch Schur evaluator keeps LAPACK only for
+        # Jacobi-Trudi matrices of size 3 and more
+        shapes = []
+        det = np.linalg.det
+
+        def recorded(a):
+            shapes.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", recorded)
+        for text in ("3/2,1/2", "5/2,3/2,1/2", "1/2,-7/2,-9/2", "9/2,7/2,3/2,1/2"):
+            verify_zeta(lam(*text.split(",")), samples=2000, seed=1)
+        verify_schur_orthogonality([[2, 1], [2, 1, 0]], samples=2000, seed=1)
+        assert shapes == []
+        verify_schur_orthogonality([[3, 2, 1, 0]], samples=2000, seed=1)
+        assert shapes and all(s[-1] >= 3 for s in shapes)
 
     @pytest.mark.parametrize("text", ["3/2,1/2", "7/2,3/2,1/2", "1/2,-3/2,-5/2",
                                       "3/2,1/2,-5/2,-9/2"])
