@@ -8,11 +8,14 @@ which occur structurally at the diagonal elements used everywhere here.
 
 The batch evaluator :func:`schur_eval_batch` takes rows of e_k.  A class
 function of a matrix needs only its characteristic polynomial, so every
-character of a group element gets its rows from traces
-(:func:`char_poly_batch`, Newton's identities) and computes no eigenvalue.
-Only the domain integrand holds eigenvalues anyway (the gram spectra of
-``verify_S``) and passes them through :func:`elementary_batch`.  The exact
-scalar :func:`schur_eval` is the oracle for both.
+Monte Carlo chunk gets its rows from traces (:func:`char_poly_batch`,
+Newton's identities) and computes no eigenvalue: the characters of group
+elements and the domain integrand of ``verify_S`` on its sampled grams
+alike.  The chunks hold their matrices batch-last, (row, col, batch), as
+:func:`~arczeta.group.haar_unitary` draws them, so every matrix product and
+trace is elementwise over the batch.  Eigenvalues enter only as the nodes of
+the quadrature rule, through :func:`elementary_batch`.  The exact scalar
+:func:`schur_eval` is the oracle for both.
 
 Both evaluators take the Jacobi-Trudi determinant from the one division-free
 expansion of :func:`~arczeta.exact.leading_minors`, except that the batch
@@ -127,33 +130,48 @@ def elementary_batch(eigs: np.ndarray) -> np.ndarray:
     return e
 
 
-def char_poly_batch(mats: np.ndarray) -> np.ndarray:
-    """Elementary symmetric functions e_0..e_m of the eigenvalues of a batch of
-    matrices (N, m, m), computed without eigenvalues: det(t - A) is
-    sum_k (-1)^k e_k t^(m-k).
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two batch-last arrays (m, m, N), one entry at a time
+    and elementwise over the batch, so no (m, m, N) temporary is made."""
+    m = a.shape[0]
+    out = np.empty_like(a)
+    for i in range(m):
+        for j in range(m):
+            acc = np.multiply(a[i, 0], b[0, j], out=out[i, j])
+            for k in range(1, m):
+                acc += a[i, k] * b[k, j]
+    return out
 
-    The power sums p_k = tr(A^k) are contracted from A^(k-1) and A (m - 2
-    batched products, no (N, m, m) temporary per trace) and turned into e_k
-    by Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
+
+def char_poly_batch(mats: np.ndarray) -> np.ndarray:
+    """Elementary symmetric functions e_0..e_m of the eigenvalues of a
+    batch-last array of matrices (m, m, N), as rows (N, m+1), computed without
+    eigenvalues: det(t - A) is sum_k (-1)^k e_k t^(m-k).
+
+    The power sums p_k = tr(A^ceil(k/2) A^floor(k/2)) need the powers up to
+    A^ceil(m/2), that is ceil(m/2) - 1 matrix products; every product and
+    trace is elementwise over the batch axis.  Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i turn them into e_k
     (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).
     """
     a = np.asarray(mats, dtype=complex)
-    count, m, _ = a.shape
-    p = [None, np.einsum("nii->n", a)]
-    power = a  # A^(k-1)
+    m, _, count = a.shape
+    powers = [None, a]  # powers[j] = A^j
+    for _ in range(2, (m + 1) // 2 + 1):
+        powers.append(_product(powers[-1], a))
+    p = [None, sum(a[i, i] for i in range(m))]
     for k in range(2, m + 1):
-        p.append(np.einsum("nij,nji->n", power, a))
-        if k < m:
-            power = power @ a
-    e = np.zeros((count, m + 1), dtype=complex)
-    e[:, 0] = 1.0
+        left, right = powers[(k + 1) // 2], powers[k // 2]
+        p.append(sum(left[i, j] * right[j, i] for i in range(m) for j in range(m)))
+    e = np.empty((m + 1, count), dtype=complex)
+    e[0] = 1.0
     for k in range(1, m + 1):
-        acc = np.zeros(count, dtype=complex)
-        for i in range(1, k + 1):
-            term = e[:, k - i] * p[i]
+        acc = e[k - 1] * p[1]
+        for i in range(2, k + 1):
+            term = e[k - i] * p[i]
             acc = acc + term if i % 2 == 1 else acc - term
-        e[:, k] = acc / k
-    return e
+        np.divide(acc, k, out=e[k])
+    return e.T
 
 
 def schur_eval_batch(mu, e: np.ndarray) -> np.ndarray:
@@ -177,20 +195,19 @@ def schur_eval_batch(mu, e: np.ndarray) -> np.ndarray:
     if ell == 0:
         return pref
     kmax = nu[0] + ell - 1
-    h = np.zeros((count, kmax + 1), dtype=complex)
-    h[:, 0] = 1.0
+    h = [np.ones(count, dtype=complex)]
     for k in range(1, kmax + 1):
-        acc = np.zeros(count, dtype=complex)
-        for i in range(1, min(k, m) + 1):
-            term = e[:, i] * h[:, k - i]
+        acc = e[:, 1] * h[k - 1]
+        for i in range(2, min(k, m) + 1):
+            term = e[:, i] * h[k - i]
             acc = acc + term if i % 2 == 1 else acc - term
-        h[:, k] = acc
+        h.append(acc)
     mat = np.zeros((ell, ell, count), dtype=complex)
     for i in range(ell):
         for j in range(ell):
             k = nu[i] - (i + 1) + (j + 1)
             if 0 <= k <= kmax:
-                mat[i, j] = h[:, k]
+                mat[i, j] = h[k]
     if ell <= 2:
         return pref * leading_minors(mat)[-1]
     # pivot-free, the worst verify_T error of the n<=4 sweep rises from
@@ -234,5 +251,5 @@ def psi_pi(g, theta: ThetaDatum, route: str = "direct") -> complex:
         el = theta_t_cover(t, z.n).compose(k_z.inverse().compose(k).compose(k_z))
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
-    return complex(psi_batch(theta, char_poly_batch(el.block_n[None]), np.array([el.block_1]),
+    return complex(psi_batch(theta, char_poly_batch(el.block_n[:, :, None]), np.array([el.block_1]),
                              np.array([el.zeta_ratio]))[0])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -161,7 +162,7 @@ class FockPoly:
         out: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 prev = out.get(e)
                 s = c + prev if prev is not None else c
@@ -404,9 +405,10 @@ def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> Foc
             cache[v, e] = lin**e
         return cache[v, e]
 
+    one = FockPoly.one(f.n, f.exact)
     pairs = []
     for exps, coeff in f.terms.items():
-        term = FockPoly.one(f.n, f.exact)
+        term = one
         for v, e in enumerate(exps):
             if e:
                 term = term * image_power(v, e)
@@ -792,7 +794,7 @@ class MatrixCoefficient:
 
     Setup collects one exponent per D_k; evaluation takes every D_k from one
     division-free expansion (:func:`~arczeta.exact.leading_minors`) of the
-    leading block, laid out (row, col, batch), and forms no inverse.
+    batch-last leading block and forms no inverse.
     """
 
     def __init__(self, theta: ThetaDatum):
@@ -814,11 +816,12 @@ class MatrixCoefficient:
         self._minor_exps = [(k, e) for k, e in enumerate(exps) if k and e]
 
     def evaluate(self, block_n: np.ndarray, block_1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-        """Batched evaluation; block_n is (N, n, n), block_1 and ratio (N,)."""
+        """Batched evaluation; block_n is batch-last (n, n, N), block_1 and
+        ratio (N,)."""
         out = self.phi_norm2 * cpow_int(block_1, self._y_exp)
         if self._minor_exps:
             kmax = self._minor_exps[-1][0]
-            lead = leading_minors(np.ascontiguousarray(block_n[:, :kmax, :kmax].transpose(1, 2, 0)))
+            lead = leading_minors(block_n[:kmax, :kmax])
             for k, e in self._minor_exps:
                 out = out * cpow_int(lead[k - 1], e)
         if self._ratio_exp:

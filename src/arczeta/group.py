@@ -317,7 +317,9 @@ def cartan_decompose(g) -> tuple[DomainPoint, float, CoverElement, CoverElement]
 def haar_unitary(m: int, rng: np.random.Generator, size: Optional[int] = None):
     """Haar-distributed unitaries: the Q factor of a complex Ginibre matrix
     A = QR whose R has a positive real diagonal.  ``size=None`` returns one
-    matrix, otherwise shape (size, m, m).
+    (m, m) matrix, otherwise a batch-last (row, col, size) array: entry
+    (i, j) of the whole batch is the contiguous vector ``q[i, j]``, so the
+    Monte Carlo chunks work on it with elementwise operations.
 
     The Ginibre law is invariant under left multiplication by U(m), and so is
     the law of Q once the factorization is made unique by fixing the phases
@@ -333,7 +335,8 @@ def haar_unitary(m: int, rng: np.random.Generator, size: Optional[int] = None):
 
     The Ginibre entries are drawn in one (size, m, m) order, real parts then
     imaginary parts, and orthonormalized on a (column, row, batch) copy, so
-    every step is an elementwise operation over the batch.
+    every step is an elementwise operation over the batch; the batch-last
+    result is a view of that copy.
     """
     if m < 1:
         raise InvalidParameterError("need m >= 1")
@@ -346,7 +349,8 @@ def haar_unitary(m: int, rng: np.random.Generator, size: Optional[int] = None):
         for _ in range(2 if j else 0):
             col -= (done * (done.conj() * col).sum(axis=1)[:, None]).sum(axis=0)
         col /= np.sqrt((col.real**2 + col.imag**2).sum(axis=0))
-    return q.T[0] if size is None else q.T
+    q = q.transpose(1, 0, 2)
+    return q[:, :, 0] if size is None else q
 
 
 def random_group_element(n: int, rng: np.random.Generator, rmax: float = 0.9) -> GroupElement:

@@ -191,11 +191,11 @@ def _verdict(value, target: float, stderr: Optional[float] = None) -> tuple[str,
 
 def _fractional_char(kappas: Sequence[Fraction]):
     """Character with a possibly fractional common det twist, as a function
-    of positive-real or complex eigenvalue batches (N, m); a one-dimensional
-    weight (all entries equal) is the det power itself."""
+    of the e-rows (N, m+1) of a positive spectrum (e_m is the determinant);
+    a one-dimensional weight (all entries equal) is the det power itself."""
     if len(set(kappas)) == 1:
         kappa = float(kappas[0])
-        return lambda eigs: eigs.prod(axis=1) ** kappa if kappa else 1.0
+        return lambda e: e[:, -1] ** kappa if kappa else 1.0
     tau = kappas[-1] - int(kappas[-1])
     parts = [k - tau for k in kappas]
     if any(p.denominator != 1 for p in parts):
@@ -203,13 +203,22 @@ def _fractional_char(kappas: Sequence[Fraction]):
     parts = [int(p) for p in parts]
     tau = float(tau)
 
-    def char(eigs):
-        out = schur_eval_batch(parts, elementary_batch(eigs))
+    def char(e):
+        out = schur_eval_batch(parts, e)
         if tau:
-            out = out * eigs.prod(axis=1) ** tau
+            out = out * e[:, -1] ** tau
         return out
 
     return char
+
+
+def _pad_ones(e: np.ndarray, count: int) -> np.ndarray:
+    """e-rows (N, m+1) of a spectrum extended by ``count`` eigenvalues 1: each
+    multiplies the polynomial sum_k e_k t^k by (1 + t)."""
+    for _ in range(count):
+        e = np.concatenate([e, np.zeros((len(e), 1))], axis=1)
+        e[:, 1:] = e[:, 1:] + e[:, :-1]
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +284,20 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     e_imp = float(min(factors)) - 1.0
     resid = float(s - (p + q)) - e_imp
 
-    def integrand(eig):
+    def integrand(e):
         # the grams 1 - z z* (p x p) and 1 - z* z (q x q) share their
-        # spectrum up to eigenvalues 1; ``eig`` is that of the smaller one
-        padded = np.concatenate([eig, np.ones((len(eig), big - m))], axis=1)
-        eig_p, eig_q = (eig, padded) if p == m else (padded, eig)
-        return chi_p(1.0 / eig_p) * chi_q(eig_q) * eig.prod(axis=1) ** resid / dim
+        # spectrum up to eigenvalues 1; ``e`` holds the real e-rows of the
+        # smaller one.  The reciprocal spectrum has e_k = e_(m-k) / e_m, and
+        # each eigenvalue 1 multiplies the polynomial by (1 + t).
+        det = e[:, m]
+        recip = e[:, ::-1] / det[:, None]
+        e_p, e_q = (recip, _pad_ones(e, big - m)) if p == m else (_pad_ones(recip, big - m), e)
+        return chi_p(e_p) * chi_q(e_q) * det**resid / dim
 
     if method == "quad":
         def rule(degree):
             eig, w = quad(p, q, e_imp, degree)
-            return float(np.real((w * integrand(eig)).sum()))
+            return float(np.real((w * integrand(elementary_batch(eig).real)).sum()))
 
         degree = int(max(kap) - min(kap) + max(iot) - min(iot))
         val = rule(degree)
@@ -296,11 +308,17 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
 
     def chunk(rng, size):
         z, w = sample_domain(p, q, e_imp, rng, size=size)
-        zm = z if p == m else z.conj().transpose(0, 2, 1)
-        eig = np.linalg.eigvalsh(np.eye(m) - zm @ zm.conj().transpose(0, 2, 1))
-        # complex even when the integrand is real: the reduction's |v - mean|^2
-        # rounds differently on real arrays
-        return (w * integrand(eig)).astype(complex, copy=False)
+        # the smaller gram, batch-last: entry (i, j) is delta_ij minus the
+        # sum over k of zm[i, k] conj(zm[j, k]), zm = z or z*
+        zm = z.transpose(1, 2, 0) if p == m else z.conj().transpose(2, 1, 0)
+        gram = np.zeros((m, m, size), dtype=complex)
+        gram[range(m), range(m)] = 1.0
+        for k in range(big):
+            gram -= zm[:, None, k] * zm[None, :, k].conj()
+        # the gram is Hermitian, so its characteristic polynomial is real;
+        # the sample is complex even when the integrand is real: the
+        # reduction's |v - mean|^2 rounds differently on real arrays
+        return (w * integrand(char_poly_batch(gram).real)).astype(complex, copy=False)
 
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
@@ -342,19 +360,30 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     """
     n = theta.n
     u, dirs = sample_ball(n, e_imp, rng, size)
-    x = haar_unitary(n, rng, size=size)
+    x = haar_unitary(n, rng, size=size)  # (row, col, batch)
     yang = rng.uniform(0.0, 2.0 * np.pi, size=size)
     y = np.exp(1j * yang)
 
     one_minus_u = 1.0 - u
     sign = +1 if theta.case is Case.I else -1
     # both ball blocks are I + (scale - 1) d d* on the sampled direction d, so
-    # each product with x is the rank-one update x + (scale - 1) d (d* x)
-    d_dx = dirs[:, :, None] * np.einsum("ni,nij->nj", dirs.conj(), x)[:, None, :]
+    # each product with x is the rank-one update x + (scale - 1) d (d* x),
+    # built batch-last in one buffer that the two blocks share
+    d = np.ascontiguousarray(dirs.T)
+    dx = d[0].conj() * x[0]
+    for i in range(1, n):
+        dx += d[i].conj() * x[i]
+    block = np.empty_like(x)
+
+    def rank_one_update(scale):
+        np.multiply(d[:, None], dx[None], out=block)
+        np.multiply(scale - 1.0, block, out=block)
+        return np.add(block, x, out=block)
+
     # psi at theta_z k, whose positive roots have the ratio sqrt(1 - u); the
     # coefficient at b_z^(+-1) k
     sech = one_minus_u**0.5
-    e_psi = char_poly_batch(x + (sech - 1.0)[:, None, None] * d_dx)
+    e_psi = char_poly_batch(rank_one_update(sech))
     # det of the psi block is e_n = sech det x with sech > 0, so det x has the
     # argument of e_n
     ratio_k = np.exp(0.5j * np.angle(e_psi[:, n])) * np.exp(-0.5j * yang)
@@ -365,7 +394,7 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
         ratio_k = -ratio_k
     psi = psi_batch(theta, e_psi, one_minus_u ** (-0.5) * y, sech * ratio_k)
     bz_scale = one_minus_u ** (-0.5 * sign)
-    coeff = coeff_eval.evaluate(x + (bz_scale - 1.0)[:, None, None] * d_dx, bz_scale * y, ratio_k)
+    coeff = coeff_eval.evaluate(rank_one_update(bz_scale), bz_scale * y, ratio_k)
 
     c_norm = weighted_ball_volume(n, e_imp)
     return c_norm * coeff * psi * one_minus_u ** (-0.5 * (n + 1) - e_imp)
@@ -533,8 +562,7 @@ def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int
         m = len(mu)
 
         def chunk(rng, size, mu=mu, m=m):
-            k = haar_unitary(m, rng, size=size)
-            chi = schur_eval_batch(mu, char_poly_batch(k))
+            chi = schur_eval_batch(mu, char_poly_batch(haar_unitary(m, rng, size=size)))
             return (np.abs(chi) ** 2).astype(complex)
 
         mean, stderr, count = _reduce_mean(chunk, samples, workers, seed + idx)

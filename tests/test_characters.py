@@ -20,6 +20,7 @@ from arczeta.group import (
     a_t,
     haar_unitary,
     random_group_element,
+    sample_domain,
 )
 from arczeta.weights import classify_theta, gl_dim, weyl_dim
 
@@ -90,7 +91,7 @@ class TestSchur:
         # the determinant shift through e_m
         mats = haar_unitary(len(mu), rng, size=30)
         vals = schur_eval_batch(mu, char_poly_batch(mats))
-        for mat, v in zip(mats, vals):
+        for mat, v in zip(mats.transpose(2, 0, 1), vals):
             exact = schur_eval(mu, list(np.linalg.eigvals(mat)))
             assert abs(exact - v) < 1e-10 * max(1, abs(v))
 
@@ -108,33 +109,45 @@ class TestSchur:
 
 
 class TestCharPoly:
-    """Traces and Newton's identities against the eigenvalue route."""
+    """Traces and Newton's identities against the eigenvalue route, on
+    batch-last (m, m, N) arrays."""
 
     @staticmethod
     def _batches(m, rng, size=200):
         ginibre = (rng.standard_normal((size, m, m))
                    + 1j * rng.standard_normal((size, m, m))) / np.sqrt(2 * m)
-        x = haar_unitary(m, rng, size=size)
+        x = haar_unitary(m, rng, size=size).transpose(2, 0, 1)
         dirs = rng.standard_normal((size, m)) + 1j * rng.standard_normal((size, m))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # the zeta chunk's contraction (1 - u)**(1/2) block times x at
         # 1 - u = 1e-8: I + (scale - 1) d d* with scale 1e-4
         outer = dirs[:, :, None] * dirs.conj()[:, None, :]
         boundary = (np.eye(m) + (1e-4 - 1.0) * outer) @ x
-        return {"haar": haar_unitary(m, rng, size=size), "ginibre": ginibre,
-                "boundary": boundary}
+        return {"haar": haar_unitary(m, rng, size=size).transpose(2, 0, 1),
+                "ginibre": ginibre, "boundary": boundary}
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_eigenvalue_route(self, rng, m):
         for kind, mats in self._batches(m, rng).items():
-            e = char_poly_batch(mats)
+            e = char_poly_batch(mats.transpose(1, 2, 0))
             assert e.shape == (len(mats), m + 1)
             ref = elementary_batch(np.linalg.eigvals(mats))
             assert np.abs(e - ref).max() <= 1e-13, (kind, m)
 
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (4, 4)])
+    def test_matches_eigenvalue_route_on_domain_grams(self, p, q):
+        # the verify_S chunk's smaller gram 1 - z z* (or 1 - z* z), Hermitian
+        # positive definite, eigenvalues in (0, 1]
+        z, _ = sample_domain(p, q, 0.0, np.random.default_rng(10 * p + q), size=2_000)
+        zm = z if p <= q else z.conj().transpose(0, 2, 1)
+        gram = np.eye(min(p, q)) - zm @ zm.conj().transpose(0, 2, 1)
+        e = char_poly_batch(gram.transpose(1, 2, 0))
+        ref = elementary_batch(np.linalg.eigvalsh(gram))
+        assert np.abs(e - ref).max() <= 1e-13, (p, q)
+
     def test_exact_on_diagonal(self):
         eigs = np.array([[2.0, -1.0, 0.5j], [1.0, 1.0, 1.0]])
-        mats = np.stack([np.diag(row) for row in eigs])
+        mats = np.stack([np.diag(row) for row in eigs], axis=-1)
         assert np.allclose(char_poly_batch(mats), elementary_batch(eigs), rtol=0, atol=1e-15)
 
     def test_elementary_rows(self):
@@ -152,7 +165,8 @@ class TestGenuineChar:
         (_, tw2n), _ = th.lambda_gl()
         assert tw2n % 2 == 1
         phase = np.exp(0.5j * np.array([0.77, -2.1]))
-        val = psi_batch(th, char_poly_batch(np.stack([np.eye(2)] * 2)), np.ones(2), phase)
+        val = psi_batch(th, char_poly_batch(np.stack([np.eye(2)] * 2, axis=-1)), np.ones(2),
+                        phase)
         assert np.allclose(val, weyl_dim(th.lam) * phase**tw2n, rtol=1e-14, atol=0)
 
     def test_flip_sign(self, rng):
@@ -161,7 +175,7 @@ class TestGenuineChar:
             th = classify_theta(lam(*text.split(",")))
             (_, tw2n), _ = th.lambda_gl()
             els = [random_cover(th.n, rng) for _ in range(5)]
-            e_rows = char_poly_batch(np.stack([el.block_n for el in els]))
+            e_rows = char_poly_batch(np.stack([el.block_n for el in els], axis=-1))
             b1 = np.array([el.block_1 for el in els])
             ratio = np.array([el.zeta_ratio for el in els])
             flipped = psi_batch(th, e_rows, b1, -ratio)
@@ -173,7 +187,7 @@ class TestGenuineChar:
             block = np.diag([1.7, 0.3][: th.n]).astype(complex)
             b1 = 0.6
             ratio = math.sqrt(np.linalg.det(block).real / b1)
-            val = psi_batch(th, char_poly_batch(block[None]), np.array([b1 + 0j]),
+            val = psi_batch(th, char_poly_batch(block[:, :, None]), np.array([b1 + 0j]),
                             np.array([ratio + 0j]))[0]
             assert abs(val.imag) < 1e-14 * abs(val) and val.real > 0, text
 

@@ -140,19 +140,19 @@ class TestLeadingMinors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_float_batches_match_lapack(self, n, sign):
-        # the zeta chunk's blocks: Haar x updated by (scale - 1) d d* x, with
-        # scale = (1 - u)^(-+1/2) on a sampled ball point
+        # the zeta chunk's blocks: batch-last Haar x updated by
+        # (scale - 1) d d* x, with scale = (1 - u)^(-+1/2) on a sampled ball point
         rng = np.random.default_rng(100 * n + sign)
         size = 50_000
         x = haar_unitary(n, rng, size=size)
         u, dirs = sample_ball(n, 0.0, rng, size)
         scale = (1.0 - u) ** (-0.5 * sign)
-        block = x + (scale - 1.0)[:, None, None] * (
-            dirs[:, :, None] * np.einsum("ni,nij->nj", dirs.conj(), x)[:, None, :])
-        got = leading_minors(np.ascontiguousarray(block.transpose(1, 2, 0)))
+        d = dirs.T
+        block = x + (scale - 1.0) * (d[:, None] * np.einsum("in,ijn->jn", d.conj(), x)[None])
+        got = leading_minors(block)
         assert len(got) == n
         for k, minor in enumerate(got, start=1):
-            ref = np.linalg.det(block[:, :k, :k])
+            ref = np.linalg.det(block[:k, :k].transpose(2, 0, 1))
             assert np.max(np.abs(minor - ref) / np.abs(ref)) <= 1e-12
 
 

@@ -499,7 +499,7 @@ class TestCompiledMatrixCoefficient:
                 el = b.compose(k)
                 direct = bargmann_inner(omega_k(el, phi, th), phi)
                 blocks.append((el, direct))
-            bn = np.stack([el.block_n for el, _ in blocks])
+            bn = np.stack([el.block_n for el, _ in blocks], axis=-1)
             b1 = np.array([el.block_1 for el, _ in blocks])
             ratio = np.array([el.zeta_ratio for el, _ in blocks])
             vals = mc.evaluate(bn, b1, ratio)

@@ -80,7 +80,7 @@ class TestVerifyS:
         assert rep.details["method"] == "quad"
         assert rep.passed and rep.rel_err <= 1e-12, (args, rep.rel_err)
 
-    def test_rejection_sampler_path(self):
+    def test_22_mc_reports_health_and_no_acceptance_count(self):
         # every point of the (2,2) draw is inside, so no acceptance count is reported
         rep = verify_S(2, 2, (0, 0), 1, 3, method="mc", samples=60_000, seed=8)
         assert rep.passed
@@ -296,10 +296,10 @@ class TestVerifyZeta:
         u, dirs = sample_ball(n, 0.0, rng, 20_000)
         x = haar_unitary(n, rng, size=20_000)
         sech = (1.0 - u) ** 0.5
-        block = x + (sech - 1.0)[:, None, None] * (
-            dirs[:, :, None] * np.einsum("ni,nij->nj", dirs.conj(), x)[:, None, :])
+        d = dirs.T
+        block = x + (sech - 1.0) * (d[:, None] * np.einsum("in,ijn->jn", d.conj(), x)[None])
         det_x = char_poly_batch(block)[:, n] / sech
-        assert np.max(np.abs(det_x - np.linalg.det(x))) <= 1e-12
+        assert np.max(np.abs(det_x - np.linalg.det(x.transpose(2, 0, 1)))) <= 1e-12
 
     def test_chunks_call_lapack_det_only_for_long_jacobi_trudi(self, monkeypatch):
         # the zeta chunk takes det x from e_n and the coefficient's minors
@@ -344,7 +344,7 @@ class TestVerifyZeta:
         psi = vals / (weighted_ball_volume(n, e) * (1.0 - u) ** (-0.5 * (n + 1) - e))
         for i in range(size):
             k = np.zeros((n + 1, n + 1), dtype=complex)
-            k[:n, :n], k[n, n] = x[i], y[i]
+            k[:n, :n], k[n, n] = x[:, :, i], y[i]
             g = GroupElement(h_from_z(math.sqrt(u[i]) * dirs[i]).matrix @ k)
             ref = psi_pi(g, th) ** 2
             assert abs(psi[i] ** 2 - ref) <= 1e-12 * abs(ref), (text, i)
@@ -478,10 +478,11 @@ class TestSuites:
         assert real.details["rows"][0]["relstd"] > 0.5
 
     def test_monte_carlo_chunks_compute_no_eigenvalues(self, monkeypatch):
-        # both class-function chunks take their characteristic polynomial
-        # from traces and go through the one batch evaluator
+        # the class-function chunks and the verify_S chunk take their
+        # characteristic polynomial from traces and go through the one batch
+        # evaluator
         def refuse(*args, **kwargs):
-            raise AssertionError("eigvals called on a Monte Carlo path")
+            raise AssertionError("eigenvalues computed on a Monte Carlo path")
 
         calls = []
         batch = arczeta.verify.schur_eval_batch
@@ -491,6 +492,7 @@ class TestSuites:
             return batch(mu, e)
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         # the zeta chunk reaches the batch evaluator through psi_batch, which
         # looks it up in arczeta.characters; the Schur chunk calls it directly
         monkeypatch.setattr(arczeta.characters, "schur_eval_batch", counted)
@@ -503,3 +505,6 @@ class TestSuites:
         g = random_group_element(2, np.random.default_rng(1))
         psi_pi(g, classify_theta(lam("5/2", "3/2", "1/2")))
         assert calls == [2, 3, 2]
+        # the domain integrand: (0, 0) is a det power, (2, 1) one Schur batch
+        dom = verify_S(2, 2, (0, 0), (2, 1), 6, method="mc", samples=2000, seed=1)
+        assert dom.verdict in ("PASS", "FAIL") and calls == [2, 3, 2, 2]
