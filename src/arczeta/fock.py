@@ -134,7 +134,9 @@ class FockPoly:
 
     @classmethod
     def one(cls, n: int, exact: bool = True) -> "FockPoly":
-        return cls(n, {_exponents(n): 1}, exact)
+        res = cls.__new__(cls)
+        res.n, res.exact = int(n), bool(exact)
+        return res._with({_exponents(res.n): _coerce(1, res.exact)})
 
     @classmethod
     def variable(cls, n: int, i: int, j: int, exact: bool = True) -> "FockPoly":
@@ -258,44 +260,41 @@ def minors(n: int, i: int, exact: bool = True) -> tuple[FockPoly, FockPoly]:
     return delta, delta_p
 
 
-def harmonic_hwv(theta: ThetaDatum, exact: bool = True) -> FockPoly:
-    """Joint highest-weight polynomial of the classified datum.
-
-    Case I: product of anti-corner minors to the alpha-difference powers
-    times z_{n+1,1}^gamma.  Case II: principal minors to the beta-difference
-    powers, anti-corner minors to the alpha-difference powers, times
-    z_{n+1,p+1}^gamma.  Normalized with leading coefficient one.
-    """
-    n = theta.n
-    gamma = theta.gamma
-    if gamma.denominator != 1 or any(a.denominator != 1 for a in theta.alphas) or any(
-        b.denominator != 1 for b in theta.betas
-    ):
+def _minor_powers(theta: ThetaDatum) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (i, e) powers of phi's leading i x i minors and of its anti-corner
+    minors, zero powers left out: Case I raises the anti-corner minors to the
+    alpha differences; Case II the leading minors to the beta differences and
+    the anti-corner minors to the alpha differences."""
+    data = (theta.gamma,) + theta.alphas + theta.betas
+    if any(x.denominator != 1 for x in data):
         raise InvalidParameterError(
             "highest-weight vector needs integral classification data "
             "(parameter is in the flagged congruence class)"
         )
+
+    def steps(parts):
+        parts = [int(x) for x in parts] + [0]
+        return [(i, parts[i - 1] - parts[i]) for i in range(1, len(parts))
+                if parts[i - 1] != parts[i]]
+
+    return steps(theta.betas), steps(theta.alphas)
+
+
+def harmonic_hwv(theta: ThetaDatum, exact: bool = True) -> FockPoly:
+    """Joint highest-weight polynomial of the classified datum.
+
+    The minor powers of :func:`_minor_powers`, leading minors first, times
+    z_{n+1,1}^gamma (Case I) or z_{n+1,p+1}^gamma (Case II).  Normalized with
+    leading coefficient one.
+    """
+    n = theta.n
+    leading, anti = _minor_powers(theta)
     out = FockPoly.one(n, exact)
-    if theta.case is Case.I:
-        alphas = [int(a) for a in theta.alphas] + [0]
-        for i in range(1, n + 1):
-            e = alphas[i - 1] - alphas[i]
-            if e:
-                out = out * minors(n, i, exact)[1] ** e
-        out = out * FockPoly.variable(n, n + 1, 1, exact) ** int(gamma)
-    else:
-        betas = [int(b) for b in theta.betas] + [0]
-        for i in range(1, theta.p + 1):
-            e = betas[i - 1] - betas[i]
-            if e:
-                out = out * minors(n, i, exact)[0] ** e
-        alphas = [int(a) for a in theta.alphas] + [0]
-        for i in range(1, theta.q):
-            e = alphas[i - 1] - alphas[i]
-            if e:
-                out = out * minors(n, i, exact)[1] ** e
-        out = out * FockPoly.variable(n, n + 1, theta.p + 1, exact) ** int(gamma)
-    return out
+    for side, powers in ((0, leading), (1, anti)):
+        for i, e in powers:
+            out = out * minors(n, i, exact)[side] ** e
+    corner = 1 if theta.case is Case.I else theta.p + 1
+    return out * FockPoly.variable(n, n + 1, corner, exact) ** int(theta.gamma)
 
 
 def hwv_norm2(theta: ThetaDatum) -> float:
@@ -801,18 +800,14 @@ class MatrixCoefficient:
         n = theta.n
         self.phi_norm2 = complex(hwv_norm2(theta))
         self._ratio_exp = theta.p - theta.q
+        self._y_exp = -int(theta.gamma) if theta.case is Case.I else int(theta.gamma)
+        leading, anti = _minor_powers(theta)
         exps = [0] * (n + 1)  # exponent of D_k, k = 0..n
-        alphas = [int(a) for a in theta.alphas] + [0]
-        if theta.case is Case.I:
-            self._y_exp, trailing = -int(theta.gamma), n
-        else:
-            self._y_exp, trailing = int(theta.gamma), theta.q - 1
-            betas = [int(b) for b in theta.betas] + [0]
-            for i in range(1, theta.p + 1):
-                exps[i] += betas[i - 1] - betas[i]
-        for i in range(1, trailing + 1):
-            exps[n - i] += alphas[i - 1] - alphas[i]
-            exps[n] -= alphas[i - 1] - alphas[i]
+        for i, e in leading:
+            exps[i] += e
+        for i, e in anti:
+            exps[n - i] += e
+            exps[n] -= e
         self._minor_exps = [(k, e) for k, e in enumerate(exps) if k and e]
 
     def evaluate(self, block_n: np.ndarray, block_1: np.ndarray, ratio: np.ndarray) -> np.ndarray:

@@ -174,13 +174,6 @@ class CoverElement:
             1.0 / self.zeta_1,
         )
 
-    def embed(self) -> np.ndarray:
-        """Full (n+1) x (n+1) block-diagonal matrix."""
-        m = np.zeros((self.n + 1, self.n + 1), dtype=complex)
-        m[: self.n, : self.n] = self.block_n
-        m[self.n, self.n] = self.block_1
-        return m
-
 
 # ---------------------------------------------------------------------------
 # distinguished elements

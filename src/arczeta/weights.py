@@ -394,17 +394,9 @@ def _S_factors(p: int, q: int, kappas, iotas, s) -> list[tuple[Fraction, str]]:
         raise InvalidParameterError(
             f"weight lengths ({len(kap)},{len(iot)}) must match (p,q)=({p},{q})"
         )
-    if len(set(iot)) <= 1:
-        iota = iot[0] if iot else Fraction(0)
-        return [(iota - kap[i - 1] - d + s, f"iota - kappa_{i} - {d} + s")
-                for i in range(1, p + 1) for d in range(p + 1 - i, p + q - i + 1)]
-    if len(set(kap)) <= 1:
-        kappa = kap[0] if kap else Fraction(0)
-        return [(iot[i - 1] - kappa - d + s, f"iota_{i} - kappa - {d} + s")
-                for i in range(1, q + 1) for d in range(i, p + i)]
-    raise InvalidParameterError(
-        "one of the two weights must be one-dimensional (all entries equal)"
-    )
+    return [(s - kap[i - 1] + iot[j - 1] - (p - i + j),
+             f"s - kappa_{i} + iota_{j} - {p - i + j}")
+            for i in range(1, p + 1) for j in range(1, q + 1)]
 
 
 def _reciprocal(factors: list[tuple[Fraction, str]], s: Fraction, pi_exp: int) -> ClosedValue:
@@ -419,11 +411,16 @@ def _reciprocal(factors: list[tuple[Fraction, str]], s: Fraction, pi_exp: int) -
 
 
 def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
-    """Scalar of the twisted domain integral over the (p, q) matrix ball.
+    """Scalar of the twisted domain integral over the (p, q) matrix ball,
 
-    Exactly one of the two weights must be one-dimensional (all entries
-    equal); a vanishing denominator factor raises :class:`PoleError` naming
-    the factor.
+        S = pi**(p q) / prod_{i <= p, j <= q} (s - kappa_i + iota_j - (p - i + j)),
+
+    for any two dominant weights.  With one weight constant it is the
+    one-sided product the (n, 1) closed forms use; with both weights varying
+    it is an identity checked against the Gauss–Jacobi rule
+    :func:`arczeta.verify.quad`, which is exact on these polynomial
+    integrands, and not a theorem of the paper.  A vanishing factor raises
+    :class:`PoleError` naming it.
     """
     return _reciprocal(_S_factors(p, q, kappas, iotas, s), Fraction(s), p * q)
 

@@ -17,6 +17,14 @@ def lam(*vals):
     return HCParameter.of(*[Fraction(v) for v in vals])
 
 
+def embed(k):
+    """The full (n+1) x (n+1) block-diagonal matrix of a cover element."""
+    m = np.zeros((k.n + 1, k.n + 1), dtype=complex)
+    m[: k.n, : k.n] = k.block_n
+    m[k.n, k.n] = k.block_1
+    return m
+
+
 def random_cover(n, rng):
     """Haar unitary block pair with principal roots."""
     return CoverElement.from_blocks(haar_unitary(n, rng), np.exp(2j * np.pi * rng.uniform()))

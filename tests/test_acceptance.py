@@ -41,7 +41,7 @@ from arczeta.weights import (
     zeta_closed,
 )
 
-from conftest import lam, random_cover
+from conftest import embed, lam, random_cover
 
 F = Fraction
 FULL_SWEEP_BOUND = F(15, 2)
@@ -148,7 +148,7 @@ def test_criterion_07_canonical_coefficient_properties(full_sweep, rng):
     for _ in range(500):
         g = random_group_element(2, rng)
         k = random_cover(2, rng)
-        conj = k.embed() @ g.matrix @ np.linalg.inv(k.embed())
+        conj = embed(k) @ g.matrix @ np.linalg.inv(embed(k))
         a = psi_pi(g, th)
         from arczeta.group import GroupElement
 

@@ -24,7 +24,7 @@ from arczeta.group import (
 )
 from arczeta.weights import classify_theta, gl_dim, weyl_dim
 
-from conftest import lam, random_cover
+from conftest import embed, lam, random_cover
 
 
 def bialternant(mu, eigs):
@@ -210,7 +210,7 @@ class TestPsiPi:
         for _ in range(25):
             g = random_group_element(2, rng)
             k = random_cover(2, rng)
-            kg = k.embed() @ g.matrix @ np.linalg.inv(k.embed())
+            kg = embed(k) @ g.matrix @ np.linalg.inv(embed(k))
             a = psi_pi(GroupElement(kg), th)
             b = psi_pi(g, th)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))

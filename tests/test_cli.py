@@ -2,11 +2,20 @@ import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
 import arczeta.verify
-from arczeta.cli import main, table_rows, table_to_csv, validate_report
+from arczeta.cli import (
+    _join_negative_values,
+    main,
+    make_parser,
+    table_rows,
+    table_to_csv,
+    validate_report,
+)
 
 
 def run_cli(capsys, *argv):
@@ -249,3 +258,22 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         validate_report(doc)
+
+
+def test_readme_examples_parse_and_quadrature_verify_s_passes(capsys):
+    # every `arczeta ...` line of the README parses as the CLI reads it, and
+    # the quadrature verify-s examples run to exit 0, so the examples cannot
+    # drift from the parser or from the closed forms
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+             if line.startswith("arczeta ")]
+    assert len(lines) >= 10
+    parser = make_parser()
+    quad = 0
+    for argv in lines:
+        args = parser.parse_args(_join_negative_values(argv))
+        if args.command == "verify-s" and args.method == "quad":
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["verdict"] == "PASS", argv
+            quad += 1
+    assert quad >= 2

@@ -151,9 +151,25 @@ class TestLeadingMinors:
         block = x + (scale - 1.0) * (d[:, None] * np.einsum("in,ijn->jn", d.conj(), x)[None])
         got = leading_minors(block)
         assert len(got) == n
-        for k, minor in enumerate(got, start=1):
-            ref = np.linalg.det(block[:k, :k].transpose(2, 0, 1))
-            assert np.max(np.abs(minor - ref) / np.abs(ref)) <= 1e-12
+
+        def worst_gap(minors):
+            # the expansion's rounding scales with the product of the row
+            # norms of the leading block (Hadamard's bound on |D_k|), not
+            # with |D_k|, which can be near zero
+            gaps = []
+            for k, minor in enumerate(minors, start=1):
+                lead = block[:k, :k]
+                ref = np.linalg.det(lead.transpose(2, 0, 1))
+                hadamard = np.prod(np.linalg.norm(lead, axis=1), axis=0)
+                gaps.append(np.max(np.abs(minor - ref) / hadamard))
+            return max(gaps)
+
+        assert worst_gap(got) <= 1e-14
+        # a wrong expansion fails the same bound: one minor with a flipped
+        # sign, or every minor off by 1e-12 relative
+        for k in range(n):
+            assert worst_gap(got[:k] + [-got[k]] + got[k + 1:]) > 1e-14
+        assert worst_gap([minor * (1 + 1e-12) for minor in got]) > 1e-14
 
 
 class TestRationalHyperbolic:

@@ -25,36 +25,38 @@ from arczeta.group import (
 )
 from arczeta.weights import closed_S
 
+from conftest import embed
+
 
 class TestDistinguishedElements:
     def test_t_zero_all_identity(self):
         assert np.allclose(a_t(0.0, 3), np.eye(4))
         for cover in (theta_t_cover, b_t_cover):
             el = cover(0.0, 3)
-            assert np.allclose(el.embed(), np.eye(4))
+            assert np.allclose(embed(el), np.eye(4))
             assert el.zeta_n == el.zeta_1 == 1.0
 
     def test_theta_b_product(self):
         t = 0.83
-        prod = theta_t_cover(t, 2).embed() @ b_t_cover(t, 2).embed()
+        prod = embed(theta_t_cover(t, 2)) @ embed(b_t_cover(t, 2))
         expect = np.diag([1.0, 1.0, math.cosh(t) ** 2])
         assert np.allclose(prod, expect)
         ch = math.cosh(t)
-        assert np.allclose(theta_t_cover(t, 2).embed(), np.diag([1 / ch, 1.0, ch]))
-        assert np.allclose(b_t_cover(t, 2).embed(), np.diag([ch, 1.0, ch]))
+        assert np.allclose(embed(theta_t_cover(t, 2)), np.diag([1 / ch, 1.0, ch]))
+        assert np.allclose(embed(b_t_cover(t, 2)), np.diag([ch, 1.0, ch]))
 
     def test_a_t_in_group(self):
         GroupElement(a_t(1.1, 2))  # must not raise
 
     def test_theta_z_n1(self):
         r = 0.4
-        m = theta_z_cover(np.array([r])).embed()
+        m = embed(theta_z_cover(np.array([r])))
         assert np.allclose(m, np.diag([math.sqrt(1 - r * r), 1 / math.sqrt(1 - r * r)]))
 
     def test_triangular_ratio_identities(self):
         rng = np.random.default_rng(3)
         z = 0.7 * rng.standard_normal(3) / 3 + 0.1j * rng.standard_normal(3)
-        tz, bz = theta_z_cover(z).embed(), b_z_cover(z).embed()
+        tz, bz = embed(theta_z_cover(z)), embed(b_z_cover(z))
         n = 3
         gram = np.eye(n) - np.outer(z, z.conj())
         lhs = np.linalg.inv(tz) @ bz
@@ -66,7 +68,7 @@ class TestDistinguishedElements:
         expect2 = np.eye(4, dtype=complex)
         expect2[n, n] = 1.0 - np.vdot(z, z)
         assert np.allclose(lhs2, expect2)
-        assert np.allclose(b_z_cover(z).inverse().embed(), np.linalg.inv(bz))
+        assert np.allclose(embed(b_z_cover(z).inverse()), np.linalg.inv(bz))
 
     def test_hyperbolic_covers_are_ball_covers_on_first_axis(self):
         # theta_t and b_t are theta_z and b_z at z = tanh(t) e_1, roots included
@@ -75,7 +77,7 @@ class TestDistinguishedElements:
         z[0] = math.tanh(t)
         pairs = ((theta_t_cover(t, n), theta_z_cover(z)), (b_t_cover(t, n), b_z_cover(z)))
         for at_t, at_z in pairs:
-            assert np.allclose(at_t.embed(), at_z.embed(), rtol=1e-14, atol=0)
+            assert np.allclose(embed(at_t), embed(at_z), rtol=1e-14, atol=0)
             assert math.isclose(at_t.zeta_ratio.real, at_z.zeta_ratio.real, rel_tol=1e-14)
             assert at_t.zeta_ratio.imag == at_z.zeta_ratio.imag == 0.0
 
@@ -115,25 +117,25 @@ class TestCartan:
     def test_identity(self):
         z, t, k_z, k = cartan_decompose(np.eye(3))
         assert np.linalg.norm(z.z) == 0 and t == 0
-        assert np.allclose(k.embed(), np.eye(3))
+        assert np.allclose(embed(k), np.eye(3))
 
     def test_hyperbolic_element(self):
         t0 = 0.9
         z, t, k_z, k = cartan_decompose(a_t(t0, 2))
         assert math.isclose(t, t0, rel_tol=1e-12)
         assert np.allclose(z.z, [math.tanh(t0), 0.0])
-        assert np.allclose(k.embed(), np.eye(3), atol=1e-12)
-        assert np.allclose(k_z.embed(), np.eye(3), atol=1e-12)
+        assert np.allclose(embed(k), np.eye(3), atol=1e-12)
+        assert np.allclose(embed(k_z), np.eye(3), atol=1e-12)
 
     def test_random_roundtrip(self, rng):
         for _ in range(1000):
             n = int(rng.integers(1, 4))
             g = random_group_element(n, rng)
             z, t, k_z, k = cartan_decompose(g)
-            reassembled = h_from_z(z.z).matrix @ k.embed()
+            reassembled = h_from_z(z.z).matrix @ embed(k)
             assert np.max(np.abs(reassembled - g.matrix)) <= 1e-10
             # the rotation diagonalizes the positive factor
-            h2 = k_z.embed() @ a_t(t, n) @ np.linalg.inv(k_z.embed())
+            h2 = embed(k_z) @ a_t(t, n) @ np.linalg.inv(embed(k_z))
             assert np.max(np.abs(h2 - h_from_z(z.z).matrix)) <= 1e-9
 
     def test_form_violation_rejected(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -31,7 +32,7 @@ from arczeta.weights import (
     closed_T_factors,
 )
 
-from conftest import lam
+from conftest import embed, lam
 
 F = Fraction
 
@@ -61,7 +62,7 @@ class TestVerifyS:
         assert rep.passed
 
     def test_pole_adjacent_refused(self):
-        # the factor iota - kappa - 1 + s sits within 1/2 of the pole
+        # the factor s - kappa_1 + iota_1 - 1 sits within 1/2 of the pole
         with pytest.raises(ConvergenceError):
             verify_S(1, 1, 0, 0, F(7, 5))
 
@@ -79,6 +80,26 @@ class TestVerifyS:
         rep = verify_S(*args)
         assert rep.details["method"] == "quad"
         assert rep.passed and rep.rel_err <= 1e-12, (args, rep.rel_err)
+
+    def test_quadrature_where_both_weights_vary(self):
+        # closed_S's product for two varying weights, against the rule that
+        # is exact on these polynomial integrands: every pair of varying
+        # dominant weights with entries in {1, 0, -1} on six balls, iota
+        # half-integral on every other pair, the smallest factor 1, 5/2 or 3/2
+        def varying(k):
+            return [w for w in itertools.combinations_with_replacement((1, 0, -1), k)
+                    if len(set(w)) > 1]
+
+        count = 0
+        for p, q in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)):
+            for a, (kap, iot) in enumerate(itertools.product(varying(p), varying(q))):
+                iot = tuple(x + F(a % 2, 2) for x in iot)
+                s = p + q + kap[0] - iot[-1] + (0, F(3, 2), F(1, 2))[a % 3]
+                rep = verify_S(p, q, kap, iot, s)
+                assert rep.details["method"] == "quad"
+                assert rep.passed and rep.rel_err <= 1e-12, (p, q, kap, iot, s, rep.rel_err)
+                count += 1
+        assert count == 172
 
     def test_22_mc_reports_health_and_no_acceptance_count(self):
         # every point of the (2,2) draw is inside, so no acceptance count is reported
@@ -99,10 +120,12 @@ class TestVerifyS:
         (2, 2, (0, 0), (2, 1), 6),
         (3, 3, (0, 0, 0), (2, 1, 0), 9),
         (2, 3, (0, 0), (2, 1, 1), 8),
+        (2, 2, (1, 0), (1, 0), 5),
     ])
     def test_real_variance_gate(self, args):
-        # two-sided weights leave real per-sample variance at min(p,q) >= 2,
-        # so the 3-sigma rule is exercised, not its rounding floor
+        # a varying weight leaves real per-sample variance at min(p,q) >= 2,
+        # so the 3-sigma rule is exercised, not its rounding floor; the last
+        # pair varies on both sides
         rep = verify_S(*args, method="mc", samples=200_000, seed=1, workers=2)
         relstd = rep.estimate.stderr * math.sqrt(rep.estimate.samples) / abs(rep.estimate.value)
         assert rep.passed and relstd > 0.05, (args, relstd)
@@ -423,7 +446,7 @@ class TestVerifyZeta:
                 ch = 1.0 / math.sqrt(1.0 - float(np.vdot(z, z).real))
                 lhs = ch ** (-(n + 1)) * bargmann_inner(omega_k(el, phi, th), phi)
                 # independent route through the polar factorization of h_z k
-                g = h_from_z(z).matrix @ k.embed()
+                g = h_from_z(z).matrix @ embed(k)
                 zp, t, k_z, k_fac = cartan_decompose(g)
                 rhs = omega_matcoef_transform_route(
                     k_z, t, k_z.inverse().compose(k_fac), th, phi

@@ -215,6 +215,19 @@ class TestAdmissibleSweep:
                 admissible_sweep(n, F(15, 2))
 
 
+@st.composite
+def ball_args(draw):
+    """(p, q, kappas, iotas, s): two dominant weights, each integral or
+    half-integral, on a ball of size at most (4, 4), and a half-integral s."""
+    def weight(k):
+        shift = draw(st.sampled_from((F(0), F(1, 2))))
+        ents = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        return tuple(sorted((e + shift for e in ents), reverse=True))
+
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return p, q, weight(p), weight(q), F(draw(st.integers(-8, 30)), 2)
+
+
 class TestClosedS:
     def test_basic_value(self):
         assert closed_S(1, 1, 0, 0, 3) == ClosedValue(F(1, 2), 1)
@@ -235,9 +248,57 @@ class TestClosedS:
         with pytest.raises(PoleError):
             closed_S(1, 1, 0, 0, 1)
 
-    def test_requires_one_dimensional_factor(self):
-        with pytest.raises(InvalidParameterError):
-            closed_S(2, 2, (1, 0), (1, 0), 5)
+    def test_both_weights_varying_value(self):
+        # factors s - kappa_i + iota_j - (p - i + j) at (i, j) = (1,1), (1,2),
+        # (2,1), (2,2): 3, 1, 5 and 3
+        assert closed_S(2, 2, (1, 0), (1, 0), 5) == ClosedValue(F(1, 45), 4)
+        assert closed_S_factors(2, 2, (1, 0), (1, 0), 5) == [3, 1, 5, 3]
+
+    def test_one_sided_products_on_every_shape(self):
+        # the one-sided products, written out: iota constant, kappa constant
+        def iota_constant(p, q, kap, iota, s):
+            return math.prod((iota - kap[i - 1] - d + s for i in range(1, p + 1)
+                              for d in range(p + 1 - i, p + q - i + 1)), start=F(1))
+
+        def kappa_constant(p, q, kappa, iot, s):
+            return math.prod((iot[j - 1] - kappa - d + s for j in range(1, q + 1)
+                              for d in range(j, p + j)), start=F(1))
+
+        def dominant(k):
+            return itertools.combinations_with_replacement(range(2, -3, -1), k)
+
+        cases = []
+        for p, q in itertools.product(range(5), repeat=2):
+            for c, s in itertools.product((F(0), F(3, 2)), (F(p + q + 2), F(13, 2))):
+                cases += [((p, q, kap, (c,) * q, s), iota_constant(p, q, kap, c, s))
+                          for kap in dominant(p)]
+                cases += [((p, q, (c,) * p, iot, s), kappa_constant(p, q, c, iot, s))
+                          for iot in dominant(q)]
+        poles = 0
+        for args, denom in cases:
+            if denom == 0:
+                poles += 1
+                with pytest.raises(PoleError):
+                    closed_S(*args)
+            else:
+                assert closed_S(*args) == ClosedValue(1 / denom, args[0] * args[1]), args
+        assert len(cases) > 3000 and poles > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ball_args())
+    def test_ball_transpose(self, args):
+        # z -> z^T carries the (p, q) ball to the (q, p) ball and swaps the
+        # two weights, each contragredient: S(p, q, kappa, iota, s) equals
+        # S(q, p, -rev iota, -rev kappa, s), poles included
+        def value(p, q, kap, iot, s):
+            try:
+                return closed_S(p, q, kap, iot, s)
+            except PoleError:
+                return "pole"
+
+        p, q, kap, iot, s = args
+        assert value(*args) == value(q, p, tuple(-x for x in reversed(iot)),
+                                     tuple(-x for x in reversed(kap)), s)
 
     def test_weight_lengths_must_match(self):
         # the value and its factor list refuse the same malformed input
