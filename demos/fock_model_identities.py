@@ -10,7 +10,6 @@ import numpy as np
 from arczeta import HCParameter, classify_theta
 from arczeta.exact import rational_hyperbolic
 from arczeta.fock import (
-    ExactCover,
     bargmann_inner,
     harmonic_hwv,
     highest_weight_check,
@@ -65,7 +64,7 @@ print("=" * 72)
 print("4. Two routes to the same matrix coefficient")
 print("=" * 72)
 theta = classify_theta(HCParameter.parse("5/2,3/2,1/2"))
-kI = ExactCover.identity(2)
+kI = CoverElement(np.eye(2, dtype=object), 1, 1)  # an object block: the exact ring
 exact_sub = omega_matcoef(kI, (ch, sh), kI, theta)
 exact_tra = omega_matcoef_transform_route(kI, (ch, sh), kI, theta)
 print("  substitution route (exact):", exact_sub)

@@ -220,8 +220,8 @@ def psi_batch(theta: ThetaDatum, e_rows: np.ndarray, block_1: np.ndarray,
               ratio: np.ndarray) -> np.ndarray:
     """The genuine character of the lowest K-type on a batch of block-diagonal
     cover elements, given as the e-rows of block_n (N, n+1), made by
-    :func:`char_poly_batch`, block_1 (N,) and the root ratio zeta_n / zeta_1
-    (N,).
+    :func:`char_poly_batch`, block_1 (N,) and the ratio of the chosen roots
+    of det(block_n) and block_1 (N,), as a cover element carries it.
 
     The two det twists of :meth:`~arczeta.weights.ThetaDatum.lambda_gl` are
     opposite, so together they are the integer power tw2n of the root ratio;
@@ -248,7 +248,7 @@ def psi_pi(g, theta: ThetaDatum, route: str = "direct") -> complex:
     if route == "direct":
         el = theta_z_cover(z).compose(k)
     elif route == "conjugated":
-        el = theta_t_cover(t, z.n).compose(k_z.inverse().compose(k).compose(k_z))
+        el = theta_t_cover(t, len(z)).compose(k_z.inverse().compose(k).compose(k_z))
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
     return complex(psi_batch(theta, char_poly_batch(el.block_n[:, :, None]), np.array([el.block_1]),

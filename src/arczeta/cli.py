@@ -246,8 +246,17 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fraction(text: str) -> Fraction:
+    """A fraction option value; a malformed one, or one with a zero
+    denominator, is invalid input."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameterError(f"cannot parse {text!r} as a fraction: {exc}") from None
+
+
 def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",")]
+    return [_fraction(part) for part in text.split(",")]
 
 
 def _classify(args, seed, samples):
@@ -270,7 +279,9 @@ def _classify(args, seed, samples):
 
 
 def _table(args, seed, samples):
-    rows = table_rows(args.n, Fraction(args.max_entry))
+    rows = table_rows(args.n, _fraction(args.max_entry))
+    if not rows:
+        raise InvalidParameterError(f"the sweep at --max-entry {args.max_entry} is empty")
     if args.format == "json":
         return build_report("table", verdict="PASS", extra={"rows": rows}), True
     text = table_to_csv(rows)
@@ -285,7 +296,7 @@ def _table(args, seed, samples):
 
 def _verify_s(args, seed, samples):
     rep = verify_S(args.p, args.q, _parse_fraction_list(args.kappa),
-                   _parse_fraction_list(args.iota), Fraction(args.s),
+                   _parse_fraction_list(args.iota), _fraction(args.s),
                    samples=samples, seed=seed, workers=args.workers,
                    method=args.method)
     return build_report("verify-s", report=rep), rep.passed
@@ -294,7 +305,7 @@ def _verify_s(args, seed, samples):
 def _verify_t(args, seed, samples):
     lam = HCParameter.parse(args.lam)
     theta = classify_theta(lam)
-    rep = verify_T(theta, Fraction(args.s), samples=samples, seed=seed,
+    rep = verify_T(theta, _fraction(args.s), samples=samples, seed=seed,
                    workers=args.workers, method=args.method)
     return build_report("verify-t", lam=lam, theta=theta, report=rep), rep.passed
 
@@ -327,7 +338,7 @@ def _verify_schur(args, seed, samples):
 def _verify_fd(args, seed, samples):
     if args.count < 1:
         raise InvalidParameterError(f"need --count >= 1, got {args.count}")
-    lams = admissible_sweep(args.n, Fraction(args.max_entry))
+    lams = admissible_sweep(args.n, _fraction(args.max_entry))
     if len(lams) < args.count:
         raise InvalidParameterError(
             f"sweep produced {len(lams)} parameters; need {args.count} "

@@ -13,6 +13,8 @@ first row of variables.
 
 Two coefficient modes share all code paths: complex floats, and exact
 Gaussian rationals times integer powers of pi (:class:`~arczeta.exact.PiLaurent`).
+The compact group acts through one :class:`~arczeta.group.CoverElement`
+type in either ring; it must be in the ring of the polynomial it acts on.
 """
 
 from __future__ import annotations
@@ -22,18 +24,17 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import PiLaurent, QQi, exact_inverse, leading_minors
-from .group import CoverElement, b_t_cover, cpow_int
+from .exact import PiLaurent, QQi, leading_minors
+from .group import CoverElement, b_t_cover, block_inverse, cpow_int
 from .weights import Case, ThetaDatum
 
 __all__ = [
     "FockPoly",
-    "ExactCover",
     "bargmann_inner",
     "minors",
     "harmonic_hwv",
@@ -304,94 +305,12 @@ def hwv_norm2(theta: ThetaDatum) -> float:
     return complex(bargmann_inner(phi, phi)).real
 
 
-# ---------------------------------------------------------------------------
-# exact cover elements (the float side lives in arczeta.group)
-
-
-@dataclass(frozen=True)
-class ExactCover:
-    """Block-diagonal element with Gaussian-rational entries.
-
-    Only the ratio of the two roots of the block determinants is carried:
-    every genuine weight in scope has balanced opposite det twists, so the
-    ratio is the only quantity that ever enters, and it stays rational even
-    when the individual roots do not (e.g. the hyperbolic family, whose two
-    block determinants are equal).
-    """
-
-    block_n: tuple[tuple[QQi, ...], ...]
-    block_1: QQi
-    zeta_ratio: QQi
-
-    def __post_init__(self):
-        bn = tuple(tuple(QQi.coerce(x) for x in row) for row in self.block_n)
-        object.__setattr__(self, "block_n", bn)
-        object.__setattr__(self, "block_1", QQi.coerce(self.block_1))
-        object.__setattr__(self, "zeta_ratio", QQi.coerce(self.zeta_ratio))
-        dn = leading_minors(bn)[-1]
-        if not dn or not self.block_1:
-            raise InvalidParameterError("cover blocks must be invertible")
-        if self.zeta_ratio * self.zeta_ratio * self.block_1 != dn:
-            raise InvalidParameterError("zeta_ratio**2 != det(block_n)/block_1")
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactCover":
-        eye = tuple(tuple(QQi(1 if i == j else 0) for j in range(n)) for i in range(n))
-        return cls(eye, QQi(1), QQi(1))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence, block_1, zeta_ratio) -> "ExactCover":
-        d = [QQi.coerce(x) for x in diag]
-        bn = tuple(tuple(d[i] if i == j else QQi(0) for j in range(len(d))) for i in range(len(d)))
-        return cls(bn, block_1, zeta_ratio)
-
-    @classmethod
-    def hyperbolic(cls, ch: Fraction, n: int, inverse: bool = False) -> "ExactCover":
-        """Exact analogue of the diagonal family diag(ch, 1, .., 1, ch); both
-        block determinants equal ch so the root ratio is exactly one."""
-        c = Fraction(ch) if not inverse else 1 / Fraction(ch)
-        diag = [c] + [Fraction(1)] * (n - 1)
-        return cls.diagonal(diag, QQi.coerce(c), QQi(1))
-
-    @property
-    def n(self) -> int:
-        return len(self.block_n)
-
-    def compose(self, other: "ExactCover") -> "ExactCover":
-        n = self.n
-        prod = tuple(
-            tuple(
-                sum((self.block_n[i][k] * other.block_n[k][j] for k in range(n)), QQi(0))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return ExactCover(prod, self.block_1 * other.block_1, self.zeta_ratio * other.zeta_ratio)
-
-    def inverse(self) -> "ExactCover":
-        inv = exact_inverse([list(r) for r in self.block_n])
-        return ExactCover(
-            tuple(tuple(row) for row in inv),
-            self.block_1.inverse(),
-            self.zeta_ratio.inverse(),
-        )
-
-
-def _cover_data(k, exact: bool):
-    """(transpose-of-n-block rows, inverse-of-n-block rows, y, y_inv, ratio)."""
-    if isinstance(k, ExactCover):
-        if not exact:
-            raise InvalidParameterError("exact cover supplied to a float computation")
-        n = k.n
-        xt = [[k.block_n[j][i] for j in range(n)] for i in range(n)]
-        xi = exact_inverse([list(r) for r in k.block_n])
-        return xt, xi, k.block_1, k.block_1.inverse(), k.zeta_ratio
-    if isinstance(k, CoverElement):
-        if exact:
-            raise InvalidParameterError("float cover supplied to an exact computation")
-        bn = k.block_n
-        return bn.T, np.linalg.inv(bn), k.block_1, 1.0 / k.block_1, k.zeta_ratio
-    raise InvalidParameterError(f"unsupported cover element {type(k).__name__}")
+def _cover_data(k: CoverElement, exact: bool):
+    """(transpose of the n-block, inverse of the n-block, y, y_inv, ratio)."""
+    if k.exact != exact:
+        raise InvalidParameterError("cover element and polynomial are in different rings")
+    inv = k.inverse()
+    return k.block_n.T, inv.block_n, k.block_1, inv.block_1, k.zeta_ratio
 
 
 def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> FockPoly:
@@ -454,17 +373,11 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     consumed through the root ratio.  ``kp`` is a (xp, yq, ratio) triple.
     """
     n, p, q = theta.n, theta.p, theta.q
+    ring = object if f.exact else complex
     xp, yq_mat, ratio = kp
-    if f.exact:
-        xp = [[QQi.coerce(v) for v in row] for row in xp]
-        yq_mat = [[QQi.coerce(v) for v in row] for row in yq_mat]
-        xi_p = exact_inverse(xp) if p else []
-        yi = exact_inverse(yq_mat)
-    else:
-        xp = np.asarray(xp, dtype=complex).reshape(p, p)
-        yq_mat = np.asarray(yq_mat, dtype=complex).reshape(q, q)
-        xi_p = np.linalg.inv(xp) if p else xp
-        yi = np.linalg.inv(yq_mat)
+    xp = np.asarray(xp, dtype=ring).reshape(p, p)
+    yq_mat = np.asarray(yq_mat, dtype=ring).reshape(q, q)
+    xi_p, yi = block_inverse(xp), block_inverse(yq_mat)
     images: dict[int, list[tuple[int, object]]] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 2):
@@ -621,17 +534,12 @@ def omega_matcoef(kp, t, k, theta: ThetaDatum, phi: Optional[FockPoly] = None):
     diagonal companion (or its inverse in Case II) sandwiched between the two
     unitaries; root ratios multiply along the composition.
     """
-    n = theta.n
-    exact = isinstance(k, ExactCover)
+    n, exact = theta.n, k.exact
     if phi is None:
         phi = harmonic_hwv(theta, exact=exact)
     ch, _ = _hyperbolic_scalars(t, exact)
-    inverse = theta.case is Case.II
-    if exact:
-        mid = ExactCover.hyperbolic(ch, n, inverse=inverse)
-    else:
-        mid = b_t_cover(t, n).inverse() if inverse else b_t_cover(t, n)
-    el = kp.compose(mid).compose(k)
+    mid = b_t_cover(ch, n)
+    el = kp.compose(mid.inverse() if theta.case is Case.II else mid).compose(k)
     return _pi_scalar(ch ** -(n + 1), 0, exact) * bargmann_inner(omega_k(el, phi, theta), phi)
 
 
@@ -642,9 +550,8 @@ def omega_matcoef_transform_route(kp, t, k, theta: ThetaDatum, phi: Optional[Foc
     right, applies the transform to omega(k) phi, and pairs with the
     exponential tag truncated at the relevant degree.
     """
-    exact = isinstance(k, ExactCover)
     if phi is None:
-        phi = harmonic_hwv(theta, exact=exact)
+        phi = harmonic_hwv(theta, exact=k.exact)
     f = omega_k(k, phi, theta)
     g = omega_k(kp.inverse(), phi, theta)
     return omega_at(t, f).pair_with(g)

@@ -6,25 +6,29 @@ polar-type factorization writes every element as a positive-definite factor
 parametrized by a ball point times a block-diagonal unitary.
 
 The hyperbolic one-parameter family is built here as a full matrix; its
-triangular-factor companions and the factors of a ball point are built by one
-rank-one builder as block-diagonal cover elements carrying positive square
-roots of the block determinants.
+triangular factor theta_t and the factors of a ball point are built by one
+rank-one builder as block-diagonal cover elements carrying the ratio of the
+positive square roots of their block determinants.  One cover element holds
+both rings: complex floats, and Gaussian rationals for the exact matrix
+coefficients, where the companion b_t is built from an exact cosh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import BoundaryError, ConvergenceError, InvalidParameterError
+from .exact import QQi, exact_inverse, leading_minors
 
 __all__ = [
     "GroupElement",
-    "DomainPoint",
     "CoverElement",
+    "block_inverse",
     "signature_form",
     "h_from_z",
     "cartan_decompose",
@@ -91,88 +95,76 @@ class GroupElement:
         return self.matrix.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class DomainPoint:
-    """Point of the unit ball (column vector of length n)."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex).reshape(-1)
-        object.__setattr__(self, "z", z)
-        if np.linalg.norm(z) >= 1.0:
-            raise InvalidParameterError("point must satisfy |z| < 1")
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-
 def _principal_root(det: complex) -> complex:
     return np.sqrt(abs(det)) * np.exp(0.5j * np.angle(det))
 
 
+def block_inverse(block: np.ndarray) -> np.ndarray:
+    """Inverse of a square block in its ring: Gauss-Jordan over Gaussian
+    rationals for an object array, LAPACK for a complex one."""
+    if block.dtype == object:
+        return np.array(exact_inverse(block.tolist()), dtype=object).reshape(block.shape)
+    return np.linalg.inv(block)
+
+
 @dataclass(frozen=True)
 class CoverElement:
-    """Block-diagonal complexified element with chosen roots of block dets.
+    """Block-diagonal complexified element of the double cover.
 
-    zeta_n**2 == det(block_n) and zeta_1**2 == block_1 to tolerance; the two
-    roots can be flipped independently, and every genuine quantity in the
-    package depends only on the ratio zeta_n/zeta_1.
+    The lowest K-types are genuine characters of the cover with opposite
+    half-integral det twists, so every value in the package depends on the
+    chosen roots of det(block_n) and block_1 only through their ratio, and
+    only the ratio is carried: zeta_ratio**2 * block_1 == det(block_n).  The
+    ratio stays rational where the single roots do not (the hyperbolic
+    companion has two equal block determinants).
+
+    The ring is read from block_n: a complex array holds floats and the root
+    relation to ``ZETA_TOL``, an object array holds :class:`~arczeta.exact.QQi`
+    entries and the relation exactly.
     """
 
     block_n: np.ndarray
-    block_1: complex
-    zeta_n: complex
-    zeta_1: complex
+    block_1: complex | QQi
+    zeta_ratio: complex | QQi
 
     def __post_init__(self):
-        bn = np.asarray(self.block_n, dtype=complex)
+        bn = np.asarray(self.block_n)
+        exact = bn.dtype == object
+        ring = QQi.coerce if exact else complex
+        bn = np.vectorize(ring, otypes=[object])(bn) if exact else np.asarray(bn, dtype=complex)
+        y, ratio = ring(self.block_1), ring(self.zeta_ratio)
         object.__setattr__(self, "block_n", bn)
-        object.__setattr__(self, "block_1", complex(self.block_1))
-        dn = np.linalg.det(bn)
-        if abs(dn) == 0 or self.block_1 == 0:
+        object.__setattr__(self, "block_1", y)
+        object.__setattr__(self, "zeta_ratio", ratio)
+        dn = leading_minors(bn)[-1]
+        if not dn or not y:
             raise InvalidParameterError("cover blocks must be invertible")
-        if abs(self.zeta_n**2 - dn) > ZETA_TOL * max(1.0, abs(dn)):
-            raise InvalidParameterError("zeta_n**2 != det(block_n)")
-        if abs(self.zeta_1**2 - self.block_1) > ZETA_TOL * max(1.0, abs(self.block_1)):
-            raise InvalidParameterError("zeta_1**2 != block_1")
+        miss = ratio * ratio * y - dn
+        if (miss != 0) if exact else abs(miss) > ZETA_TOL * max(1.0, abs(dn)):
+            raise InvalidParameterError("zeta_ratio**2 * block_1 != det(block_n)")
 
     @classmethod
     def from_blocks(cls, block_n, block_1) -> "CoverElement":
-        """Principal-branch roots."""
+        """Float blocks with the ratio of the principal roots."""
         bn = np.asarray(block_n, dtype=complex)
-        return cls(bn, complex(block_1), _principal_root(np.linalg.det(bn)),
-                   _principal_root(complex(block_1)))
-
-    @classmethod
-    def identity(cls, n: int) -> "CoverElement":
-        return cls(np.eye(n, dtype=complex), 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
+        return cls(bn, block_1, _principal_root(np.linalg.det(bn))
+                   / _principal_root(complex(block_1)))
 
     @property
     def n(self) -> int:
         return self.block_n.shape[0]
 
     @property
-    def zeta_ratio(self) -> complex:
-        return self.zeta_n / self.zeta_1
+    def exact(self) -> bool:
+        return self.block_n.dtype == object
 
     def compose(self, other: "CoverElement") -> "CoverElement":
-        """Product with multiplicative root threading."""
-        return CoverElement(
-            self.block_n @ other.block_n,
-            self.block_1 * other.block_1,
-            self.zeta_n * other.zeta_n,
-            self.zeta_1 * other.zeta_1,
-        )
+        """Product; the root ratios multiply."""
+        return CoverElement(self.block_n @ other.block_n, self.block_1 * other.block_1,
+                            self.zeta_ratio * other.zeta_ratio)
 
     def inverse(self) -> "CoverElement":
-        return CoverElement(
-            np.linalg.inv(self.block_n),
-            1.0 / self.block_1,
-            1.0 / self.zeta_n,
-            1.0 / self.zeta_1,
-        )
+        return CoverElement(block_inverse(self.block_n), 1 / self.block_1, 1 / self.zeta_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +189,27 @@ def _ball_cover(d: np.ndarray, gram: float, power: float) -> CoverElement:
     """
     scale = gram**power
     block_n = np.eye(d.shape[0], dtype=complex) + (scale - 1.0) * np.outer(d, d.conj())
-    return CoverElement(block_n, gram**-0.5, math.sqrt(scale), gram**-0.25)
-
-
-def _hyperbolic_cover(t: float, n: int, power: float) -> CoverElement:
-    """The ball block at d = e_1 with 1 - |z|**2 = sech(t)**2 taken from cosh t,
-    not recomputed through tanh t."""
-    return _ball_cover(np.eye(n, dtype=complex)[0], math.cosh(t) ** -2, power)
+    return CoverElement(block_n, gram**-0.5, math.sqrt(scale) / gram**-0.25)
 
 
 def theta_t_cover(t: float, n: int) -> CoverElement:
     """Diagonal factor diag(sech t, 1, ..., 1, cosh t) of the triangular
-    decomposition of ``a_t``."""
-    return _hyperbolic_cover(t, n, 0.5)
+    decomposition of ``a_t``: the ball block at d = e_1 with
+    1 - |z|**2 = sech(t)**2 taken from cosh t, not recomputed through tanh t."""
+    return _ball_cover(np.eye(n, dtype=complex)[0], math.cosh(t) ** -2, 0.5)
 
 
-def b_t_cover(t: float, n: int) -> CoverElement:
-    """Companion diagonal element diag(cosh t, 1, ..., 1, cosh t)."""
-    return _hyperbolic_cover(t, n, -0.5)
+def b_t_cover(ch, n: int) -> CoverElement:
+    """Companion diagonal element diag(ch, 1, ..., 1, ch) at ch = cosh t.  Its
+    two block determinants are both ch, so the root ratio is one.  A Fraction
+    ch gives the exact ring, a float the float ring."""
+    block_n = np.eye(n, dtype=object if isinstance(ch, Fraction) else complex)
+    block_n[0, 0] = ch
+    return CoverElement(block_n, ch, 1)
 
 
 def _ball_point(z) -> tuple[np.ndarray, float]:
     """Direction and 1 - |z|**2 of an interior ball point."""
-    if isinstance(z, DomainPoint):
-        z = z.z
     z = np.asarray(z, dtype=complex).reshape(-1)
     r = float(np.linalg.norm(z))
     if r > BOUNDARY_CUTOFF:
@@ -231,8 +220,6 @@ def _ball_point(z) -> tuple[np.ndarray, float]:
 
 def h_from_z(z) -> GroupElement:
     """Positive-definite group element attached to a ball point."""
-    if isinstance(z, DomainPoint):
-        z = z.z
     z = np.asarray(z, dtype=complex).reshape(-1)
     block_n = b_z_cover(z).block_n
     n, r = z.shape[0], float(np.linalg.norm(z))
@@ -270,7 +257,7 @@ def unitary_completion(u: np.ndarray) -> np.ndarray:
     return q
 
 
-def cartan_decompose(g) -> tuple[DomainPoint, float, CoverElement, CoverElement]:
+def cartan_decompose(g) -> tuple[np.ndarray, float, CoverElement, CoverElement]:
     """Factor g = h_z * k with h_z positive definite in the group and k
     block-diagonal unitary; also return t and a block rotation k_z with
     h_z = k_z a_t k_z^{-1}.
@@ -293,7 +280,6 @@ def cartan_decompose(g) -> tuple[DomainPoint, float, CoverElement, CoverElement]
     r = float(np.linalg.norm(z))
     if r > BOUNDARY_CUTOFF:
         raise BoundaryError(f"recovered |z| = {r} beyond the interior cutoff")
-    point = DomainPoint(z)
     t = math.atanh(r)
     if r > 0:
         x = unitary_completion(z / r)
@@ -304,7 +290,7 @@ def cartan_decompose(g) -> tuple[DomainPoint, float, CoverElement, CoverElement]
     if off > FORM_TOL * 10:
         raise InvalidParameterError(f"unitary factor not block diagonal (off={off:.2e})")
     k_cov = CoverElement.from_blocks(k[:n, :n], k[n, n])
-    return point, t, k_z, k_cov
+    return z, t, k_z, k_cov
 
 
 def haar_unitary(m: int, rng: np.random.Generator, size: Optional[int] = None):

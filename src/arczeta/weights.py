@@ -510,7 +510,8 @@ def T_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...], tupl
 def admissible_sweep(n: int, max_entry) -> list[HCParameter]:
     """All admissible proper-half-integral parameters of length n+1 with
     entries bounded by ``max_entry`` in absolute value, in decreasing
-    lexicographic order.
+    lexicographic order.  The bound is a half-integer, given as an int, a
+    Fraction or text.
 
     The parameters are generated from the classification constraints rather
     than searched for:
@@ -527,7 +528,7 @@ def admissible_sweep(n: int, max_entry) -> list[HCParameter]:
     """
     if n < 1:
         raise InvalidParameterError(f"admissible sweep needs n >= 1, got {n}")
-    top = int(2 * Fraction(max_entry))  # doubled bound
+    top = int(2 * _half_integer(max_entry))  # doubled bound
     positive = range(1, top + 1, 2)[::-1]  # doubled positive entries, decreasing
     found = list(itertools.combinations(positive, n + 1))
     for p in range(n + 1):

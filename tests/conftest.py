@@ -3,7 +3,6 @@ import pytest
 from fractions import Fraction
 
 from arczeta.exact import QQi
-from arczeta.fock import ExactCover
 from arczeta.group import CoverElement, haar_unitary
 from arczeta.weights import HCParameter
 
@@ -45,8 +44,13 @@ def exact_phase_square():
     return zeta * zeta, zeta
 
 
+def exact_identity(n):
+    """The identity cover element in the exact ring (an object n-block)."""
+    return CoverElement(np.eye(n, dtype=object), 1, 1)
+
+
 def exact_cover_2(kind="mix"):
     if kind == "mix":
         y, zy = exact_phase_square()
-        return ExactCover(exact_unitary_2x2(), y, QQi(1) / zy)
-    return ExactCover.identity(2)
+        return CoverElement(np.array(exact_unitary_2x2(), dtype=object), y, QQi(1) / zy)
+    return exact_identity(2)

@@ -88,6 +88,25 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", "--n", "0")
         assert code == 2 and not out and "n >= 1" in err
 
+    @pytest.mark.parametrize("bound,message", [
+        ("0", "empty"), ("-3/2", "empty"), ("1/3", "half-integer")])
+    def test_empty_or_non_half_integral_bound_exit_2(self, capsys, bound, message):
+        # zero rows is no PASS, and a bound of 1/3 is not floored
+        code, out, err = run_cli(capsys, "table", "--n", "1", "--max-entry", bound)
+        assert code == 2 and not out and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-s", "--p", "1", "--q", "1", "--kappa", "0", "--iota", "0", "--s", "1/0"),
+    ("verify-s", "--p", "1", "--q", "1", "--kappa", "1/0", "--iota", "0", "--s", "3"),
+    ("verify-t", "--lambda", "3/2,1/2", "--s", "1/0"),
+    ("table", "--n", "1", "--max-entry", "1/0"),
+    ("verify-fd", "--n", "1", "--max-entry", "1/0"),
+], ids=["verify-s-s", "verify-s-kappa", "verify-t-s", "table", "verify-fd"])
+def test_zero_denominator_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out and "'1/0'" in err
+
 
 class TestVerifyCommands:
     def test_verify_zeta_pass(self, capsys, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from arczeta.errors import InvalidParameterError
 from arczeta.exact import PiLaurent, QQi, rational_hyperbolic
 from arczeta.fock import (
-    ExactCover,
     FockPoly,
     MatrixCoefficient,
     bargmann_inner,
@@ -26,7 +25,7 @@ from arczeta.fock import (
 from arczeta.group import CoverElement, b_t_cover, haar_unitary
 from arczeta.weights import admissible_sweep, classify_theta
 
-from conftest import exact_cover_2, lam, random_cover
+from conftest import exact_cover_2, exact_identity, exact_unitary_2x2, lam, random_cover
 
 F = Fraction
 
@@ -173,7 +172,7 @@ class TestOmegaK:
     def test_identity_action(self, rng):
         th = classify_theta(lam("5/2", "3/2", "1/2"))
         phi = harmonic_hwv(th)
-        assert omega_k(ExactCover.identity(2), phi, th) == phi
+        assert omega_k(exact_identity(2), phi, th) == phi
 
     def test_diagonal_weight_n1(self):
         th = classify_theta(lam("3/2", "1/2"))
@@ -207,7 +206,7 @@ class TestOmegaK:
         phi = harmonic_hwv(th, exact=False)
         k = random_cover(2, rng)
         out = omega_k(k, phi, th)
-        flipped = omega_k(CoverElement(k.block_n, k.block_1, -k.zeta_n, k.zeta_1), phi, th)
+        flipped = omega_k(CoverElement(k.block_n, k.block_1, -k.zeta_ratio), phi, th)
         sign = (-1) ** (th.p - th.q)
         diff = flipped - out.scale(sign)
         assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-12
@@ -226,7 +225,7 @@ class TestOmegaK:
         th = classify_theta(lam("5/2", "3/2", "1/2"))
         phi = harmonic_hwv(th)
         ch = F(5, 3)
-        out = omega_k(ExactCover.hyperbolic(ch, 2), phi, th)
+        out = omega_k(b_t_cover(ch, 2), phi, th)
         assert out == phi.scale(QQi.coerce((1 / ch) ** 2))
 
 
@@ -242,6 +241,23 @@ class TestOmegaKPrime:
         b = omega_k(k, omega_kprime((xp, yq, ratio), phi, th), th)
         diff = a - b
         assert max((abs(c) for c in diff.terms.values()), default=0.0) < 1e-12
+
+    def test_exact_branch_commutes_and_composes(self):
+        # rational unitaries, zero tolerance: the partner action commutes with
+        # the row action and is a left action on non-commuting blocks
+        th = classify_theta(lam("5/2", "3/2", "1/2"))
+        phi = harmonic_hwv(th)
+        k = exact_cover_2()
+        xp = [[QQi(0, 1)]]
+        y1 = np.array(exact_unitary_2x2(), dtype=object)
+        y2 = np.array([[QQi(0, 1), QQi(0)], [QQi(0), QQi(1)]], dtype=object)
+        kp = (xp, y1, QQi(F(3, 5), F(4, 5)))
+        a = omega_kprime(kp, omega_k(k, phi, th), th)
+        assert a == omega_k(k, omega_kprime(kp, phi, th), th)
+        assert a != omega_k(k, phi, th)
+        f = phi + minors(2, 1)[1] ** 4  # phi alone sees only det(y)
+        lhs = omega_kprime((xp, y1, 1), omega_kprime((xp, y2, 1), f, th), th)
+        assert lhs == omega_kprime((xp, y1 @ y2, 1), f, th)
 
     def test_left_action_composition(self, rng):
         # non-commuting second-factor blocks discriminate the convention
@@ -327,7 +343,7 @@ class TestOmegaAt:
 class TestMatrixCoefficientRoutes:
     def test_norm_at_identity(self):
         th = classify_theta(lam("3/2", "1/2"))
-        kI = ExactCover.identity(1)
+        kI = exact_identity(1)
         val = omega_matcoef(kI, (F(1), F(0)), kI, th)
         assert val == bargmann_inner(harmonic_hwv(th), harmonic_hwv(th))
 
@@ -335,7 +351,7 @@ class TestMatrixCoefficientRoutes:
         # phi = z_12^2 scales by cosh^-2 under the diagonal companion
         th = classify_theta(lam("3/2", "1/2"))
         ch, sh = rational_hyperbolic(F(1, 2))
-        kI = ExactCover.identity(1)
+        kI = exact_identity(1)
         val = omega_matcoef(kI, (ch, sh), kI, th)
         expect = PiLaurent.single(QQi.coerce((1 / ch) ** 4 * 2), -2)
         assert val == expect
@@ -354,14 +370,14 @@ class TestMatrixCoefficientRoutes:
         # (p,q) = (1,1): rational circle point with its exact root
         th = classify_theta(lam("-1/2", "-5/2"))
         y = QQi(F(-7, 25), F(24, 25))  # ((3+4i)/5)^2
-        k = ExactCover(((y,),), QQi(1), QQi(F(3, 5), F(4, 5)))
+        k = CoverElement(np.array([[y]], dtype=object), 1, QQi(F(3, 5), F(4, 5)))
         kp = k.inverse()
         assert omega_matcoef(kp, (ch, sh), k, th) == omega_matcoef_transform_route(
             kp, (ch, sh), k, th
         )
         # (p,q) = (0,2): blocks x = -1, y = 1 carry the exact ratio i
         th0 = classify_theta(lam("1/2", "-3/2"))
-        k0 = ExactCover(((QQi(-1),),), QQi(1), QQi(0, 1))
+        k0 = CoverElement(np.array([[QQi(-1)]], dtype=object), 1, QQi(0, 1))
         assert omega_matcoef(k0.inverse(), (ch, sh), k0, th0) == (
             omega_matcoef_transform_route(k0.inverse(), (ch, sh), k0, th0)
         )
@@ -391,7 +407,7 @@ class TestCaseTwoRestrictionEvidence:
     def test_routes_deviate_for_positive_alpha(self):
         th = classify_theta(lam("3/2", "-3/2"), enforce_closed_form_domain=False)
         phi = harmonic_hwv(th, exact=False)
-        kI = CoverElement.identity(1)
+        kI = CoverElement.from_blocks(np.eye(1), 1)
         t = 0.8
         sub = omega_matcoef(kI, t, kI, th, phi)
         tra = omega_matcoef_transform_route(kI, t, kI, th, phi)
@@ -411,7 +427,7 @@ class TestCaseTwoRestrictionEvidence:
 
         th = classify_theta(lam("3/2", "-3/2"), enforce_closed_form_domain=False)
         phi = harmonic_hwv(th, exact=False)
-        kI = CoverElement.identity(1)
+        kI = CoverElement.from_blocks(np.eye(1), 1)
 
         def integrand(u):
             r = math.sqrt(u)
@@ -463,14 +479,17 @@ class TestHighestWeightCheck:
 
 
 class TestExactCover:
+    """The cover element in the exact ring."""
+
     def test_ratio_validated(self):
         with pytest.raises(InvalidParameterError):
-            ExactCover(((QQi(2),),), QQi(1), QQi(1))
+            CoverElement(np.array([[QQi(2)]], dtype=object), 1, 1)
 
     def test_hyperbolic_ratio_one(self):
-        c = ExactCover.hyperbolic(F(5, 3), 2)
-        assert c.zeta_ratio == QQi(1)
+        c = b_t_cover(F(5, 3), 2)
+        assert c.exact and c.zeta_ratio == QQi(1)
         assert c.inverse().zeta_ratio == QQi(1)
+        assert c.inverse().block_n[0, 0] == c.inverse().block_1 == QQi(F(3, 5))
 
     def test_compose_inverse(self):
         k = exact_cover_2()
@@ -495,7 +514,7 @@ class TestCompiledMatrixCoefficient:
             blocks = []
             for _ in range(8):
                 k = random_cover(th.n, rng)
-                b = b_t_cover(float(rng.uniform(0, 1)), th.n)
+                b = b_t_cover(math.cosh(rng.uniform(0, 1)), th.n)
                 el = b.compose(k)
                 direct = bargmann_inner(omega_k(el, phi, th), phi)
                 blocks.append((el, direct))

@@ -7,7 +7,6 @@ import pytest
 from arczeta.errors import BoundaryError, ConvergenceError, InvalidParameterError
 from arczeta.group import (
     CoverElement,
-    DomainPoint,
     GroupElement,
     a_t,
     b_t_cover,
@@ -31,19 +30,18 @@ from conftest import embed
 class TestDistinguishedElements:
     def test_t_zero_all_identity(self):
         assert np.allclose(a_t(0.0, 3), np.eye(4))
-        for cover in (theta_t_cover, b_t_cover):
-            el = cover(0.0, 3)
+        for el in (theta_t_cover(0.0, 3), b_t_cover(1.0, 3)):
             assert np.allclose(embed(el), np.eye(4))
-            assert el.zeta_n == el.zeta_1 == 1.0
+            assert el.zeta_ratio == 1.0
 
     def test_theta_b_product(self):
         t = 0.83
-        prod = embed(theta_t_cover(t, 2)) @ embed(b_t_cover(t, 2))
+        prod = embed(theta_t_cover(t, 2)) @ embed(b_t_cover(math.cosh(t), 2))
         expect = np.diag([1.0, 1.0, math.cosh(t) ** 2])
         assert np.allclose(prod, expect)
         ch = math.cosh(t)
         assert np.allclose(embed(theta_t_cover(t, 2)), np.diag([1 / ch, 1.0, ch]))
-        assert np.allclose(embed(b_t_cover(t, 2)), np.diag([ch, 1.0, ch]))
+        assert np.allclose(embed(b_t_cover(ch, 2)), np.diag([ch, 1.0, ch]))
 
     def test_a_t_in_group(self):
         GroupElement(a_t(1.1, 2))  # must not raise
@@ -75,7 +73,7 @@ class TestDistinguishedElements:
         t, n = 0.91, 3
         z = np.zeros(n)
         z[0] = math.tanh(t)
-        pairs = ((theta_t_cover(t, n), theta_z_cover(z)), (b_t_cover(t, n), b_z_cover(z)))
+        pairs = ((theta_t_cover(t, n), theta_z_cover(z)), (b_t_cover(math.cosh(t), n), b_z_cover(z)))
         for at_t, at_z in pairs:
             assert np.allclose(embed(at_t), embed(at_z), rtol=1e-14, atol=0)
             assert math.isclose(at_t.zeta_ratio.real, at_z.zeta_ratio.real, rel_tol=1e-14)
@@ -109,21 +107,23 @@ class TestHFromZ:
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryError):
             h_from_z(np.array([1.0 - 1e-12]))
-        with pytest.raises(InvalidParameterError):
-            DomainPoint(np.array([1.0]))
+        for on_sphere in (np.array([1.0]), np.array([0.6, 0.8j])):
+            for build in (theta_z_cover, h_from_z):
+                with pytest.raises(BoundaryError):
+                    build(on_sphere)
 
 
 class TestCartan:
     def test_identity(self):
         z, t, k_z, k = cartan_decompose(np.eye(3))
-        assert np.linalg.norm(z.z) == 0 and t == 0
+        assert np.linalg.norm(z) == 0 and t == 0
         assert np.allclose(embed(k), np.eye(3))
 
     def test_hyperbolic_element(self):
         t0 = 0.9
         z, t, k_z, k = cartan_decompose(a_t(t0, 2))
         assert math.isclose(t, t0, rel_tol=1e-12)
-        assert np.allclose(z.z, [math.tanh(t0), 0.0])
+        assert np.allclose(z, [math.tanh(t0), 0.0])
         assert np.allclose(embed(k), np.eye(3), atol=1e-12)
         assert np.allclose(embed(k_z), np.eye(3), atol=1e-12)
 
@@ -132,11 +132,11 @@ class TestCartan:
             n = int(rng.integers(1, 4))
             g = random_group_element(n, rng)
             z, t, k_z, k = cartan_decompose(g)
-            reassembled = h_from_z(z.z).matrix @ embed(k)
+            reassembled = h_from_z(z).matrix @ embed(k)
             assert np.max(np.abs(reassembled - g.matrix)) <= 1e-10
             # the rotation diagonalizes the positive factor
             h2 = embed(k_z) @ a_t(t, n) @ np.linalg.inv(embed(k_z))
-            assert np.max(np.abs(h2 - h_from_z(z.z).matrix)) <= 1e-9
+            assert np.max(np.abs(h2 - h_from_z(z).matrix)) <= 1e-9
 
     def test_form_violation_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -146,11 +146,11 @@ class TestCartan:
 class TestCover:
     def test_zeta_consistency_enforced(self):
         with pytest.raises(InvalidParameterError):
-            CoverElement(np.eye(2), 1.0, 2.0, 1.0)
+            CoverElement(np.eye(2), 1.0, 2.0)
 
     def test_flips_and_ratio(self, rng):
         c = CoverElement.from_blocks(haar_unitary(2, rng), np.exp(0.3j))
-        flipped = CoverElement(c.block_n, c.block_1, -c.zeta_n, c.zeta_1)
+        flipped = CoverElement(c.block_n, c.block_1, -c.zeta_ratio)
         assert np.isclose(flipped.zeta_ratio, -c.zeta_ratio)
         inv = c.inverse()
         assert np.isclose(inv.zeta_ratio * c.zeta_ratio, 1.0)
@@ -160,7 +160,7 @@ class TestCover:
         b = CoverElement.from_blocks(haar_unitary(2, rng), np.exp(-0.4j))
         ab = a.compose(b)
         assert np.allclose(ab.block_n, a.block_n @ b.block_n)
-        assert np.isclose(ab.zeta_n, a.zeta_n * b.zeta_n)
+        assert ab.zeta_ratio == a.zeta_ratio * b.zeta_ratio
 
 
 class TestHaar:

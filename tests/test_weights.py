@@ -214,6 +214,12 @@ class TestAdmissibleSweep:
             with pytest.raises(InvalidParameterError):
                 admissible_sweep(n, F(15, 2))
 
+    def test_rejects_bound_that_is_not_a_half_integer(self):
+        # neither a third nor a float is rounded to a half-integer bound
+        for bound in (F(1, 3), 2.5, "1/0"):
+            with pytest.raises(InvalidParameterError):
+                admissible_sweep(1, bound)
+
 
 @st.composite
 def ball_args(draw):
