@@ -7,11 +7,13 @@ determinant route is total: it has no 0/0 issue at repeated eigenvalues,
 which occur structurally at the diagonal elements used everywhere here.
 
 The batch evaluator :func:`schur_eval_batch` takes rows of e_k.  A class
-function of a matrix needs only its characteristic polynomial, so every
-Monte Carlo chunk gets its rows from traces (:func:`char_poly_batch`,
-Newton's identities) and computes no eigenvalue: the characters of group
-elements and the domain integrand of ``verify_S`` on its sampled grams
-alike.  The chunks hold their matrices batch-last, (row, col, batch), as
+function of a matrix needs only its characteristic polynomial, so no Monte
+Carlo chunk computes an eigenvalue.  The Schur check draws the rows of Haar
+unitaries directly, from Verblunsky coefficients
+(:func:`~arczeta.group.haar_char_rows`), and builds no matrix; the chunks
+that hold matrices, the zeta chunk's cover blocks and the grams of
+``verify_S``, get their rows from traces (:func:`char_poly_batch`, Newton's
+identities).  The chunks hold their matrices batch-last, (row, col, batch), as
 :func:`~arczeta.group.haar_unitary` draws them, so every matrix product and
 trace is elementwise over the batch.  Eigenvalues enter only as the nodes of
 the quadrature rule, through :func:`elementary_batch`.  The exact scalar

@@ -233,7 +233,8 @@ def make_parser() -> argparse.ArgumentParser:
     sa.add_argument("--max-degree", type=int, default=4)
     sa.add_argument("--out", default=None)
 
-    so = subs.add_parser("verify-schur", help="character orthogonality by Haar sampling")
+    so = subs.add_parser("verify-schur",
+                         help="character L2 norms over Haar characteristic polynomials")
     so.add_argument("--weights", default="1,0;2,1;2,2;1,0,0;2,1,0",
                     help="semicolon-separated weight lists")
     _add_common(so)

@@ -305,10 +305,16 @@ def hwv_norm2(theta: ThetaDatum) -> float:
     return complex(bargmann_inner(phi, phi)).real
 
 
+def _same_ring(exact: bool, *blocks):
+    """Refuse blocks whose ring, read from the dtype as :class:`CoverElement`
+    reads it (object: Gaussian rationals), is not the polynomial's."""
+    if any((np.asarray(b).dtype == object) != exact for b in blocks):
+        raise InvalidParameterError("cover element and polynomial are in different rings")
+
+
 def _cover_data(k: CoverElement, exact: bool):
     """(transpose of the n-block, inverse of the n-block, y, y_inv, ratio)."""
-    if k.exact != exact:
-        raise InvalidParameterError("cover element and polynomial are in different rings")
+    _same_ring(exact, k.block_n)
     inv = k.inverse()
     return k.block_n.T, inv.block_n, k.block_1, inv.block_1, k.zeta_ratio
 
@@ -370,11 +376,13 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     Left action mirroring the row side: the U(p) factor acts on the first p
     columns by A -> A xp and C -> C t(xp)^{-1}, the U(q) factor on the rest by
     B -> B t(yq)^{-1} and D -> D yq, with det twists (n-1)/2 and -(n-1)/2
-    consumed through the root ratio.  ``kp`` is a (xp, yq, ratio) triple.
+    consumed through the root ratio.  ``kp`` is a (xp, yq, ratio) triple whose
+    blocks are in the polynomial's ring, read from their dtype.
     """
     n, p, q = theta.n, theta.p, theta.q
     ring = object if f.exact else complex
     xp, yq_mat, ratio = kp
+    _same_ring(f.exact, xp, yq_mat)
     xp = np.asarray(xp, dtype=ring).reshape(p, p)
     yq_mat = np.asarray(yq_mat, dtype=ring).reshape(q, q)
     xi_p, yi = block_inverse(xp), block_inverse(yq_mat)

@@ -11,6 +11,10 @@ rank-one builder as block-diagonal cover elements carrying the ratio of the
 positive square roots of their block determinants.  One cover element holds
 both rings: complex floats, and Gaussian rationals for the exact matrix
 coefficients, where the companion b_t is built from an exact cosh.
+
+Haar unitaries are drawn as batch-last matrices, or, where only a class
+function is needed, as characteristic polynomials from their Verblunsky
+coefficients.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "theta_z_cover",
     "b_z_cover",
     "haar_unitary",
+    "haar_char_rows",
     "unitary_completion",
     "sample_ball",
     "sample_domain",
@@ -316,6 +321,12 @@ def haar_unitary(m: int, rng: np.random.Generator, size: Optional[int] = None):
     imaginary parts, and orthonormalized on a (column, row, batch) copy, so
     every step is an elementwise operation over the batch; the batch-last
     result is a view of that copy.
+
+    The callers that need the matrix itself, not only a class function of it,
+    draw here: the zeta chunk (its psi block and matrix coefficient act on x),
+    ``verify_prop61`` (its cover elements) and :func:`random_group_element`.
+    A class function needs only the characteristic polynomial, which
+    :func:`haar_char_rows` draws without the matrix.
     """
     if m < 1:
         raise InvalidParameterError("need m >= 1")
@@ -330,6 +341,46 @@ def haar_unitary(m: int, rng: np.random.Generator, size: Optional[int] = None):
         col /= np.sqrt((col.real**2 + col.imag**2).sum(axis=0))
     q = q.transpose(1, 0, 2)
     return q[:, :, 0] if size is None else q
+
+
+def haar_char_rows(m: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Characteristic polynomials of Haar unitaries without the matrices:
+    rows (size, m+1) of e_0..e_m with det(t - U) = sum_k (-1)^k e_k t^(m-k),
+    the rows :func:`~arczeta.characters.char_poly_batch` makes of
+    ``haar_unitary(m, rng, size)``, in law.
+
+    Under Haar measure on U(m) the Verblunsky coefficients alpha_0..alpha_(m-1)
+    of the spectral measure of a fixed vector are independent, rotation
+    invariant, with |alpha_k|**2 ~ Beta(1, m - k - 1) for k < m - 1 and
+    alpha_(m-1) on the unit circle (Killip & Nenciu, *IMRN* 2004, no. 50).
+    det(t - U) is the monic orthogonal polynomial Phi_m of that measure, built
+    by the Szego recursion Phi_(k+1)(z) = z Phi_k(z) - conj(alpha_k) Phi_k*(z)
+    with Phi_k*(z) = z**k conj(Phi_k(1/conj(z))).  On the signed coefficients
+    e_i = (-1)**i [z**(k-i)] Phi_k a step reads
+    e_i += (-1)**k conj(alpha_k) conj(e_(k+1-i)) for i = 1..k+1, elementwise
+    over the batch-last rows.
+
+    One uniform array of shape (2m - 1, size) is drawn: the m phases of
+    alpha_0..alpha_(m-1), then the m - 1 squared radii by the inverse CDF
+    |alpha_k|**2 = 1 - (1 - U)**(1 / (m - k - 1)).
+    """
+    if m < 1:
+        raise InvalidParameterError("need m >= 1")
+    u = rng.random((2 * m - 1, size))
+    angle = (2.0 * np.pi) * u[:m]
+    coef = np.empty((m, size), dtype=complex)  # (-1)**k conj(alpha_k)
+    coef.real = np.cos(angle)
+    coef.imag = -np.sin(angle)
+    beta_b = np.arange(m - 1, 0, -1, dtype=float)[:, None]  # m - k - 1
+    coef[:-1] *= np.sqrt(-np.expm1(np.log1p(-u[m:]) / beta_b))
+    coef[1::2] *= -1.0
+    e = np.zeros((m + 1, size), dtype=complex)
+    e[0] = 1.0
+    for k in range(m):
+        step = e[k::-1].conj()
+        step *= coef[k]
+        e[1 : k + 2] += step
+    return e.T
 
 
 def random_group_element(n: int, rng: np.random.Generator, rmax: float = 0.9) -> GroupElement:

@@ -36,7 +36,7 @@ from .fock import (
     omega_matcoef_transform_route,
     weil_transform_bruteforce,
 )
-from .group import (CoverElement, haar_unitary, sample_ball, sample_domain,
+from .group import (CoverElement, haar_char_rows, haar_unitary, sample_ball, sample_domain,
                     weighted_ball_volume)
 from .weights import (
     Case,
@@ -550,7 +550,9 @@ def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
 def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int = 200_000,
                                seed: int = 0, workers: int = 1) -> VerifyReport:
     """Monte Carlo check that each irreducible character has unit L2 norm on
-    the compact group under exactly invariant sampling."""
+    the compact group under exactly invariant sampling: each chunk draws the
+    characteristic polynomials of Haar unitaries from their Verblunsky
+    coefficients (:func:`~arczeta.group.haar_char_rows`), without a matrix."""
     if not weights:
         raise InvalidParameterError("verify_schur: need at least one weight")
     t0 = time.perf_counter()
@@ -562,7 +564,7 @@ def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int
         m = len(mu)
 
         def chunk(rng, size, mu=mu, m=m):
-            chi = schur_eval_batch(mu, char_poly_batch(haar_unitary(m, rng, size=size)))
+            chi = schur_eval_batch(mu, haar_char_rows(m, rng, size))
             return (np.abs(chi) ** 2).astype(complex)
 
         mean, stderr, count = _reduce_mean(chunk, samples, workers, seed + idx)

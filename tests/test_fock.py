@@ -259,6 +259,17 @@ class TestOmegaKPrime:
         lhs = omega_kprime((xp, y1, 1), omega_kprime((xp, y2, 1), f, th), th)
         assert lhs == omega_kprime((xp, y1 @ y2, 1), f, th)
 
+    def test_ring_mismatch_refused(self):
+        # float blocks on an exact polynomial, and Gaussian-rational blocks on
+        # a float one, are refused as omega_k refuses a cover in the other ring
+        th = classify_theta(lam("5/2", "3/2", "1/2"))
+        exact_blocks = ([[QQi(0, 1)]], np.array(exact_unitary_2x2(), dtype=object), 1)
+        float_blocks = (np.eye(1), np.eye(2), 1.0)
+        for kp, f in ((float_blocks, harmonic_hwv(th)),
+                      (exact_blocks, harmonic_hwv(th, exact=False))):
+            with pytest.raises(InvalidParameterError, match="different rings"):
+                omega_kprime(kp, f, th)
+
     def test_left_action_composition(self, rng):
         # non-commuting second-factor blocks discriminate the convention
         th = classify_theta(lam("5/2", "3/2", "1/2"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arczeta.characters import char_poly_batch, schur_eval_batch
 from arczeta.errors import BoundaryError, ConvergenceError, InvalidParameterError
 from arczeta.group import (
     CoverElement,
@@ -14,6 +15,7 @@ from arczeta.group import (
     cartan_decompose,
     cpow_int,
     h_from_z,
+    haar_char_rows,
     haar_unitary,
     random_group_element,
     sample_ball,
@@ -226,6 +228,88 @@ class TestHaar:
         q = unitary_completion(v)
         assert np.allclose(q[:, 0], v)
         assert np.max(np.abs(q.conj().T @ q - np.eye(3))) < 1e-12
+
+
+def _power_sums(e, kmax):
+    """p_1..p_kmax of the eigenvalues from rows e_0..e_m, by Newton's
+    identities p_k = (-1)^(k-1) k e_k + sum_(i<k) (-1)^(i-1) e_i p_(k-i)."""
+    m = e.shape[1] - 1
+    p = [None]
+    for k in range(1, kmax + 1):
+        acc = (-1) ** (k - 1) * k * e[:, k] if k <= m else 0.0
+        for i in range(1, min(k - 1, m) + 1):
+            acc = acc + (-1) ** (i - 1) * e[:, i] * p[k - i]
+        p.append(acc)
+    return p
+
+
+def _mean_stderr(x):
+    mean = x.mean()
+    return mean, math.sqrt(float(np.mean(np.abs(x - mean) ** 2)) / len(x))
+
+
+# |x - target| within 3 stderr, above a rounding floor for the moments that
+# are constant at m = 1
+ROUNDING = 1e-12
+
+
+class TestHaarCharRows:
+    """The Verblunsky-coefficient draw of Haar characteristic polynomials,
+    against the Haar matrix route and the Diaconis-Shahshahani moments."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_diaconis_shahshahani_moments(self, m):
+        # E|tr U^k|^2 = min(k, m) for k <= 2m and E|tr U|^(2k) = k! for k <= m
+        # (Diaconis & Shahshahani, J. Appl. Probab. 31A, 1994)
+        e = haar_char_rows(m, np.random.default_rng(60 + m), 200_000)
+        p = _power_sums(e, 2 * m)
+        for k in range(1, 2 * m + 1):
+            mean, se = _mean_stderr(np.abs(p[k]) ** 2)
+            assert abs(mean - min(k, m)) <= 3 * se + ROUNDING, (k, mean, se)
+        for k in range(1, m + 1):
+            mean, se = _mean_stderr(np.abs(p[1]) ** (2 * k))
+            assert abs(mean - math.factorial(k)) <= 3 * se + ROUNDING, (k, mean, se)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_schur_moments_agree_with_the_matrix_route(self, m):
+        # the old Schur chunk, char_poly_batch of haar_unitary, is the oracle:
+        # E|s_lam|^2, E|s_mu|^2 and the cross moment E[s_lam conj(s_mu)] agree
+        # within 3 combined stderr, and the cross moment is zero
+        lam, mu = [2] + [1] * (m - 1), [1] + [0] * (m - 1)
+        size = 100_000
+        routes = (haar_char_rows(m, np.random.default_rng(70 + m), size),
+                  char_poly_batch(haar_unitary(m, np.random.default_rng(80 + m), size=size)))
+        stats = []
+        for e in routes:
+            s_lam, s_mu = schur_eval_batch(lam, e), schur_eval_batch(mu, e)
+            stats.append([_mean_stderr(x) for x in
+                          (np.abs(s_lam) ** 2, np.abs(s_mu) ** 2, s_lam * s_mu.conj())])
+        for (a, sa), (b, sb) in zip(*stats):
+            assert abs(a - b) <= 3 * math.hypot(sa, sb) + ROUNDING, (a, b)
+        cross, se = stats[0][2]
+        assert abs(cross) <= 3 * se, cross
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_self_reciprocal_unimodular(self, m):
+        # the characteristic polynomial of a unitary is self-reciprocal:
+        # e_(m-k) = e_m conj(e_k), and |det U| = |e_m| = 1
+        e = haar_char_rows(m, np.random.default_rng(m), 20_000)
+        assert e.shape == (20_000, m + 1) and np.all(e[:, 0] == 1.0)
+        assert np.abs(np.abs(e[:, m]) - 1.0).max() <= 1e-14
+        for k in range(m + 1):
+            assert np.abs(e[:, m - k] - e[:, m] * e[:, k].conj()).max() <= 1e-14, k
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_consumes_one_uniform_array(self, m):
+        # m phases and m - 1 radii in one (2m - 1, size) draw, and nothing else
+        used, ref = np.random.default_rng(2), np.random.default_rng(2)
+        haar_char_rows(m, used, 1_000)
+        ref.random((2 * m - 1, 1_000))
+        assert used.bit_generator.state == ref.bit_generator.state
+
+    def test_empty_group_refused(self, rng):
+        with pytest.raises(InvalidParameterError):
+            haar_char_rows(0, rng, 10)
 
 
 class TestSampler:

@@ -500,10 +500,40 @@ class TestSuites:
         assert real.details["rows"][0]["degenerate"] is False
         assert real.details["rows"][0]["relstd"] > 0.5
 
+    # the benchmark's Schur ops (seeds 1010.., 2 workers, 5e4 samples) since the
+    # chunk draws its characteristic polynomials from Verblunsky coefficients
+    @pytest.mark.parametrize("seed, weight, mean, stderr", [
+        (1010, (1, 0), 0.9996973902187731, 0.004480764299996145),
+        (1011, (2, 1), 1.000761547331063, 0.004452179768818385),
+        (1012, (2, 0), 0.991647309319208, 0.006244676299724883),
+        (1013, (3, 1), 0.9904137770939546, 0.006259976966596217),
+        (1014, (1, 0, 0), 0.9951923508059719, 0.004470435086874617),
+        (1015, (1, 1, 0), 0.9988730519834048, 0.004434808252064109),
+        (1016, (2, 1, 0), 1.004590417575302, 0.011857850761215843),
+        (1017, (2, 2, 1), 1.0058575987472906, 0.004532987435584822),
+        (1018, (3, 1, 0), 0.9839156073716421, 0.016005272208669912),
+    ])
+    def test_benchmark_schur_estimates_recorded(self, seed, weight, mean, stderr):
+        rep = verify_schur_orthogonality([list(weight)], samples=50_000, seed=seed, workers=2)
+        (row,) = rep.details["rows"]
+        assert rep.passed
+        assert abs(row["mean"] - mean) <= 1e-14 * mean, row["mean"]
+        assert abs(row["stderr"] - stderr) <= 1e-14 * stderr, row["stderr"]
+
+    def test_schur_chunk_draws_no_matrix(self, monkeypatch):
+        # the Schur chunk takes its e-rows from haar_char_rows: no Haar matrix
+        # and no characteristic polynomial from traces
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix route on the Schur chunk")
+
+        monkeypatch.setattr(arczeta.verify, "haar_unitary", refuse)
+        monkeypatch.setattr(arczeta.verify, "char_poly_batch", refuse)
+        assert verify_schur_orthogonality([[2, 1], [2, 1, 0]], samples=2000, seed=1).passed
+
     def test_monte_carlo_chunks_compute_no_eigenvalues(self, monkeypatch):
-        # the class-function chunks and the verify_S chunk take their
-        # characteristic polynomial from traces and go through the one batch
-        # evaluator
+        # the zeta and verify_S chunks take their characteristic polynomial
+        # from traces, the Schur chunk from Verblunsky coefficients, and all go
+        # through the one batch evaluator
         def refuse(*args, **kwargs):
             raise AssertionError("eigenvalues computed on a Monte Carlo path")
 
