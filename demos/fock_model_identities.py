@@ -10,10 +10,10 @@ import numpy as np
 from arczeta import HCParameter, classify_theta
 from arczeta.exact import rational_hyperbolic
 from arczeta.fock import (
+    FockPoly,
     bargmann_inner,
     harmonic_hwv,
     highest_weight_check,
-    minors,
     omega_at,
     omega_matcoef,
     omega_matcoef_transform_route,
@@ -49,8 +49,6 @@ print("3. The hyperbolic action: closed transform vs kernel brute force")
 print("=" * 72)
 ch, sh = rational_hyperbolic(F(1, 2))
 print(f"  exact hyperbolic pair: cosh = {ch}, sinh = {sh}")
-from arczeta.fock import FockPoly
-
 f = FockPoly(1, {(2, 1, 0, 1): 1}, exact=True)
 a = omega_at((ch, sh), f)
 b = weil_transform_bruteforce((ch, sh), f)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib.resources
 import io
 import json
 import os
@@ -121,11 +122,9 @@ def build_report(command: str, *, lam: HCParameter | None = None,
 @functools.cache
 def _report_validator():
     """The shipped schema's validator, the schema itself checked once."""
-    import importlib.resources as res
-
     import jsonschema
 
-    schema = json.loads(res.files("arczeta").joinpath("report_schema.json").read_text())
+    schema = json.loads(importlib.resources.files("arczeta").joinpath("report_schema.json").read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)

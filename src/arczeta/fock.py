@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .exact import PiLaurent, QQi, leading_minors
-from .group import CoverElement, b_t_cover, block_inverse, cpow_int
+from .group import CoverElement, b_t_cover, block_inverse, check_root_ratio, cpow_int
 from .weights import Case, ThetaDatum
 
 __all__ = [
@@ -376,8 +376,9 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     Left action mirroring the row side: the U(p) factor acts on the first p
     columns by A -> A xp and C -> C t(xp)^{-1}, the U(q) factor on the rest by
     B -> B t(yq)^{-1} and D -> D yq, with det twists (n-1)/2 and -(n-1)/2
-    consumed through the root ratio.  ``kp`` is a (xp, yq, ratio) triple whose
-    blocks are in the polynomial's ring, read from their dtype.
+    consumed through the root ratio.  ``kp`` is a (xp, yq, ratio) triple with
+    ratio**2 * det(yq) == det(xp), its blocks in the polynomial's ring (read
+    from their dtype).
     """
     n, p, q = theta.n, theta.p, theta.q
     ring = object if f.exact else complex
@@ -385,6 +386,7 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     _same_ring(f.exact, xp, yq_mat)
     xp = np.asarray(xp, dtype=ring).reshape(p, p)
     yq_mat = np.asarray(yq_mat, dtype=ring).reshape(q, q)
+    check_root_ratio(ratio, leading_minors(yq_mat)[-1], leading_minors(xp)[-1], f.exact)
     xi_p, yi = block_inverse(xp), block_inverse(yq_mat)
     images: dict[int, list[tuple[int, object]]] = {}
     for i in range(1, n + 1):

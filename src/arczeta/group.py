@@ -32,6 +32,7 @@ from .exact import QQi, exact_inverse, leading_minors
 __all__ = [
     "GroupElement",
     "CoverElement",
+    "check_root_ratio",
     "block_inverse",
     "signature_form",
     "h_from_z",
@@ -112,6 +113,14 @@ def block_inverse(block: np.ndarray) -> np.ndarray:
     return np.linalg.inv(block)
 
 
+def check_root_ratio(ratio, det_second, det_first, exact: bool) -> None:
+    """Refuse a root ratio unless ratio**2 * det_second == det_first: exactly
+    among Gaussian rationals, to ``ZETA_TOL`` relative in floats."""
+    miss = ratio * ratio * det_second - det_first
+    if (miss != 0) if exact else abs(miss) > ZETA_TOL * max(1.0, abs(det_first)):
+        raise InvalidParameterError("root ratio**2 * det(second block) != det(first block)")
+
+
 @dataclass(frozen=True)
 class CoverElement:
     """Block-diagonal complexified element of the double cover.
@@ -123,9 +132,8 @@ class CoverElement:
     ratio stays rational where the single roots do not (the hyperbolic
     companion has two equal block determinants).
 
-    The ring is read from block_n: a complex array holds floats and the root
-    relation to ``ZETA_TOL``, an object array holds :class:`~arczeta.exact.QQi`
-    entries and the relation exactly.
+    The ring is read from block_n: a complex array holds floats, an object
+    array :class:`~arczeta.exact.QQi` entries; see :func:`check_root_ratio`.
     """
 
     block_n: np.ndarray
@@ -144,9 +152,7 @@ class CoverElement:
         dn = leading_minors(bn)[-1]
         if not dn or not y:
             raise InvalidParameterError("cover blocks must be invertible")
-        miss = ratio * ratio * y - dn
-        if (miss != 0) if exact else abs(miss) > ZETA_TOL * max(1.0, abs(dn)):
-            raise InvalidParameterError("zeta_ratio**2 * block_1 != det(block_n)")
+        check_root_ratio(ratio, y, dn, exact)
 
     @classmethod
     def from_blocks(cls, block_n, block_1) -> "CoverElement":
@@ -270,10 +276,7 @@ def cartan_decompose(g) -> tuple[np.ndarray, float, CoverElement, CoverElement]:
     Raises :class:`BoundaryError` when the recovered point is too close to
     the boundary for the inverse square roots to be trustworthy.
     """
-    if isinstance(g, GroupElement):
-        gm = g.matrix
-    else:
-        gm = GroupElement(np.asarray(g, dtype=complex)).matrix
+    gm = (g if isinstance(g, GroupElement) else GroupElement(g)).matrix
     n = gm.shape[0] - 1
     gg = gm @ gm.conj().T
     w, v = np.linalg.eigh(gg)
@@ -398,11 +401,12 @@ def random_group_element(n: int, rng: np.random.Generator, rmax: float = 0.9) ->
 
 
 def weighted_ball_volume(m: int, e: float) -> float:
-    """integral over the complex m-ball of (1 - |z|^2)**e (Lebesgue measure);
-    also the reciprocal normalization of the matched radial density."""
-    from scipy.special import betaln, gammaln
-
-    return math.exp(m * math.log(math.pi) + betaln(m, e + 1.0) - gammaln(m))
+    """integral over the complex m-ball of (1 - |z|^2)**e (Lebesgue measure),
+    Hua's closed product pi**m / prod_{k=1..m} (e + k); also the reciprocal
+    normalization of the matched radial density.  Refuses e <= -1."""
+    if e <= -1:
+        raise ConvergenceError(f"non-integrable weight exponent {e} (needs > -1)")
+    return math.pi**m / math.prod(e + k for k in range(1, m + 1))
 
 
 def sample_ball(m: int, exponent: float, rng: np.random.Generator, size: int):
@@ -432,21 +436,16 @@ def sample_domain(p: int, q: int, weight_exponent: float, rng: np.random.Generat
     of the matched radial normalizations.  The matrix is transposed when
     p < q.  For m == 1 this is one :func:`sample_ball` call.
     """
-    if weight_exponent <= -1.0:
-        raise ConvergenceError(
-            f"non-integrable determinant exponent {weight_exponent} (needs > -1)"
-        )
     m, big = min(p, q), max(p, q)
+    exponents = [weight_exponent + m - 1 - j for j in range(m)]
+    weight = math.prod(weighted_ball_volume(big, exponent) for exponent in exponents)
     z = np.empty((size, big, m), dtype=complex)
     roots = []  # (1 - sqrt(1 - u_k), d_k) of each S_k drawn so far
-    weight = 1.0
-    for j in range(m):
-        exponent = weight_exponent + m - 1 - j
+    for j, exponent in enumerate(exponents):
         u, direction = sample_ball(big, exponent, rng, size)
         col = np.sqrt(u)[:, None] * direction
         for shrink, d in reversed(roots):  # S_(j-1) first, S_1 last
             col = col - (shrink * np.einsum("ni,ni->n", d.conj(), col))[:, None] * d
         z[:, :, j] = col
         roots.append((1.0 - np.sqrt(1.0 - u), direction))
-        weight *= weighted_ball_volume(big, exponent)
     return (z if q <= p else z.transpose(0, 2, 1)), weight

@@ -15,6 +15,7 @@ sequences, evaluated in vectorized chunks, and reduced in worker order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -523,8 +524,6 @@ def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
     """Closed hyperbolic transform versus brute-force kernel integration,
     exact arithmetic, every monomial of bounded degree in one ball variable,
     at the rational point tanh(t/2) = 1/3."""
-    import itertools
-
     if max_degree < 0:
         raise InvalidParameterError(f"max_degree must be non-negative, got {max_degree}")
     t0 = time.perf_counter()

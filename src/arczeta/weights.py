@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -304,19 +305,20 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
 
 
 def gl_dim(mu: Sequence[Fraction]) -> int:
-    """Dimension of the U(m) irreducible with highest weight ``mu``.
+    """Dimension of the U(m) irreducible with highest weight ``mu``: Weyl's
+    product of (mu_i - mu_j + j - i) / (j - i) over i < j.
 
     A constant det twist does not change the dimension, so fractional
     (genuine) weights are fine as long as the entries are mutually congruent.
+    A weight is refused unless it is non-increasing with integral gaps: the
+    product alone is a positive integer at some others, e.g. 1 at (-2, 1, 1).
     """
     mu = [Fraction(x) for x in mu]
-    num = Fraction(1)
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            num *= Fraction(mu[i] - mu[j] + (j - i), j - i)
-    if num.denominator != 1 or num <= 0:
+    if any(a < b or (a - b).denominator != 1 for a, b in zip(mu, mu[1:])):
         raise InvalidParameterError(f"not a dominant weight: {mu}")
-    return int(num)
+    pairs = list(itertools.combinations(range(len(mu)), 2))
+    return (math.prod(int(mu[i] - mu[j]) + j - i for i, j in pairs)
+            // math.prod(j - i for i, j in pairs))
 
 
 def weyl_dim(lam: HCParameter) -> int:
@@ -364,8 +366,6 @@ class ClosedValue:
         return ClosedValue(self.rational / Fraction(other), self.pi_exp)
 
     def __float__(self):
-        import math
-
         return float(self.rational) * math.pi**self.pi_exp
 
     def __eq__(self, other):
@@ -394,6 +394,7 @@ def _S_factors(p: int, q: int, kappas, iotas, s) -> list[tuple[Fraction, str]]:
         raise InvalidParameterError(
             f"weight lengths ({len(kap)},{len(iot)}) must match (p,q)=({p},{q})"
         )
+    gl_dim(kap), gl_dim(iot)  # both weights dominant
     return [(s - kap[i - 1] + iot[j - 1] - (p - i + j),
              f"s - kappa_{i} + iota_{j} - {p - i + j}")
             for i in range(1, p + 1) for j in range(1, q + 1)]

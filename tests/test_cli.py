@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -296,3 +299,39 @@ def test_readme_examples_parse_and_quadrature_verify_s_passes(capsys):
             assert code == 0 and json.loads(out)["verdict"] == "PASS", argv
             quad += 1
     assert quad >= 2
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from arczeta.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_verb_runs_without_scipy():
+    # the runtime needs numpy alone: scipy serves only the test oracles
+    argvs = [
+        ["classify", "--lambda", "5/2,3/2,1/2"],
+        ["table", "--n", "1", "--max-entry", "5/2"],
+        ["verify-s", "--p", "1", "--q", "1", "--kappa", "0", "--iota", "0", "--s", "3"],
+        ["verify-s", "--p", "2", "--q", "2", "--kappa", "-1,-1", "--iota", "1,1", "--s", "4",
+         "--method", "mc", "--samples", "20000"],
+        ["verify-t", "--lambda", "5/2,3/2,1/2", "--s", "3/2"],
+        ["verify-zeta", "--lambda", "3/2,1/2", "--samples", "20000", "--seed", "7"],
+        ["verify-zeta", "--lambda", "-1/2,-5/2", "--method", "radial"],
+        ["verify-prop61", "--trials", "1"],
+        ["verify-at", "--max-degree", "2"],
+        ["verify-schur", "--weights", "1,0", "--samples", "20000", "--seed", "1"],
+        ["verify-fd", "--n", "1", "--count", "2"],
+    ]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, cwd=src.parent,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(argvs)

@@ -25,7 +25,8 @@ from arczeta.fock import (
 from arczeta.group import CoverElement, b_t_cover, haar_unitary
 from arczeta.weights import admissible_sweep, classify_theta
 
-from conftest import exact_cover_2, exact_identity, exact_unitary_2x2, lam, random_cover
+from conftest import (exact_cover_2, exact_identity, exact_phase_square, exact_unitary_2x2, lam,
+                      random_cover)
 
 F = Fraction
 
@@ -248,16 +249,18 @@ class TestOmegaKPrime:
         th = classify_theta(lam("5/2", "3/2", "1/2"))
         phi = harmonic_hwv(th)
         k = exact_cover_2()
-        xp = [[QQi(0, 1)]]
-        y1 = np.array(exact_unitary_2x2(), dtype=object)
-        y2 = np.array([[QQi(0, 1), QQi(0)], [QQi(0), QQi(1)]], dtype=object)
-        kp = (xp, y1, QQi(F(3, 5), F(4, 5)))
+        y1 = np.array(exact_unitary_2x2(), dtype=object)  # det 1
+        y2 = np.array([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, -1)]], dtype=object)  # det 1
+        x, ratio = exact_phase_square()  # ratio**2 * det(y1) == x
+        kp = ([[x]], y1, ratio)
         a = omega_kprime(kp, omega_k(k, phi, th), th)
         assert a == omega_k(k, omega_kprime(kp, phi, th), th)
         assert a != omega_k(k, phi, th)
         f = phi + minors(2, 1)[1] ** 4  # phi alone sees only det(y)
-        lhs = omega_kprime((xp, y1, 1), omega_kprime((xp, y2, 1), f, th), th)
-        assert lhs == omega_kprime((xp, y1 @ y2, 1), f, th)
+        xp, i = [[QQi(-1)]], QQi(0, 1)  # i**2 * det(y) == -1 == det(xp)
+        lhs = omega_kprime((xp, y1, i), omega_kprime((xp, y2, i), f, th), th)
+        assert lhs == omega_kprime(([[QQi(1)]], y1 @ y2, i * i), f, th)
+        assert lhs != omega_kprime(([[QQi(1)]], y2 @ y1, i * i), f, th)
 
     def test_ring_mismatch_refused(self):
         # float blocks on an exact polynomial, and Gaussian-rational blocks on
@@ -270,15 +273,27 @@ class TestOmegaKPrime:
             with pytest.raises(InvalidParameterError, match="different rings"):
                 omega_kprime(kp, f, th)
 
+    def test_root_relation_refused(self):
+        # ratio**2 * det(yq) must equal det(xp): exactly among Gaussian
+        # rationals, to ZETA_TOL in floats
+        th = classify_theta(lam("5/2", "3/2", "1/2"))
+        exact_blocks = ([[QQi(0, 1)]], np.array(exact_unitary_2x2(), dtype=object), 1)
+        float_blocks = (np.eye(1), np.eye(2), 1j)
+        for kp, f in ((exact_blocks, harmonic_hwv(th)),
+                      (float_blocks, harmonic_hwv(th, exact=False))):
+            with pytest.raises(InvalidParameterError, match="root ratio"):
+                omega_kprime(kp, f, th)
+
     def test_left_action_composition(self, rng):
         # non-commuting second-factor blocks discriminate the convention
         th = classify_theta(lam("5/2", "3/2", "1/2"))
         f = harmonic_hwv(th, exact=False) + minors(2, 1, exact=False)[1] ** 4
         y1, y2 = haar_unitary(2, rng), haar_unitary(2, rng)
+        r1, r2 = (np.linalg.det(y) ** -0.5 for y in (y1, y2))  # ratio**2 * det(y) == 1
         xp = np.array([[1.0 + 0j]])
-        k1 = (xp, y1, 1.0 + 0j)
-        k2 = (xp, y2, 1.0 + 0j)
-        k12 = (xp, y1 @ y2, 1.0 + 0j)
+        k1 = (xp, y1, r1)
+        k2 = (xp, y2, r2)
+        k12 = (xp, y1 @ y2, r1 * r2)
         lhs = omega_kprime(k1, omega_kprime(k2, f, th), th)
         rhs = omega_kprime(k12, f, th)
         diff = lhs - rhs

@@ -23,6 +23,7 @@ from arczeta.group import (
     theta_t_cover,
     theta_z_cover,
     unitary_completion,
+    weighted_ball_volume,
 )
 from arczeta.weights import closed_S
 
@@ -385,6 +386,29 @@ class TestSampler:
         u, dirs = sample_ball(3, 0.5, np.random.default_rng(4), 1_000)
         assert np.array_equal(z[:, :, 0], np.sqrt(u)[:, None] * dirs)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+
+
+class TestWeightedBallVolume:
+    def test_matches_beta_form(self):
+        # the exp-of-log-gamma route pi**m B(m, e + 1) / Gamma(m), a
+        # test-only reference; it loses digits at large e
+        from scipy.special import betaln, gammaln
+
+        for m in range(1, 6):
+            for e in (-0.9, -0.5, 0.0, 0.5, 3.0, 40.0):
+                ref = math.exp(m * math.log(math.pi) + betaln(m, e + 1.0) - gammaln(m))
+                assert math.isclose(weighted_ball_volume(m, e), ref, rel_tol=1e-13), (m, e)
+
+    def test_unweighted_is_the_ball_volume(self):
+        for m in range(1, 6):
+            assert math.isclose(weighted_ball_volume(m, 0), math.pi**m / math.factorial(m),
+                                rel_tol=1e-15)
+
+    @pytest.mark.parametrize("e", [-1.0, -1.5])
+    def test_divergent_exponent_refused(self, e):
+        for m in (1, 3):
+            with pytest.raises(ConvergenceError, match="non-integrable"):
+                weighted_ball_volume(m, e)
 
 
 class TestCpow:

@@ -168,6 +168,13 @@ class TestDimensions:
         assert gl_dim([2, 1]) == 2
         assert gl_dim([F(5, 2), F(5, 2)]) == 1
 
+    @pytest.mark.parametrize("mu", [(0, 1), (F(1, 2), 0), (-2, 1, 1), (-1, -1, 2)])
+    def test_gl_dim_refuses_non_dominant(self, mu):
+        # Weyl's product is 1 at (-2, 1, 1) and (-1, -1, 2), whose mu + rho
+        # are even permutations of (2, 1, 0)
+        with pytest.raises(InvalidParameterError, match="not a dominant weight"):
+            gl_dim(mu)
+
 
 class TestFormalDegreeProduct:
     def test_examples(self):
@@ -311,6 +318,15 @@ class TestClosedS:
         for fn in (closed_S, closed_S_factors):
             with pytest.raises(InvalidParameterError, match="must match"):
                 fn(2, 1, (0,), (0,), 3)
+
+    def test_weights_must_be_dominant(self):
+        # the value and its factor list refuse the weights verify_S refuses,
+        # an increasing one and one whose entries are not mutually congruent
+        for args in ((2, 1, (0, 1), (0,)), (2, 1, (F(1, 2), 0), (0,)),
+                     (1, 2, (0,), (0, 1)), (1, 2, (0,), (F(1, 2), 0))):
+            for fn in (closed_S, closed_S_factors):
+                with pytest.raises(InvalidParameterError, match="not a dominant weight"):
+                    fn(*args, 5)
 
     def test_both_factors_one_dimensional_consistent(self):
         # p=q=2, both weights constant: the two product shapes must agree
