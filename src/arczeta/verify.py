@@ -45,11 +45,11 @@ from .weights import (
     HCParameter,
     ThetaDatum,
     _as_tuple,
+    _require_closed_form,
     admissible_sweep,
     classify_theta,
     closed_S,
     closed_S_factors,
-    closed_T,
     closed_T_factors,
     dual_S_arguments,
     formal_degree_product,
@@ -336,14 +336,14 @@ def verify_T(theta: ThetaDatum, s, *, samples: int = 200_000, seed: int = 0,
              workers: int = 1, method: str = "quad") -> VerifyReport:
     """Check the endomorphism scalar at parameter ``s``.
 
-    Its integrand is the domain integrand of :func:`verify_S` on the (n, 1)
-    ball at :func:`~arczeta.weights.T_arguments`, so this is that check
-    reported against :func:`~arczeta.weights.closed_T`.
+    :func:`~arczeta.weights.closed_T` is :func:`~arczeta.weights.closed_S`
+    on the (n, 1) ball at :func:`~arczeta.weights.T_arguments`, so this is
+    :func:`verify_S` there, renamed.
     """
-    closed = closed_T(theta, s)
+    _require_closed_form(theta)
     rep = verify_S(*T_arguments(theta), s, samples=samples, seed=seed, workers=workers,
                    method=method)
-    return replace(rep, name="verify_T", closed=closed)
+    return replace(rep, name="verify_T")
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +424,9 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
         norm2 = hwv_norm2(theta)
         target_float = float(closed) * norm2
         rep = verify_T(theta, s0, method="quad")
-        val = rep.estimate.value * norm2 / theta.dim_sigma()
-        est = Estimate(val, rep.estimate.stderr * norm2 / theta.dim_sigma(), 0, seed,
+        dim = theta.dim_sigma()
+        val = rep.estimate.value * norm2 / dim
+        est = Estimate(val, rep.estimate.stderr * norm2 / dim, 0, seed,
                        time.perf_counter() - t0)
         verdict, rel = _verdict(val, target_float)
         return VerifyReport("verify_zeta", est, closed, verdict, rel,

@@ -180,7 +180,7 @@ class ThetaDatum:
         return tuple(self.betas) + tuple(-al for al in reversed(self.alphas))
 
     def dim_sigma(self) -> int:
-        return weyl_dim(self.lam)
+        return gl_dim(self.Lambda.first)
 
     def __str__(self):
         return (
@@ -304,6 +304,21 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     )
 
 
+def _drops(mu: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
+    """The first entry of a dominant weight and its drops mu_0 - mu_i, taken in
+    integers; a weight is refused unless they are non-decreasing integers."""
+    first = Fraction(mu[0]) if len(mu) else Fraction(0)
+    a, b = first.numerator, first.denominator
+    drops = []
+    for x in mu:
+        num, den = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+        d, r = divmod(a * den - num * b, b * den)
+        if r or (drops and d < drops[-1]):
+            raise InvalidParameterError(f"not a dominant weight: {[Fraction(y) for y in mu]}")
+        drops.append(d)
+    return first, drops
+
+
 def gl_dim(mu: Sequence[Fraction]) -> int:
     """Dimension of the U(m) irreducible with highest weight ``mu``: Weyl's
     product of (mu_i - mu_j + j - i) / (j - i) over i < j.
@@ -313,26 +328,16 @@ def gl_dim(mu: Sequence[Fraction]) -> int:
     A weight is refused unless it is non-increasing with integral gaps: the
     product alone is a positive integer at some others, e.g. 1 at (-2, 1, 1).
     """
-    mu = [Fraction(x) for x in mu]
-    if any(a < b or (a - b).denominator != 1 for a, b in zip(mu, mu[1:])):
-        raise InvalidParameterError(f"not a dominant weight: {mu}")
-    pairs = list(itertools.combinations(range(len(mu)), 2))
-    return (math.prod(int(mu[i] - mu[j]) + j - i for i, j in pairs)
+    _, d = _drops(mu)
+    pairs = list(itertools.combinations(range(len(d)), 2))
+    return (math.prod(d[j] - d[i] + j - i for i, j in pairs)
             // math.prod(j - i for i, j in pairs))
 
 
 def weyl_dim(lam: HCParameter) -> int:
-    """Dimension of the lowest K-type: the product of entry differences over
-    the compact positive roots."""
-    fr = lam.fractions
-    n = lam.n
-    num = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= Fraction(fr[i] - fr[j], j - i)
-    if num.denominator != 1 or num <= 0:
-        raise InvalidParameterError(f"not strictly dominant: {lam}")
-    return int(num)
+    """Dimension of the lowest K-type: :func:`gl_dim` of the first n entries
+    shifted by 0, 1, ..., n-1, which is the Blattner weight up to a det twist."""
+    return gl_dim([x + i for i, x in enumerate(lam.fractions[:-1])])
 
 
 def formal_degree_product(lam: HCParameter) -> Fraction:
@@ -385,30 +390,21 @@ def _as_tuple(x, length: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in x)
 
 
-def _S_factors(p: int, q: int, kappas, iotas, s) -> list[tuple[Fraction, str]]:
-    """The linear denominator factors of :func:`closed_S`, each with its label."""
+def _S_factors(p: int, q: int, kappas, iotas, s) -> tuple[Fraction, list[int]]:
+    """The linear denominator factors of :func:`closed_S` as one rational
+    c = s - kappa_1 + iota_1 and integer offsets: factor (i, j) is c plus the
+    offset at index (i - 1) q + (j - 1)."""
     kap = _as_tuple(kappas, p)
     iot = _as_tuple(iotas, q)
-    s = Fraction(s)
     if len(kap) != p or len(iot) != q:
         raise InvalidParameterError(
             f"weight lengths ({len(kap)},{len(iot)}) must match (p,q)=({p},{q})"
         )
-    gl_dim(kap), gl_dim(iot)  # both weights dominant
-    return [(s - kap[i - 1] + iot[j - 1] - (p - i + j),
-             f"s - kappa_{i} + iota_{j} - {p - i + j}")
-            for i in range(1, p + 1) for j in range(1, q + 1)]
-
-
-def _reciprocal(factors: list[tuple[Fraction, str]], s: Fraction, pi_exp: int) -> ClosedValue:
-    """``pi**pi_exp`` over the product of the labelled factors; a vanishing
-    factor raises :class:`PoleError` naming it."""
-    denom = Fraction(1)
-    for factor, label in factors:
-        if factor == 0:
-            raise PoleError(f"pole: factor {label} vanishes at s={s}", factor=label)
-        denom *= factor
-    return ClosedValue(1 / denom, pi_exp)
+    kappa_1, dk = _drops(kap)
+    iota_1, di = _drops(iot)
+    # s - kappa_i + iota_j - (p - i + j) with kappa_i = kappa_1 - dk_i
+    return (Fraction(s) - kappa_1 + iota_1,
+            [dk[i] - di[j] - (p - i + j) for i in range(p) for j in range(q)])
 
 
 def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
@@ -423,12 +419,20 @@ def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
     integrands, and not a theorem of the paper.  A vanishing factor raises
     :class:`PoleError` naming it.
     """
-    return _reciprocal(_S_factors(p, q, kappas, iotas, s), Fraction(s), p * q)
+    c, offsets = _S_factors(p, q, kappas, iotas, s)
+    if c.denominator == 1 and -c in offsets:
+        i, j = divmod(offsets.index(-c), q)
+        label = f"s - kappa_{i + 1} + iota_{j + 1} - {p - i + j}"
+        raise PoleError(f"pole: factor {label} vanishes at s={Fraction(s)}", factor=label)
+    # c = a/b, so the product of the factors c + k is prod(a + k b) / b**(p q)
+    a, b = c.numerator, c.denominator
+    return ClosedValue(Fraction(b ** len(offsets), math.prod(a + k * b for k in offsets)), p * q)
 
 
 def closed_S_factors(p: int, q: int, kappas, iotas, s) -> list[Fraction]:
     """The linear denominator factors of :func:`closed_S` (pole diagnostics)."""
-    return [factor for factor, _ in _S_factors(p, q, kappas, iotas, s)]
+    c, offsets = _S_factors(p, q, kappas, iotas, s)
+    return [c + k for k in offsets]
 
 
 def _require_closed_form(theta: ThetaDatum):
@@ -439,26 +443,17 @@ def _require_closed_form(theta: ThetaDatum):
         )
 
 
-def _T_factors(theta: ThetaDatum, s: Fraction) -> list[tuple[Fraction, str]]:
-    """The linear denominator factors of :func:`closed_T`, each with its label."""
-    n = theta.n
-    if theta.case is Case.I:
-        return [(theta.alphas[i - 1] - i + s - Fraction(1 - n, 2),
-                 f"alpha_{i} - {i} + s - (1-n)/2") for i in range(1, n + 1)]
-    return [(theta.gamma - i + s - Fraction(theta.p - theta.q, 2),
-             f"gamma - {i} + s - (p-q)/2") for i in range(1, n + 1)]
-
-
 def closed_T(theta: ThetaDatum, s) -> ClosedValue:
-    """Scalar of the endomorphism integral at parameter ``s``."""
+    """Scalar of the endomorphism integral at parameter ``s``: :func:`closed_S`
+    on the (n, 1) domain at :func:`T_arguments`."""
     _require_closed_form(theta)
-    s = Fraction(s)
-    return _reciprocal(_T_factors(theta, s), s, theta.n)
+    return closed_S(*T_arguments(theta), s)
 
 
 def closed_T_factors(theta: ThetaDatum, s) -> list[Fraction]:
     """The linear denominator factors of :func:`closed_T` (pole diagnostics)."""
-    return [factor for factor, _ in _T_factors(theta, Fraction(s))]
+    _require_closed_form(theta)
+    return closed_S_factors(*T_arguments(theta), s)
 
 
 def _coerce_theta(lam_or_theta) -> ThetaDatum:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arczeta.characters import schur_eval
 from arczeta.errors import InadmissibleParameterError, InvalidParameterError, PoleError
 from arczeta.weights import (
     Case,
@@ -17,12 +18,12 @@ from arczeta.weights import (
     closed_S,
     closed_S_factors,
     closed_T,
+    closed_T_factors,
     dual_S_arguments,
     formal_degree_product,
     gl_dim,
     hc_to_blattner,
     weyl_dim,
-    T_arguments,
     zeta_closed,
 )
 
@@ -126,10 +127,10 @@ class TestClassify:
     def test_case2_alpha_positive_unchecked_datum(self):
         th = classify_theta(lam("3/2", "-3/2"), enforce_closed_form_domain=False)
         assert not th.closed_form_valid
-        with pytest.raises(InadmissibleParameterError):
-            zeta_closed(th)
-        with pytest.raises(InadmissibleParameterError):
-            c_squared(th)
+        for refused in (zeta_closed, c_squared, lambda th: closed_T(th, 1),
+                        lambda th: closed_T_factors(th, 1)):
+            with pytest.raises(InadmissibleParameterError):
+                refused(th)
 
     def test_shape_constraints_automatic_for_proper_class(self):
         # for strictly decreasing congruent input the shape inequalities
@@ -167,6 +168,16 @@ class TestDimensions:
         assert gl_dim([1, 0, 0]) == 3
         assert gl_dim([2, 1]) == 2
         assert gl_dim([F(5, 2), F(5, 2)]) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(min_value=-4, max_value=6), min_size=1, max_size=5))
+    def test_gl_dim_is_the_schur_count(self, entries):
+        # s_mu(1, ..., 1) counts semistandard tableaux, an independent
+        # route to the dimension; a half-integral det twist changes nothing
+        mu = sorted(entries, reverse=True)
+        ones = [1] * len(mu)
+        assert gl_dim(mu) == schur_eval(mu, ones)
+        assert gl_dim([x + F(1, 2) for x in mu]) == schur_eval(mu, ones)
 
     @pytest.mark.parametrize("mu", [(0, 1), (F(1, 2), 0), (-2, 1, 1), (-1, -1, 2)])
     def test_gl_dim_refuses_non_dominant(self, mu):
@@ -359,21 +370,31 @@ class TestClosedT:
         with pytest.raises(PoleError):
             closed_T(th1, -1)  # alpha_1 - 1 + s = 0 at s = -1
 
+    @staticmethod
+    def paper_factors(th, s):
+        """The paper's written-out linear factors of T(s)'s denominator."""
+        n = th.n
+        if th.case is Case.I:
+            return [al - i + s - F(1 - n, 2) for i, al in enumerate(th.alphas, 1)]
+        return [th.gamma - i + s - F(th.p - th.q, 2) for i in range(1, n + 1)]
 
     def test_is_S_on_the_rank_one_ball(self):
-        # T(s) is the (n, 1) domain scalar at T_arguments, factor for factor;
-        # at a pole both sides refuse
+        # closed_T is closed_S at T_arguments; the paper writes it out as
+        # pi^n / prod (alpha_i - i + s - (1-n)/2) (Case I) and
+        # pi^n / prod (gamma - i + s - (p-q)/2) (Case II), the oracle here.
+        # At a pole both sides refuse
         for n in (1, 2, 3, 4):
             for lv in admissible_sweep(n, F(15, 2)):
                 th = classify_theta(lv)
                 for s in (F(-3, 2), F(-1), F(1, 2), F(n + 1, 2), F(n + 3)):
-                    try:
-                        t_val = closed_T(th, s)
-                    except PoleError:
+                    factors = self.paper_factors(th, s)
+                    assert sorted(closed_T_factors(th, s)) == sorted(factors), (str(lv), s)
+                    if 0 in factors:
                         with pytest.raises(PoleError):
-                            closed_S(*T_arguments(th), s)
+                            closed_T(th, s)
                         continue
-                    assert closed_S(*T_arguments(th), s) == t_val, (str(lv), s)
+                    t_val = ClosedValue(1 / math.prod(factors), n)
+                    assert closed_T(th, s) == t_val, (str(lv), s)
 
 
 class TestZetaAndProjection:
