@@ -2,8 +2,10 @@
 
 Two tiny rings cover every exact computation in the package:
 
-* ``QQi``: complex numbers with rational real and imaginary parts.
-* ``PiLaurent``: finite sums ``sum_k c_k * pi**k`` with ``c_k`` in ``QQi``.
+* ``QQi``: complex numbers with rational real and imaginary parts, held as
+  three machine integers (a + b*i)/d in lowest terms.
+* ``PiLaurent``: finite sums ``sum_k c_k * pi**k`` with ``c_k`` in ``QQi``
+  and integer ``k``.
 
 Monomial norms in the holomorphic-polynomial model are ``alpha!/pi**|alpha|``,
 so inner products of exact polynomials land in ``PiLaurent``.
@@ -13,45 +15,72 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
+from .errors import InvalidParameterError
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+_new = object.__new__
+
+
+def _ratio(x) -> tuple[int, int]:
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational (a + b*i)/d on integers a, b, d in the normal form
+    d > 0, gcd(a, b, d) == 1, so that equal values have equal fields.
 
-    __slots__ = ("re", "im")
+    ``QQi(re, im)`` takes ints or Fractions; ``re`` and ``im`` read back as
+    Fractions.  A real QQi hashes like its Fraction.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        (a, ad), (b, bd) = _ratio(re), _ratio(im)
+        # over the lcm of two reduced denominators no prime of d divides
+        # both a and b, so the fields are already in normal form
+        d = ad * bd // math.gcd(ad, bd)
+        _set(self, (a * (d // ad), b * (d // bd), d))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("QQi is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
     @classmethod
     def coerce(cls, x) -> "QQi":
-        if isinstance(x, QQi):
+        if type(x) is QQi:
             return x
         if isinstance(x, (int, Fraction)):
             return cls(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
     def __add__(self, other):
-        other = QQi.coerce(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        if type(other) is not QQi:
+            other = QQi.coerce(other)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd
+        if d1 == d2:
+            return _qqi(a1 + a2, b1 + b2, d1)
+        return _qqi(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        a, b, d = self._abd
+        return _qqi(-a, -b, d)
 
     def __sub__(self, other):
         return self + (-QQi.coerce(other))
@@ -60,25 +89,28 @@ class QQi:
         return QQi.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = QQi.coerce(other)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QQi:
+            other = QQi.coerce(other)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd
+        return _qqi(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        a, b, d = self._abd
+        return _qqi(a, -b, d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "QQi":
-        n = self.norm2()
+        a, b, d = self._abd
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero QQi")
-        return QQi(self.re / n, -self.im / n)
+        return _qqi(a * d, -b * d, n)
 
     def __truediv__(self, other):
         return self * QQi.coerce(other).inverse()
@@ -100,16 +132,21 @@ class QQi:
             other = QQi.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = self._abd
+        if b:
+            return hash(self._abd)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._abd != (0, 0, 1)  # zero in normal form
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __repr__(self):
         if self.im == 0:
@@ -117,12 +154,38 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
 
+_set = QQi._abd.__set__
+
+
+def _qqi(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d for d > 0, brought to normal form."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = _new(QQi)
+    _set(z, (a, b, d))
+    return z
+
+
 QQI_ZERO = QQi(0)
 QQI_ONE = QQi(1)
 
 
+def _pi_exp(k) -> int:
+    """A power of pi, refused unless it is an integer."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise InvalidParameterError(f"power of pi must be an integer, got {k!r}") from None
+
+
 class PiLaurent:
-    """Finite Laurent polynomial in pi with QQi coefficients."""
+    """Finite Laurent polynomial in pi with QQi coefficients.
+
+    ``terms`` maps integer powers of pi to nonzero coefficients.  The
+    constant polynomial c hashes like c.
+    """
 
     __slots__ = ("terms",)
 
@@ -130,35 +193,37 @@ class PiLaurent:
         clean = {}
         if terms:
             for k, c in terms.items():
-                c = QQi.coerce(c)
+                k, c = _pi_exp(k), QQi.coerce(c)
                 if c:
-                    clean[int(k)] = c
-        object.__setattr__(self, "terms", clean)
+                    clean[k] = c
+        _set_terms(self, clean)
 
     def __setattr__(self, *a):
         raise AttributeError("PiLaurent is immutable")
 
     @classmethod
     def coerce(cls, x) -> "PiLaurent":
-        if isinstance(x, PiLaurent):
+        if type(x) is PiLaurent:
             return x
-        return cls({0: QQi.coerce(x)})
+        return _laurent({0: c} if (c := QQi.coerce(x)) else {})
 
     @classmethod
     def single(cls, coeff, pi_exp: int = 0) -> "PiLaurent":
-        return cls({pi_exp: QQi.coerce(coeff)})
+        pi_exp, coeff = _pi_exp(pi_exp), QQi.coerce(coeff)
+        return _laurent({pi_exp: coeff} if coeff else {})
 
     def __add__(self, other):
-        other = PiLaurent.coerce(other)
+        if type(other) is not PiLaurent:
+            other = PiLaurent.coerce(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, QQI_ZERO) + c
-        return PiLaurent(out)
+            out[k] = out[k] + c if k in out else c
+        return _laurent({k: c for k, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PiLaurent({k: -c for k, c in self.terms.items()})
+        return _laurent({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-PiLaurent.coerce(other))
@@ -167,22 +232,27 @@ class PiLaurent:
         return PiLaurent.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = PiLaurent.coerce(other)
+        if type(other) is not PiLaurent:
+            other = PiLaurent.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if len(t1) == 1 and len(t2) == 1:  # a product of nonzero QQi is nonzero
+            ((k1, c1),), ((k2, c2),) = t1.items(), t2.items()
+            return _laurent({k1 + k2: c1 * c2})
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
                 k = k1 + k2
                 prod = c1 * c2
                 if k in out:
                     out[k] = out[k] + prod
                 else:
                     out[k] = prod
-        return PiLaurent(out)
+        return _laurent({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "PiLaurent":
-        return PiLaurent({k: c.conjugate() for k, c in self.terms.items()})
+        return _laurent({k: c.conjugate() for k, c in self.terms.items()})
 
     def __eq__(self, other):
         try:
@@ -192,6 +262,8 @@ class PiLaurent:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -205,6 +277,16 @@ class PiLaurent:
             return "PiLaurent(0)"
         bits = [f"({c!r})*pi**{k}" for k, c in sorted(self.terms.items())]
         return " + ".join(bits)
+
+
+_set_terms = PiLaurent.terms.__set__
+
+
+def _laurent(terms: dict) -> PiLaurent:
+    """The PiLaurent of an already clean table: integer powers, nonzero QQi."""
+    z = _new(PiLaurent)
+    _set_terms(z, terms)
+    return z
 
 
 def exact_inverse(rows: list[list[QQi]]) -> list[list[QQi]]:

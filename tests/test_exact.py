@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arczeta.errors import InvalidParameterError
 from arczeta.exact import (
     PiLaurent,
     QQi,
@@ -23,6 +24,9 @@ rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 gaussians = st.builds(QQi, rationals, rationals)
+# wide denominators too, so that sums and products meet common factors to cancel
+gaussian_parts = st.tuples(*[rationals | st.builds(F, st.integers(-10**9, 10**9),
+                                                   st.integers(1, 10**6))] * 2)
 
 
 def leibniz(rows):
@@ -62,7 +66,103 @@ def test_gaussian_rational_powers(a, k):
         assert a**-1 == a.inverse()
 
 
+class Pair:
+    """Reference Gaussian rational: a plain (re, im) pair of Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = F(re), F(im)
+
+    def __add__(self, o):
+        return Pair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Pair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Pair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def conjugate(self):
+        return Pair(self.re, -self.im)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm2()
+        return Pair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, k):
+        base, out = self if k >= 0 else self.inverse(), Pair(1)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def __eq__(self, o):
+        return (self.re, self.im) == (o.re, o.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def assert_matches(got, ref):
+    """``got`` is in normal form and is ``ref``, its complex() bit for bit."""
+    a, b, d = got._abd
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (got.re, got.im) == (ref.re, ref.im)
+    c, r = complex(got), complex(ref)
+    assert (c.real.hex(), c.imag.hex()) == (r.real.hex(), r.imag.hex())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gaussian_parts, gaussian_parts, st.integers(min_value=-4, max_value=4))
+def test_gaussian_rationals_match_pair_reference(pa, pb, k):
+    (a, x), (b, y) = (QQi(*pa), Pair(*pa)), (QQi(*pb), Pair(*pb))
+    assert_matches(a, x)
+    assert_matches(QQi(a.re, a.im), x)
+    assert_matches(a + b, x + y)
+    assert_matches(a - b, x - y)
+    assert_matches(a * b, x * y)
+    assert_matches(-a, Pair(0) - x)
+    assert_matches(a.conjugate(), x.conjugate())
+    assert a.norm2() == x.norm2()
+    assert (a == b) == (x == y) and a == QQi(a.re, a.im)
+    if b:
+        assert_matches(a / b, x / y)
+        assert_matches(b.inverse(), y.inverse())
+        assert_matches(b**k, y**k)
+    if not x.im:  # mixed with the scalar it equals
+        assert a == x.re and x.re == a
+        assert_matches(b + x.re, y + x)
+        assert_matches(x.re * b, x * y)
+        assert_matches(x.re - b, x - y)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(gaussians, gaussians)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    if not a.im:
+        assert a == a.re and hash(a) == hash(a.re)
+    if a.re.denominator == 1 and not a.im:
+        assert a == int(a.re) and hash(a) == hash(int(a.re))
+    # a constant Laurent polynomial hashes like its coefficient
+    assert PiLaurent.single(a) == a and hash(PiLaurent.single(a)) == hash(a)
+
+
 class TestQQi:
+    def test_mixed_containers(self):
+        assert len({3, QQi(3)}) == 1
+        assert {3: "x"}.get(QQi(3)) == "x"
+        assert {F(1, 2): "x"}.get(QQi(F(1, 2))) == "x"
+        assert PiLaurent.coerce(0) == 0 and hash(PiLaurent.coerce(0)) == hash(0)
+        assert {0: "x"}.get(PiLaurent()) == "x"
+        assert len({QQi(2, 1), PiLaurent.single(QQi(2, 1))}) == 1
+
+
     def test_norm_and_inverse(self):
         a = QQi(F(3, 5), F(4, 5))
         assert a.norm2() == 1
@@ -82,6 +182,17 @@ class TestPiLaurent:
         b = PiLaurent.single(QQi(0, 1), 2)
         assert (a + b).terms == {-1: QQi(2), 2: QQi(0, 1)}
         assert a * b == PiLaurent.single(QQi(0, 2), 1)
+
+    @pytest.mark.parametrize("k", [F(1, 2), 1.7, 2.0, "1"])
+    def test_non_integral_pi_power_refused(self, k):
+        with pytest.raises(InvalidParameterError):
+            PiLaurent({k: 1})
+        with pytest.raises(InvalidParameterError):
+            PiLaurent.single(1, k)
+
+    def test_integer_pi_powers_accepted(self):
+        assert PiLaurent({np.int64(2): 1}) == PiLaurent.single(1, 2)
+        assert PiLaurent.single(3, np.int32(-1)).terms == {-1: QQi(3)}
 
     def test_zero_annihilates(self):
         a = PiLaurent.single(3, 4)

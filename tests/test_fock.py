@@ -23,7 +23,7 @@ from arczeta.fock import (
     weil_transform_bruteforce,
 )
 from arczeta.group import CoverElement, b_t_cover, haar_unitary
-from arczeta.weights import admissible_sweep, classify_theta
+from arczeta.weights import Case, admissible_sweep, classify_theta, gl_dim
 
 from conftest import (exact_cover_2, exact_identity, exact_phase_square, exact_unitary_2x2, lam,
                       random_cover)
@@ -167,6 +167,49 @@ class TestHighestWeightVectors:
                             rel_tol=1e-15)
         th = classify_theta(lam("7/2", "3/2", "1/2"))
         assert MatrixCoefficient(th).phi_norm2 == hwv_norm2(th)
+
+
+def faraut_koranyi_norm2(theta):
+    """Closed squared norm of the joint highest-weight vector (Faraut &
+    Koranyi, J. Funct. Anal. 88, 1990): gamma! pi^-gamma times one factor per
+    minor chain, m = alphas in Case I and m = betas, alphas in Case II, with
+
+        F(m) = pi^-|m| prod_{i<k} (m_i + k-1-i)! / (k-1-i)! / gl_dim(m),  k = len(m).
+    """
+    value, power = F(math.factorial(int(theta.gamma))), -int(theta.gamma)
+    for m in (theta.alphas,) if theta.case is Case.I else (theta.betas, theta.alphas):
+        m, k = [int(x) for x in m], len(m)
+        value *= F(math.prod(math.factorial(m[i] + k - 1 - i) // math.factorial(k - 1 - i)
+                             for i in range(k)), gl_dim(m))
+        power -= sum(m)
+    return PiLaurent.single(value, power)
+
+
+class TestHighestWeightNorm:
+    @pytest.mark.parametrize("n, bound", [(1, "15/2"), (2, "15/2"), (3, "15/2"), (4, "9/2")])
+    def test_equals_faraut_koranyi(self, n, bound):
+        for lv in admissible_sweep(n, bound):
+            th = classify_theta(lv)
+            phi = harmonic_hwv(th)
+            assert bargmann_inner(phi, phi) == faraut_koranyi_norm2(th), str(lv)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        # phi has integer coefficients, so its exact norm stays on machine
+        # integers: a Fraction built here means a slow path in the ring
+        th = classify_theta(lam("7/2", "5/2", "3/2", "1/2"))
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        phi = harmonic_hwv(th)
+        norm = bargmann_inner(phi, phi)
+        monkeypatch.undo()
+        assert len(built) == 0
+        assert norm == PiLaurent.single(144, -6)
 
 
 class TestOmegaK:
