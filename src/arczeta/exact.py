@@ -67,9 +67,15 @@ class QQi:
             return cls(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
 
+    # Each binary operator returns NotImplemented for an operand the ring
+    # cannot take, so that Python tries the other operand's reflected method
+    # (a PiLaurent's, say) and raises TypeError only when that fails too.
+
     def __add__(self, other):
         if type(other) is not QQi:
-            other = QQi.coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QQi(other)
         a1, b1, d1 = self._abd
         a2, b2, d2 = other._abd
         if d1 == d2:
@@ -83,14 +89,20 @@ class QQi:
         return _qqi(-a, -b, d)
 
     def __sub__(self, other):
+        if not isinstance(other, (QQi, int, Fraction)):
+            return NotImplemented
         return self + (-QQi.coerce(other))
 
     def __rsub__(self, other):
-        return QQi.coerce(other) + (-self)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return QQi(other) + (-self)
 
     def __mul__(self, other):
         if type(other) is not QQi:
-            other = QQi.coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QQi(other)
         a1, b1, d1 = self._abd
         a2, b2, d2 = other._abd
         return _qqi(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
@@ -113,10 +125,14 @@ class QQi:
         return _qqi(a * d, -b * d, n)
 
     def __truediv__(self, other):
+        if not isinstance(other, (QQi, int, Fraction)):
+            return NotImplemented
         return self * QQi.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return QQi.coerce(other) * self.inverse()
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return QQi(other) * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -212,8 +228,13 @@ class PiLaurent:
         pi_exp, coeff = _pi_exp(pi_exp), QQi.coerce(coeff)
         return _laurent({pi_exp: coeff} if coeff else {})
 
+    # binary operators return NotImplemented on operands the ring cannot
+    # take, as QQi's do
+
     def __add__(self, other):
         if type(other) is not PiLaurent:
+            if not isinstance(other, (QQi, int, Fraction)):
+                return NotImplemented
             other = PiLaurent.coerce(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -226,13 +247,19 @@ class PiLaurent:
         return _laurent({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, (PiLaurent, QQi, int, Fraction)):
+            return NotImplemented
         return self + (-PiLaurent.coerce(other))
 
     def __rsub__(self, other):
+        if not isinstance(other, (QQi, int, Fraction)):
+            return NotImplemented
         return PiLaurent.coerce(other) + (-self)
 
     def __mul__(self, other):
         if type(other) is not PiLaurent:
+            if not isinstance(other, (QQi, int, Fraction)):
+                return NotImplemented
             other = PiLaurent.coerce(other)
         t1, t2 = self.terms, other.terms
         if len(t1) == 1 and len(t2) == 1:  # a product of nonzero QQi is nonzero

@@ -44,16 +44,17 @@ from .weights import (
     ClosedValue,
     HCParameter,
     ThetaDatum,
+    _S_factors,
+    _S_value,
     _as_tuple,
     _require_closed_form,
+    _weyl_count,
     admissible_sweep,
     classify_theta,
     closed_S,
-    closed_S_factors,
     closed_T_factors,
     dual_S_arguments,
     formal_degree_product,
-    gl_dim,
     weyl_dim,
     T_arguments,
     zeta_closed,
@@ -164,8 +165,8 @@ def _check_method(method: str, allowed: tuple[str, ...], context: str):
             f"{context}: method must be one of {', '.join(allowed)}, got {method!r}")
 
 
-def _guard_poles(factors: Sequence[Fraction], context: str):
-    worst = min(factors)
+def _guard_poles(worst: Fraction, context: str):
+    """Refuse an integral whose smallest denominator factor is near a pole."""
     if worst <= POLE_DISTANCE:
         raise ConvergenceError(
             f"{context}: denominator factor {worst} within {POLE_DISTANCE} of a pole; "
@@ -271,18 +272,21 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     _check_method(method, ("quad", "mc"), "verify_S")
     kap, iot = _as_tuple(kappas, p), _as_tuple(iotas, q)
     s = Fraction(s)
-    closed = closed_S(p, q, kap, iot, s)
+    # one pass over both weights gives the closed value, the smallest
+    # factor and both dimensions
+    a, b, offsets, dk, di = _S_factors(p, q, kap, iot, s)
+    closed = _S_value(p, q, s, a, b, offsets)
     t0 = time.perf_counter()
     if p == 0 or q == 0:  # zero-dimensional ball: the integral is the point mass
         est = Estimate(1.0 + 0j, 0.0, 0, seed, time.perf_counter() - t0)
         return VerifyReport("verify_S", est, closed, "PASS", 0.0, {"method": "degenerate"})
-    factors = closed_S_factors(p, q, kap, iot, s)
-    _guard_poles(factors, "verify_S")
+    worst = Fraction(a + min(offsets) * b, b)  # b > 0: the smallest factor
+    _guard_poles(worst, "verify_S")
 
     m, big = min(p, q), max(p, q)
-    dim = gl_dim(kap) * gl_dim(iot)
+    dim = _weyl_count(dk) * _weyl_count(di)
     chi_p, chi_q = _fractional_char(kap), _fractional_char(iot)
-    e_imp = float(min(factors)) - 1.0
+    e_imp = float(worst) - 1.0
     resid = float(s - (p + q)) - e_imp
 
     def integrand(e):
@@ -416,8 +420,8 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     n = theta.n
     s0 = Fraction(n + 1, 2)
     closed = zeta_closed(theta)
-    factors = closed_T_factors(theta, s0)
-    _guard_poles(factors, "verify_zeta")
+    worst = min(closed_T_factors(theta, s0))
+    _guard_poles(worst, "verify_zeta")
     t0 = time.perf_counter()
 
     if method == "radial":
@@ -435,7 +439,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     coeff_eval = MatrixCoefficient(theta)
     norm2 = coeff_eval.phi_norm2.real
     target_float = float(closed) * norm2
-    e_imp = float(min(factors)) - 1.0
+    e_imp = float(worst) - 1.0
 
     def chunk(rng, size):
         return zeta_integrand_samples(theta, rng, size, e_imp, coeff_eval)

@@ -5,6 +5,11 @@ Fractions, closed forms rational multiples of integer powers of pi.
 Floating point enters only when a caller converts a result for comparison
 with quadrature.
 
+The Fractions are inputs and outputs only.  Each entry is read once, as a
+doubled integer 2*x (or as an integer ratio where a closed form takes any
+rational), all arithmetic runs on machine integers, and every returned
+Fraction is built once, from its integers, at the end.
+
 The central object is :class:`ThetaDatum`, the complete classification of an
 admissible strictly decreasing parameter into one of two shapes (Case I when
 the last entry is positive, Case II otherwise) together with the three
@@ -42,6 +47,29 @@ __all__ = [
 ]
 
 
+def _as_fraction(x) -> Fraction:
+    """A Fraction as it is (no copy); anything else through ``Fraction()``."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """An int, a Fraction or anything ``Fraction()`` reads, as a reduced
+    integer pair (numerator, denominator > 0)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _twice(x) -> int:
+    """A half-integer held as an int or a Fraction, doubled, in integers."""
+    return 2 * x.numerator // x.denominator
+
+
+def _halves(xs) -> tuple[Fraction, ...]:
+    """Doubled integers back as Fractions, one per entry."""
+    return tuple(Fraction(x, 2) for x in xs)
+
+
 def _half_integer(x) -> Fraction:
     """An entry given as an int, a Fraction or text, checked to be a half-integer."""
     if isinstance(x, str):
@@ -50,7 +78,7 @@ def _half_integer(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameterError(f"cannot parse half-integer {x!r}: {exc}") from None
     elif isinstance(x, (int, Fraction)):
-        value = Fraction(x)
+        value = _as_fraction(x)
     else:
         raise InvalidParameterError(f"cannot interpret {x!r} as a half-integer")
     if value.denominator not in (1, 2):
@@ -173,12 +201,6 @@ class ThetaDatum:
             out.append((tuple(int(p) for p in parts), int(2 * tw)))
         return tuple(out)
 
-    def delta(self) -> tuple[Fraction, ...]:
-        """Case II mixed vector (betas padded, then negated reversed alphas)."""
-        if self.case is not Case.II:
-            raise InvalidParameterError("delta is defined for Case II only")
-        return tuple(self.betas) + tuple(-al for al in reversed(self.alphas))
-
     def dim_sigma(self) -> int:
         return gl_dim(self.Lambda.first)
 
@@ -190,23 +212,20 @@ class ThetaDatum:
         )
 
 
-def _rho_shift(n: int) -> tuple[Fraction, ...]:
-    # (-n/2+1, -n/2+2, ..., n/2, -n/2)
-    half_n = Fraction(n, 2)
-    return tuple(-half_n + i for i in range(1, n + 1)) + (-half_n,)
+def _rho_shift(n: int) -> list[int]:
+    # doubled (-n/2+1, -n/2+2, ..., n/2, -n/2)
+    return [2 * i - n for i in range(1, n + 1)] + [-n]
 
 
-def _dual_shift(n: int) -> tuple[Fraction, ...]:
-    # (-n/2, -n/2+1, ..., n/2-1, n/2)
-    half_n = Fraction(n, 2)
-    return tuple(-half_n + i for i in range(n)) + (half_n,)
+def _dual_shift(n: int) -> list[int]:
+    # doubled (-n/2, -n/2+1, ..., n/2-1, n/2)
+    return [2 * i - n for i in range(n)] + [n]
 
 
 def hc_to_blattner(lam: HCParameter) -> tuple[Fraction, ...]:
     """Lowest-K-type highest weight attached to a strictly decreasing parameter."""
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
-    shift = _rho_shift(lam.n)
-    return tuple(e + s for e, s in zip(lam.entries, shift))
+    return _halves(_twice(e) + s for e, s in zip(lam.entries, _rho_shift(lam.n)))
 
 
 def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True) -> ThetaDatum:
@@ -218,105 +237,113 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     provably disagree there); they are rejected unless
     ``enforce_closed_form_domain=False``, in which case the returned datum
     carries ``closed_form_valid=False`` and the closed forms refuse it later.
+
+    Every quantity below is held doubled (2 gamma, 2 alpha_i, ...), so the
+    classification runs on integers; the datum's Fractions are built last.
     """
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
     n = lam.n
-    fr = lam.fractions
+    two = [_twice(e) for e in lam.entries]
     nonstandard = lam.entries[0].denominator == 1
 
-    b = 1 if fr[n] <= 0 else 0
-    a = sum(1 for i in range(n) if fr[i] <= 0)
+    b = 1 if two[n] <= 0 else 0
+    a = sum(1 for x in two[:n] if x <= 0)
     p = a - b + 1
     q = n + 1 - p
-    if fr[n - 1] <= fr[n]:  # guaranteed by HCParameter, kept as a named diagnostic
+    if two[n - 1] <= two[n]:  # guaranteed by HCParameter, kept as a named diagnostic
         raise InadmissibleParameterError("requires lambda_n > lambda_{n+1}")
 
-    lam_dual = tuple(-x for x in reversed(fr[:n])) + (-fr[n],)
-    Lambda_entries = hc_to_blattner(lam)
-    dual_shift = _dual_shift(n)
-    LambdaDual_entries = tuple(x + s for x, s in zip(lam_dual, dual_shift))
-
-    half = Fraction(1, 2)
     if b == 0:
         case = Case.I
         if p != 1 or q != n:
             raise InadmissibleParameterError(f"Case I forces (p,q)=(1,{n}), got ({p},{q})")
-        gamma = fr[n] - half
-        alphas = tuple(fr[i - 1] + i - n + half for i in range(1, n + 1))
-        betas: tuple[Fraction, ...] = ()
+        gamma = two[n] - 1
+        alphas = [two[i - 1] + 2 * (i - n) + 1 for i in range(1, n + 1)]
+        betas: list[int] = []
         if gamma < 0:
-            raise InadmissibleParameterError(f"Case I needs gamma >= 0, got {gamma}")
+            raise InadmissibleParameterError(f"Case I needs gamma >= 0, got {Fraction(gamma, 2)}")
         if any(x < y for x, y in zip(alphas, alphas[1:])):
-            raise InadmissibleParameterError(f"alphas must be weakly decreasing, got {alphas}")
-        if alphas[-1] < gamma + 2:
             raise InadmissibleParameterError(
-                f"violated constraint alpha_n >= gamma + 2 ({alphas[-1]} < {gamma + 2})"
+                f"alphas must be weakly decreasing, got {_halves(alphas)}")
+        if alphas[-1] < gamma + 4:
+            raise InadmissibleParameterError(
+                "violated constraint alpha_n >= gamma + 2 "
+                f"({Fraction(alphas[-1], 2)} < {Fraction(gamma + 4, 2)})"
             )
-        tw = Fraction(n - 1, 2)
-        Lambda = WeightPair(tuple(al + tw for al in alphas), (gamma - tw,))
-        LambdaPrime = WeightPair(
-            (-gamma + tw,), tuple(-al - tw for al in reversed(alphas))
-        )
+        tw = n - 1
+        first, second = [al + tw for al in alphas], [gamma - tw]
+        prime = ([tw - gamma], [-al - tw for al in reversed(alphas)])
         closed_ok = True
     else:
         case = Case.II
         if not 0 <= p <= n:
             raise InadmissibleParameterError(f"Case II needs 0 <= p <= n, got p={p}")
-        gamma = -fr[n] + p - half
-        betas = tuple(-fr[n - i] + i - p - half for i in range(1, p + 1))
-        alphas = tuple(fr[r - 1] + r - q + half for r in range(1, q))
+        gamma = 2 * p - 1 - two[n]
+        betas = [2 * (i - p) - 1 - two[n - i] for i in range(1, p + 1)]
+        alphas = [two[r - 1] + 2 * (r - q) + 1 for r in range(1, q)]
         if gamma <= 0:
-            raise InadmissibleParameterError(f"Case II needs gamma > 0, got {gamma}")
+            raise InadmissibleParameterError(f"Case II needs gamma > 0, got {Fraction(gamma, 2)}")
         if any(x < 0 for x in betas) or any(x < y for x, y in zip(betas, betas[1:])):
-            raise InadmissibleParameterError(f"betas must be weakly decreasing >= 0, got {betas}")
-        if any(x < 0 for x in alphas) or any(x < y for x, y in zip(alphas, alphas[1:])):
-            raise InadmissibleParameterError(f"alphas must be weakly decreasing >= 0, got {alphas}")
-        if betas and betas[0] > gamma - 2 * p:
             raise InadmissibleParameterError(
-                f"violated constraint beta_1 <= gamma - 2p ({betas[0]} > {gamma - 2 * p})"
+                f"betas must be weakly decreasing >= 0, got {_halves(betas)}")
+        if any(x < 0 for x in alphas) or any(x < y for x, y in zip(alphas, alphas[1:])):
+            raise InadmissibleParameterError(
+                f"alphas must be weakly decreasing >= 0, got {_halves(alphas)}")
+        if betas and betas[0] > gamma - 4 * p:
+            raise InadmissibleParameterError(
+                "violated constraint beta_1 <= gamma - 2p "
+                f"({Fraction(betas[0], 2)} > {Fraction(gamma - 4 * p, 2)})"
             )
-        closed_ok = all(al == 0 for al in alphas)
+        closed_ok = not any(alphas)
         if not closed_ok and enforce_closed_form_domain:
             raise InadmissibleParameterError(
                 "Case II requires every padded alpha to vanish for the closed forms "
-                f"(got alphas={tuple(map(str, alphas))}); outside this domain the "
+                f"(got alphas={tuple(map(str, _halves(alphas)))}); outside this domain the "
                 "substitution route and the oscillator transform provably disagree"
             )
-        tw = Fraction(-(p - q), 2)
-        mixed = alphas + tuple(-be for be in reversed(betas))
-        Lambda = WeightPair(tuple(x + tw for x in mixed), (-gamma - tw,))
-        twp = Fraction(n - 1, 2)
-        LambdaPrime = WeightPair(
-            tuple(be + twp for be in betas),
-            tuple(x - twp for x in (gamma,) + tuple(-al for al in reversed(alphas))),
-        )
+        tw = q - p
+        mixed = alphas + [-be for be in reversed(betas)]
+        first, second = [x + tw for x in mixed], [-gamma - tw]
+        twp = n - 1
+        prime = ([be + twp for be in betas],
+                 [gamma - twp] + [-al - twp for al in reversed(alphas)])
 
-    LambdaDual = WeightPair(Lambda.first, Lambda.second).negated_reversed()
+    dual = ([-x for x in reversed(first)], [-x for x in reversed(second)])
     # the assembled weights must agree with the additive-shift formulas
-    assert Lambda.first + Lambda.second == Lambda_entries
-    assert LambdaDual.first == tuple(LambdaDual_entries[:n])
-    assert LambdaDual.second == (LambdaDual_entries[n],)
+    assert first + second == [x + s for x, s in zip(two, _rho_shift(n))]
+    lam_dual = [-x for x in reversed(two[:n])] + [-two[n]]
+    assert dual[0] + dual[1] == [x + s for x, s in zip(lam_dual, _dual_shift(n))]
 
     return ThetaDatum(
-        lam=lam, n=n, case=case, p=p, q=q, gamma=gamma, alphas=alphas, betas=betas,
-        Lambda=Lambda, LambdaDual=LambdaDual, LambdaPrime=LambdaPrime,
+        lam=lam, n=n, case=case, p=p, q=q, gamma=Fraction(gamma, 2),
+        alphas=_halves(alphas), betas=_halves(betas),
+        Lambda=WeightPair(_halves(first), _halves(second)),
+        LambdaDual=WeightPair(_halves(dual[0]), _halves(dual[1])),
+        LambdaPrime=WeightPair(_halves(prime[0]), _halves(prime[1])),
         nonstandard_congruence=nonstandard, closed_form_valid=closed_ok,
     )
 
 
-def _drops(mu: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
-    """The first entry of a dominant weight and its drops mu_0 - mu_i, taken in
-    integers; a weight is refused unless they are non-decreasing integers."""
-    first = Fraction(mu[0]) if len(mu) else Fraction(0)
-    a, b = first.numerator, first.denominator
+def _drops(mu: Sequence[Fraction]) -> tuple[tuple[int, int], list[int]]:
+    """The first entry of a dominant weight as an integer ratio and its drops
+    mu_0 - mu_i, taken in integers; a weight is refused unless they are
+    non-decreasing integers."""
+    a, b = _ratio(mu[0]) if len(mu) else (0, 1)
     drops = []
     for x in mu:
-        num, den = (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+        num, den = _ratio(x)
         d, r = divmod(a * den - num * b, b * den)
         if r or (drops and d < drops[-1]):
             raise InvalidParameterError(f"not a dominant weight: {[Fraction(y) for y in mu]}")
         drops.append(d)
-    return first, drops
+    return (a, b), drops
+
+
+def _weyl_count(d: list[int]) -> int:
+    """Weyl's dimension product on the drops of a dominant weight."""
+    pairs = list(itertools.combinations(range(len(d)), 2))
+    return (math.prod(d[j] - d[i] + j - i for i, j in pairs)
+            // math.prod(j - i for i, j in pairs))
 
 
 def gl_dim(mu: Sequence[Fraction]) -> int:
@@ -328,27 +355,23 @@ def gl_dim(mu: Sequence[Fraction]) -> int:
     A weight is refused unless it is non-increasing with integral gaps: the
     product alone is a positive integer at some others, e.g. 1 at (-2, 1, 1).
     """
-    _, d = _drops(mu)
-    pairs = list(itertools.combinations(range(len(d)), 2))
-    return (math.prod(d[j] - d[i] + j - i for i, j in pairs)
-            // math.prod(j - i for i, j in pairs))
+    return _weyl_count(_drops(mu)[1])
 
 
 def weyl_dim(lam: HCParameter) -> int:
     """Dimension of the lowest K-type: :func:`gl_dim` of the first n entries
-    shifted by 0, 1, ..., n-1, which is the Blattner weight up to a det twist."""
-    return gl_dim([x + i for i, x in enumerate(lam.fractions[:-1])])
+    shifted by 0, 1, ..., n-1, which is the Blattner weight up to a det twist.
+    Its drops come straight from the doubled entries; strict decrease of
+    congruent entries makes them non-decreasing integers."""
+    two = [_twice(x) for x in lam.fractions[:-1]]
+    return _weyl_count([(two[0] - x) // 2 - i for i, x in enumerate(two)])
 
 
 def formal_degree_product(lam: HCParameter) -> Fraction:
     """Product of absolute entry differences over all pairs (the formal degree
     up to a measure constant that is never computed here)."""
-    fr = lam.fractions
-    out = Fraction(1)
-    for i in range(len(fr)):
-        for j in range(i + 1, len(fr)):
-            out *= abs(fr[i] - fr[j])
-    return out
+    pairs = list(itertools.combinations([_twice(x) for x in lam.fractions], 2))
+    return Fraction(math.prod(abs(x - y) for x, y in pairs), 2 ** len(pairs))
 
 
 @dataclass(frozen=True)
@@ -386,25 +409,44 @@ class ClosedValue:
 
 def _as_tuple(x, length: int) -> tuple[Fraction, ...]:
     if isinstance(x, (int, Fraction)):
-        return (Fraction(x),) * length
-    return tuple(Fraction(v) for v in x)
+        return (_as_fraction(x),) * length
+    return tuple(map(_as_fraction, x))
 
 
-def _S_factors(p: int, q: int, kappas, iotas, s) -> tuple[Fraction, list[int]]:
-    """The linear denominator factors of :func:`closed_S` as one rational
-    c = s - kappa_1 + iota_1 and integer offsets: factor (i, j) is c plus the
-    offset at index (i - 1) q + (j - 1)."""
+def _S_factors(p: int, q: int, kappas, iotas, s) -> tuple[int, int, list[int], list[int], list[int]]:
+    """The linear denominator factors of :func:`closed_S`, in integers.
+
+    Returns (a, b, offsets, kappa drops, iota drops): c = s - kappa_1 +
+    iota_1 is a/b in lowest terms with b > 0, and factor (i, j) is c plus
+    the integer offset at index (i - 1) q + (j - 1).  The drops are those
+    :func:`gl_dim` reads, so a caller takes both dimensions from them.
+    """
     kap = _as_tuple(kappas, p)
     iot = _as_tuple(iotas, q)
     if len(kap) != p or len(iot) != q:
         raise InvalidParameterError(
             f"weight lengths ({len(kap)},{len(iot)}) must match (p,q)=({p},{q})"
         )
-    kappa_1, dk = _drops(kap)
-    iota_1, di = _drops(iot)
+    (kn, kd), dk = _drops(kap)
+    (jn, jd), di = _drops(iot)
+    sn, sd = _ratio(s)
+    num, den = sn * kd * jd - kn * sd * jd + jn * sd * kd, sd * kd * jd
+    g = math.gcd(num, den)
     # s - kappa_i + iota_j - (p - i + j) with kappa_i = kappa_1 - dk_i
-    return (Fraction(s) - kappa_1 + iota_1,
-            [dk[i] - di[j] - (p - i + j) for i in range(p) for j in range(q)])
+    return (num // g, den // g, [dk[i] - di[j] - (p - i + j) for i in range(p) for j in range(q)],
+            dk, di)
+
+
+def _S_value(p: int, q: int, s, a: int, b: int, offsets: list[int], dim: int = 1) -> ClosedValue:
+    """:func:`closed_S` from the factors of :func:`_S_factors`, divided by
+    ``dim``; a vanishing factor raises :class:`PoleError` naming it."""
+    if b == 1 and -a in offsets:
+        i, j = divmod(offsets.index(-a), q)
+        label = f"s - kappa_{i + 1} + iota_{j + 1} - {p - i + j}"
+        raise PoleError(f"pole: factor {label} vanishes at s={Fraction(s)}", factor=label)
+    # c = a/b, so the product of the factors c + k is prod(a + k b) / b**(p q)
+    return ClosedValue(Fraction(b ** len(offsets), dim * math.prod(a + k * b for k in offsets)),
+                       p * q)
 
 
 def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
@@ -419,20 +461,14 @@ def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
     integrands, and not a theorem of the paper.  A vanishing factor raises
     :class:`PoleError` naming it.
     """
-    c, offsets = _S_factors(p, q, kappas, iotas, s)
-    if c.denominator == 1 and -c in offsets:
-        i, j = divmod(offsets.index(-c), q)
-        label = f"s - kappa_{i + 1} + iota_{j + 1} - {p - i + j}"
-        raise PoleError(f"pole: factor {label} vanishes at s={Fraction(s)}", factor=label)
-    # c = a/b, so the product of the factors c + k is prod(a + k b) / b**(p q)
-    a, b = c.numerator, c.denominator
-    return ClosedValue(Fraction(b ** len(offsets), math.prod(a + k * b for k in offsets)), p * q)
+    a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
+    return _S_value(p, q, s, a, b, offsets)
 
 
 def closed_S_factors(p: int, q: int, kappas, iotas, s) -> list[Fraction]:
     """The linear denominator factors of :func:`closed_S` (pole diagnostics)."""
-    c, offsets = _S_factors(p, q, kappas, iotas, s)
-    return [c + k for k in offsets]
+    a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
+    return [Fraction(a + k * b, b) for k in offsets]
 
 
 def _require_closed_form(theta: ThetaDatum):
@@ -465,26 +501,34 @@ def _coerce_theta(lam_or_theta) -> ThetaDatum:
 def zeta_closed(lam_or_theta) -> ClosedValue:
     """Exact value of the group integral per unit squared norm of the matched
     joint highest-weight vector: ``closed_T`` at s = (n+1)/2 over the
-    dimension of the lowest K-type."""
+    dimension of the lowest K-type, which joins the integer denominator."""
     theta = _coerce_theta(lam_or_theta)
-    return closed_T(theta, Fraction(theta.n + 1, 2)) / theta.dim_sigma()
+    _require_closed_form(theta)
+    s = Fraction(theta.n + 1, 2)
+    p, q, kappas, iotas = T_arguments(theta)
+    a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
+    return _S_value(p, q, s, a, b, offsets, theta.dim_sigma())
 
 
 def c_squared(lam_or_theta) -> Fraction:
-    """Squared norm ratio of the discrete-spectrum projection (exact rational)."""
+    """Squared norm ratio of the discrete-spectrum projection (exact rational).
+
+    Each factor is a ratio of two half-integers, taken as the ratio of their
+    doubles: one integer product on each side, one Fraction."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
-    n, p, gamma = theta.n, theta.p, theta.gamma
+    n, p, gamma = theta.n, theta.p, _twice(theta.gamma)
     if theta.case is Case.I:
-        pairs = [(al - i + n - 1 - gamma, al - i + n) for i, al in enumerate(theta.alphas, 1)]
+        pairs = [(al - 2 * (i - n + 1) - gamma, al - 2 * (i - n))
+                 for i, al in enumerate(map(_twice, theta.alphas), 1)]
     else:
-        pairs = [(gamma + i - de - 2 * p, gamma + i - p) for i, de in enumerate(theta.delta(), 1)]
-    out = Fraction(1)
-    for num, den in pairs:
-        if den == 0:
-            raise PoleError("pole in projection constant", factor=str(den))
-        out *= num / den
-    return out
+        # the mixed vector: the betas, then the negated reversed alphas
+        delta = [_twice(be) for be in theta.betas] + [-_twice(al) for al in reversed(theta.alphas)]
+        pairs = [(gamma + 2 * (i - 2 * p) - de, gamma + 2 * (i - p))
+                 for i, de in enumerate(delta, 1)]
+    if any(den == 0 for _, den in pairs):
+        raise PoleError("pole in projection constant", factor="0")
+    return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))
 
 
 def dual_S_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -493,14 +537,17 @@ def dual_S_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...],
     return theta.n, 1, theta.LambdaDual.first, theta.LambdaDual.second
 
 
+_ZERO = Fraction(0)
+
+
 def T_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """(p, q, kappas, iotas) at which :func:`closed_S` on the (n, 1) domain is
     :func:`closed_T`: the contragredient first factor against the trivial
     weight (Case I) or the trivial weight against the second (Case II)."""
     n = theta.n
     if theta.case is Case.I:
-        return n, 1, theta.LambdaDual.first, (Fraction(0),)
-    return n, 1, (Fraction(0),) * n, theta.LambdaDual.second
+        return n, 1, theta.LambdaDual.first, (_ZERO,)
+    return n, 1, (_ZERO,) * n, theta.LambdaDual.second
 
 
 def admissible_sweep(n: int, max_entry) -> list[HCParameter]:

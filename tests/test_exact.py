@@ -175,6 +175,26 @@ class TestQQi:
     def test_complex_cast(self):
         assert complex(QQi(F(1, 2), -2)) == 0.5 - 2j
 
+    def test_foreign_operand_reaches_the_reflected_method(self):
+        # QQi cannot take a PiLaurent, so its operators step aside and the
+        # PiLaurent's reflected ones run; both orders give one value
+        x = PiLaurent({1: QQi(F(1, 3), 2), -2: QQi(5)})
+        for a in (QQi(1), QQi(2), QQi(F(-3, 4), F(1, 2))):
+            assert a + x == x + a == PiLaurent({0: a}) + x
+            assert a * x == x * a == PiLaurent({0: a}) * x
+            assert a - x == -(x - a) == PiLaurent({0: a}) - x
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(0.5), 1j])
+    def test_operand_outside_both_rings_raises(self, bad):
+        ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b)
+        for ring_value in (QQi(1, 2), PiLaurent.single(QQi(3), 1)):
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(ring_value, bad)
+                with pytest.raises(TypeError):
+                    op(bad, ring_value)
+
 
 class TestPiLaurent:
     def test_single_and_mixed(self):

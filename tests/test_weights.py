@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -12,6 +13,9 @@ from arczeta.weights import (
     Case,
     ClosedValue,
     HCParameter,
+    T_arguments,
+    ThetaDatum,
+    WeightPair,
     admissible_sweep,
     c_squared,
     classify_theta,
@@ -474,3 +478,122 @@ def test_classify_total_on_decreasing_input(twices):
     c2 = c_squared(th)
     assert 0 < c2 <= 1
     assert th.p + th.q == lamv.n + 1
+
+
+def _classify_oracle(lv, enforce):
+    """The classification written out in Fraction arithmetic, entry by entry
+    as the paper states it; raises what classify_theta must raise."""
+    fr, n, half = lv.fractions, lv.n, F(1, 2)
+    b = 1 if fr[n] <= 0 else 0
+    p = sum(1 for i in range(n) if fr[i] <= 0) - b + 1
+    q = n + 1 - p
+    if b == 0:
+        if p != 1 or q != n:
+            raise InadmissibleParameterError(f"Case I forces (p,q)=(1,{n}), got ({p},{q})")
+        gamma = fr[n] - half
+        alphas = tuple(fr[i - 1] + i - n + half for i in range(1, n + 1))
+        betas = ()
+        if gamma < 0:
+            raise InadmissibleParameterError(f"Case I needs gamma >= 0, got {gamma}")
+        if any(x < y for x, y in zip(alphas, alphas[1:])):
+            raise InadmissibleParameterError(f"alphas must be weakly decreasing, got {alphas}")
+        if alphas[-1] < gamma + 2:
+            raise InadmissibleParameterError(
+                f"violated constraint alpha_n >= gamma + 2 ({alphas[-1]} < {gamma + 2})")
+        tw = F(n - 1, 2)
+        Lambda = WeightPair(tuple(al + tw for al in alphas), (gamma - tw,))
+        prime = WeightPair((-gamma + tw,), tuple(-al - tw for al in reversed(alphas)))
+        closed_ok = True
+    else:
+        if not 0 <= p <= n:
+            raise InadmissibleParameterError(f"Case II needs 0 <= p <= n, got p={p}")
+        gamma = -fr[n] + p - half
+        betas = tuple(-fr[n - i] + i - p - half for i in range(1, p + 1))
+        alphas = tuple(fr[r - 1] + r - q + half for r in range(1, q))
+        if gamma <= 0:
+            raise InadmissibleParameterError(f"Case II needs gamma > 0, got {gamma}")
+        for name, xs in (("betas", betas), ("alphas", alphas)):
+            if any(x < 0 for x in xs) or any(x < y for x, y in zip(xs, xs[1:])):
+                raise InadmissibleParameterError(
+                    f"{name} must be weakly decreasing >= 0, got {xs}")
+        if betas and betas[0] > gamma - 2 * p:
+            raise InadmissibleParameterError(
+                f"violated constraint beta_1 <= gamma - 2p ({betas[0]} > {gamma - 2 * p})")
+        closed_ok = all(al == 0 for al in alphas)
+        if not closed_ok and enforce:
+            raise InadmissibleParameterError(
+                "Case II requires every padded alpha to vanish for the closed forms "
+                f"(got alphas={tuple(map(str, alphas))}); outside this domain the "
+                "substitution route and the oscillator transform provably disagree")
+        tw, twp = F(q - p, 2), F(n - 1, 2)
+        mixed = alphas + tuple(-be for be in reversed(betas))
+        Lambda = WeightPair(tuple(x + tw for x in mixed), (-gamma - tw,))
+        prime = WeightPair(tuple(be + twp for be in betas),
+                           tuple(x - twp for x in (gamma,) + tuple(-al for al in reversed(alphas))))
+    return dict(lam=lv, n=n, case=Case.I if b == 0 else Case.II, p=p, q=q, gamma=gamma,
+                alphas=alphas, betas=betas, Lambda=Lambda, LambdaDual=Lambda.negated_reversed(),
+                LambdaPrime=prime, nonstandard_congruence=fr[0].denominator == 1,
+                closed_form_valid=closed_ok)
+
+
+def _fraction_fields(th):
+    return (th.gamma, *th.alphas, *th.betas, *th.Lambda.first, *th.Lambda.second,
+            *th.LambdaDual.first, *th.LambdaDual.second,
+            *th.LambdaPrime.first, *th.LambdaPrime.second)
+
+
+@st.composite
+def congruent_parameters(draw):
+    """Strictly decreasing, mutually congruent entries with |entry| <= 19/2,
+    n <= 6, all half-integral or all integral."""
+    pool = range(-19, 20, 2) if draw(st.booleans()) else range(-18, 19, 2)
+    twices = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=7, unique=True))
+    return HCParameter(tuple(F(t, 2) for t in sorted(twices, reverse=True)))
+
+
+class TestIntegerClassification:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(congruent_parameters())
+    def test_matches_the_fraction_oracle(self, lv):
+        for enforce in (True, False):
+            try:
+                expected = _classify_oracle(lv, enforce)
+            except InadmissibleParameterError as exc:
+                with pytest.raises(type(exc)) as info:
+                    classify_theta(lv, enforce_closed_form_domain=enforce)
+                assert str(info.value) == str(exc)
+                continue
+            th = classify_theta(lv, enforce_closed_form_domain=enforce)
+            got = {f.name: getattr(th, f.name) for f in dataclasses.fields(ThetaDatum)}
+            assert got == expected
+            assert all(type(x) is F for x in _fraction_fields(th))
+
+    @staticmethod
+    def _built(monkeypatch, fn):
+        """The number of Fractions ``fn`` builds, and its result."""
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        try:
+            result = fn()
+        finally:
+            monkeypatch.undo()
+        return len(built), result
+
+    @pytest.mark.parametrize("entries", [("7/2", "5/2", "3/2", "1/2"),
+                                         ("3/2", "1/2", "-5/2", "-9/2")])
+    def test_one_fraction_per_returned_entry(self, monkeypatch, entries):
+        # the arithmetic runs on doubled integers: a Fraction is built only
+        # for an entry of the result
+        lv = lam(*entries)
+        count, th = self._built(monkeypatch, lambda: classify_theta(lv))
+        assert count == len(_fraction_fields(th)) == 16
+        assert self._built(monkeypatch, lambda: formal_degree_product(lv))[0] == 1
+        s = F(th.n + 1, 2)
+        for args in (dual_S_arguments(th) + (0,), T_arguments(th) + (s,)):
+            assert self._built(monkeypatch, lambda: closed_S(*args))[0] <= 2
