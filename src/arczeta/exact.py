@@ -144,10 +144,10 @@ class QQi:
         return out
 
     def __eq__(self, other):
-        try:
-            other = QQi.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not QQi:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QQi(other)
         return self._abd == other._abd
 
     def __hash__(self):
@@ -241,7 +241,12 @@ class PiLaurent:
             out[k] = out[k] + c if k in out else c
         return _laurent({k: c for k, c in out.items() if c})
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # the left operand's power comes first, as in a sum of two PiLaurents,
+        # so that complex() rounds a mixed-ring sum as it rounds that one
+        if not isinstance(other, (QQi, int, Fraction)):
+            return NotImplemented
+        return PiLaurent.coerce(other) + self
 
     def __neg__(self):
         return _laurent({k: -c for k, c in self.terms.items()})
@@ -282,10 +287,10 @@ class PiLaurent:
         return _laurent({k: c.conjugate() for k, c in self.terms.items()})
 
     def __eq__(self, other):
-        try:
+        if type(other) is not PiLaurent:
+            if not isinstance(other, (QQi, int, Fraction)):
+                return NotImplemented
             other = PiLaurent.coerce(other)
-        except TypeError:
-            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):

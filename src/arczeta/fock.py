@@ -11,8 +11,17 @@ extended verbatim to invertible complex blocks, and the hyperbolic
 one-parameter family acts by an explicit Gaussian integral transform in the
 first row of variables.
 
+Each monomial is one packed integer: the exponent of variable v in bits
+[16v, 16v + 16), and above the (n+1)^2 variable fields one more field with
+the total degree, so a monomial product is one integer add (Monagan & Pearce,
+packed exponent vectors).  Degrees stop at 2^16 - 1; a product past that is
+refused, never wrapped.
+
 Two coefficient modes share all code paths: complex floats, and exact
-Gaussian rationals times integer powers of pi (:class:`~arczeta.exact.PiLaurent`).
+coefficients, each held in the narrowest of ``int``, :class:`~arczeta.exact.QQi`
+(Gaussian rationals) and :class:`~arczeta.exact.PiLaurent` (Gaussian rationals
+times integer powers of pi) that holds it.  A coefficient becomes a
+PiLaurent only once a power of pi other than pi^0 enters.
 The compact group acts through one :class:`~arczeta.group.CoverElement`
 type in either ring; it must be in the ring of the polynomial it acts on.
 """
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -58,12 +67,36 @@ def _var(n: int, i: int, j: int) -> int:
     return (i - 1) * (n + 1) + (j - 1)
 
 
-def _exponents(n: int, *flat: int) -> tuple:
-    """Exponent vector of the product of the variables with these flat indices."""
-    e = [0] * ((n + 1) ** 2)
-    for v in flat:
-        e[v] += 1
-    return tuple(e)
+# -- packed monomials ---------------------------------------------------------
+
+_BITS = 16  # width of one exponent field: a 16-bit word, as _unpack reads it
+_MASK = (1 << _BITS) - 1
+_MAX_DEGREE = _MASK  # the degree field bounds every exponent field too
+
+
+def _top(n: int) -> int:
+    """Bit offset of the degree field, above the (n+1)^2 variable fields."""
+    return _BITS * (n + 1) ** 2
+
+
+def _exponents(n: int, *flat: int) -> int:
+    """Packed key of the product of the variables with these flat indices."""
+    unit = 1 << _top(n)
+    return sum((1 << (_BITS * v)) + unit for v in flat)
+
+
+def _pack(n: int, exps: tuple) -> int:
+    """Packed key of an exponent tuple already checked against the field."""
+    key = sum(exps) << _top(n)
+    for v, e in enumerate(exps):
+        key += e << (_BITS * v)
+    return key
+
+
+def _unpack(n: int, key: int) -> tuple:
+    """Exponent tuple of a packed key, read as the key's 16-bit words."""
+    nvars = (n + 1) ** 2
+    return tuple(memoryview(key.to_bytes(2 * nvars + 2, sys.byteorder)).cast("H")[:nvars])
 
 
 # -- the two coefficient modes -----------------------------------------------
@@ -72,22 +105,28 @@ def _exponents(n: int, *flat: int) -> tuple:
 
 
 def _coerce(c, exact: bool):
-    """``c`` as a polynomial coefficient: PiLaurent (exact) or complex (float)."""
-    return PiLaurent.coerce(c) if exact else complex(c)
+    """``c`` as a polynomial coefficient: complex in float mode; in exact mode
+    an int, QQi or PiLaurent as given, and any other rational as a QQi."""
+    if not exact:
+        return complex(c)
+    if type(c) in (int, QQi, PiLaurent):
+        return c
+    return QQi.coerce(c)
 
 
 def _pi_scalar(value, k: int, exact: bool):
-    """``value * pi**k`` in the mode's ring: a PiLaurent of one power of pi,
-    or a float that divides by pi**-k when k < 0."""
+    """``value * pi**k`` in the mode's ring: the narrow exact scalar for k == 0,
+    a PiLaurent of one power of pi otherwise, or a float that divides by
+    pi**-k when k < 0."""
     if exact:
-        return PiLaurent.single(QQi.coerce(value), k)
+        return PiLaurent.single(value, k) if k else _coerce(value, True)
     return value * math.pi**k if k >= 0 else value / math.pi**-k
 
 
 def _collect(pairs) -> dict:
-    """Sum ``(exponents, coefficient)`` pairs into a term table, in order,
+    """Sum ``(key, coefficient)`` pairs into a term table, in order,
     storing no zero coefficient."""
-    out: dict[tuple, object] = {}
+    out: dict[int, object] = {}
     for e, c in pairs:
         if not c:
             continue
@@ -101,11 +140,19 @@ def _collect(pairs) -> dict:
     return out
 
 
+def _poly(n: int, exact: bool, terms: dict) -> "FockPoly":
+    """A polynomial over an already clean table of packed keys."""
+    res = FockPoly.__new__(FockPoly)
+    res.n, res.exact, res.terms = n, exact, terms
+    return res
+
+
 class FockPoly:
     """Sparse polynomial in the (n+1)^2 matrix variables.
 
-    Terms map exponent tuples to nonzero coefficients; coefficients are all
-    complex (float mode) or all :class:`PiLaurent` (exact mode).
+    ``terms`` maps packed monomial keys to nonzero coefficients: all complex
+    (float mode) or all exact (int, :class:`QQi` or :class:`PiLaurent`).
+    The constructor takes exponent tuples; :meth:`items` reads them back.
     """
 
     __slots__ = ("n", "terms", "exact")
@@ -116,17 +163,24 @@ class FockPoly:
         nvars = (n + 1) * (n + 1)
         pairs = []
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple(int(e) for e in exps)
+            except TypeError:  # a packed key, say: only tuples come in
+                raise InvalidParameterError(f"bad exponent vector {exps!r}") from None
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise InvalidParameterError(f"bad exponent vector {exps}")
-            pairs.append((exps, _coerce(c, self.exact)))
+            if sum(exps) > _MAX_DEGREE:
+                raise InvalidParameterError(f"degree of {exps} is beyond the limit {_MAX_DEGREE}")
+            pairs.append((_pack(self.n, exps), _coerce(c, self.exact)))
         self.terms = _collect(pairs)
 
     def _with(self, terms: dict) -> "FockPoly":
         """A polynomial of this size and mode over an already clean term table."""
-        res = FockPoly.__new__(FockPoly)
-        res.n, res.exact, res.terms = self.n, self.exact, terms
-        return res
+        return _poly(self.n, self.exact, terms)
+
+    def items(self):
+        """The (exponent tuple, coefficient) pairs, in term order."""
+        return ((_unpack(self.n, e), c) for e, c in self.terms.items())
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -135,13 +189,11 @@ class FockPoly:
 
     @classmethod
     def one(cls, n: int, exact: bool = True) -> "FockPoly":
-        res = cls.__new__(cls)
-        res.n, res.exact = int(n), bool(exact)
-        return res._with({_exponents(res.n): _coerce(1, res.exact)})
+        return _poly(int(n), bool(exact), {0: _coerce(1, exact)})
 
     @classmethod
     def variable(cls, n: int, i: int, j: int, exact: bool = True) -> "FockPoly":
-        return cls(n, {_exponents(n, _var(n, i, j)): 1}, exact)
+        return _poly(int(n), bool(exact), {_exponents(n, _var(n, i, j)): _coerce(1, exact)})
 
     # -- ring ops ------------------------------------------------------------
     def _check(self, other: "FockPoly"):
@@ -162,10 +214,13 @@ class FockPoly:
         if not isinstance(other, FockPoly):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple, object] = {}
+        degree = self.degree() + other.degree()
+        if degree > _MAX_DEGREE:
+            raise InvalidParameterError(f"product degree {degree} is beyond {_MAX_DEGREE}")
+        out: dict[int, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
                 c = c1 * c2
                 prev = out.get(e)
                 s = c + prev if prev is not None else c
@@ -195,7 +250,7 @@ class FockPoly:
 
     # -- queries -------------------------------------------------------------
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms) >> _top(self.n) if self.terms else 0
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -217,30 +272,44 @@ class FockPoly:
 # inner product and the basic Gaussian integral
 
 
-def _monomial_norm2(exps, exact: bool):
-    """Squared norm a!/pi^|a| of the monomial z^a.  The float route goes
-    through log-gamma and cannot overflow."""
-    if exact:
-        return _pi_scalar(math.prod(math.factorial(k) for k in exps), -sum(exps), True)
-    return math.exp(sum(math.lgamma(e + 1) for e in exps) - sum(exps) * math.log(math.pi))
-
-
 def bargmann_inner(f: FockPoly, g: FockPoly):
     """Hermitian inner product; monomial z^a has squared norm a!/pi^|a|.
 
     Exact mode returns :class:`PiLaurent`, float mode a complex number.  The
-    second argument is the conjugated one.
+    second argument is the conjugated one.  Exact mode sums c * conj(d) * a!
+    per power of pi and builds one PiLaurent at the end, its powers in the
+    order in which a running sum of PiLaurents would hold them.  The float
+    route goes through log-gamma and cannot overflow.
     """
     if f.n != g.n:
         raise InvalidParameterError("mismatched variable counts")
     if f.exact != g.exact:
         raise InvalidParameterError("mismatched coefficient modes")
-    acc = _coerce(0, f.exact)
+    n, top = f.n, _top(f.n)
+    if not f.exact:
+        acc = 0j
+        for e, c in f.terms.items():
+            d = g.terms.get(e)
+            if d is not None:
+                log_fact = sum(math.lgamma(k + 1) for k in _unpack(n, e))
+                acc = acc + c * d.conjugate() * math.exp(log_fact - (e >> top) * math.log(math.pi))
+        return acc
+    sums: dict[int, object] = {}  # power of pi -> coefficient
     for e, c in f.terms.items():
         d = g.terms.get(e)
-        if d is not None:
-            acc = acc + c * d.conjugate() * _monomial_norm2(e, f.exact)
-    return acc
+        if d is None:
+            continue
+        x = c * d.conjugate() * math.prod(map(math.factorial, _unpack(n, e)))
+        shift = -(e >> top)
+        for k, v in x.terms.items() if type(x) is PiLaurent else ((0, x),):
+            k += shift
+            if k in sums:
+                v = sums[k] + v
+                if not v:  # a power that cancels and comes back moves to the end
+                    del sums[k]
+                    continue
+            sums[k] = v
+    return PiLaurent(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +400,7 @@ def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> Foc
 
     one = FockPoly.one(f.n, f.exact)
     pairs = []
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.items():
         term = one
         for v, e in enumerate(exps):
             if e:
@@ -439,8 +508,8 @@ class AtTransform:
     def exp_factor(self, max_degree: int) -> FockPoly:
         """The exponential tag expanded through total degree ``max_degree``."""
         n, exact = self.n, self.poly.exact
-        bil = FockPoly(n, {_exponents(n, _var(n, 1, j), _var(n, n + 1, j)): 1
-                           for j in range(1, n + 2)}, exact)
+        bil = _poly(n, exact, {_exponents(n, _var(n, 1, j), _var(n, n + 1, j)): _coerce(1, exact)
+                               for j in range(1, n + 2)})
         out = power = FockPoly.one(n, exact)
         for m in range(1, max_degree // 2 + 1):
             power = power * bil
@@ -458,6 +527,16 @@ class AtTransform:
         return self.prefactor * val
 
 
+def _corner_columns(n: int) -> list[tuple[int, int, int]]:
+    """Per column j: the bit offsets of z_1j and z_(n+1)j, and the packed
+    step that lowers both exponents (and the degree) by one."""
+    out = []
+    for j in range(1, n + 2):
+        v1, v2 = _var(n, 1, j), _var(n, n + 1, j)
+        out.append((_BITS * v1, _BITS * v2, _exponents(n, v1, v2)))
+    return out
+
+
 def omega_at(t, f: FockPoly) -> AtTransform:
     """Closed form of the hyperbolic action on a polynomial.
 
@@ -472,21 +551,16 @@ def omega_at(t, f: FockPoly) -> AtTransform:
     ch, th = _hyperbolic_scalars(t, exact)
     chinv = 1 / ch
     pairs = []
-    for exps, coeff in f.terms.items():
-        # column j moves the exponents of z_1j and z_(n+1)j together
-        acc = [(exps, coeff)]
-        for j in range(1, n + 2):
-            v1, v2 = _var(n, 1, j), _var(n, n + 1, j)
-            i_j, g_j = exps[v1], exps[v2]
-            new_acc = []
-            for cur_exps, cur_coeff in acc:
-                for ell in range(min(i_j, g_j) + 1):
-                    scal = _pi_scalar(math.comb(g_j, ell) * math.perm(i_j, ell) * (-th) ** ell
-                                      * chinv ** (i_j + g_j - 2 * ell), -ell, exact)
-                    e = list(cur_exps)
-                    e[v1], e[v2] = i_j - ell, g_j - ell
-                    new_acc.append((tuple(e), cur_coeff * scal))
-            acc = new_acc
+    for key, coeff in f.terms.items():
+        # column j lowers the exponents of z_1j and z_(n+1)j together
+        acc = [(key, coeff)]
+        for s1, s2, step in _corner_columns(n):
+            i_j, g_j = (key >> s1) & _MASK, (key >> s2) & _MASK
+            scals = [_pi_scalar(math.comb(g_j, ell) * math.perm(i_j, ell) * (-th) ** ell
+                                * chinv ** (i_j + g_j - 2 * ell), -ell, exact)
+                     for ell in range(min(i_j, g_j) + 1)]
+            acc = [(cur - ell * step, cur_coeff * scal)
+                   for cur, cur_coeff in acc for ell, scal in enumerate(scals)]
         pairs.extend(acc)
     return AtTransform(n=n, prefactor=_pi_scalar(chinv ** (n + 1), 0, exact), tanh=th,
                        poly=f._with(_collect(pairs)))
@@ -502,31 +576,27 @@ def weil_transform_bruteforce(t, f: FockPoly) -> AtTransform:
     ch, th = _hyperbolic_scalars(t, exact)
     chinv = 1 / ch
     pairs = []
-    for exps, coeff in f.terms.items():
+    for key, coeff in f.terms.items():
         # middle rows: single kernel source pi * z_rj wbar_rj; the expansion
         # order is forced to the monomial exponent and the integral returns
         # the same monomial.
         # corner columns: sources pi/ch * z_1j wbar_1j, pi/ch * z_(n+1)j
         # wbar_(n+1)j, and -pi*th * wbar_1j wbar_(n+1)j.
-        items = [(exps, coeff)]
-        for j in range(1, n + 2):
-            v1, v2 = _var(n, 1, j), _var(n, n + 1, j)
-            i_j, g_j = exps[v1], exps[v2]
-            expanded = []
-            for e_cur, c_cur in items:
-                for m in range(min(i_j, g_j) + 1):
-                    a, b = i_j - m, g_j - m
-                    # kernel coefficient: (pi/ch)^a/a! * (pi/ch)^b/b! *
-                    # (-pi th)^m/m!, integrals give i!/pi^i * g!/pi^g
-                    num = chinv ** (a + b) * (-th) ** m * Fraction(
-                        math.factorial(i_j) * math.factorial(g_j),
-                        math.factorial(a) * math.factorial(b) * math.factorial(m),
-                    )
-                    scal = _pi_scalar(num, (a + b + m) - i_j - g_j, exact)
-                    e = list(e_cur)
-                    e[v1], e[v2] = a, b
-                    expanded.append((tuple(e), c_cur * scal))
-            items = expanded
+        items = [(key, coeff)]
+        for s1, s2, step in _corner_columns(n):
+            i_j, g_j = (key >> s1) & _MASK, (key >> s2) & _MASK
+            scals = []
+            for m in range(min(i_j, g_j) + 1):
+                a, b = i_j - m, g_j - m
+                # kernel coefficient: (pi/ch)^a/a! * (pi/ch)^b/b! *
+                # (-pi th)^m/m!, integrals give i!/pi^i * g!/pi^g
+                num = chinv ** (a + b) * (-th) ** m * Fraction(
+                    math.factorial(i_j) * math.factorial(g_j),
+                    math.factorial(a) * math.factorial(b) * math.factorial(m),
+                )
+                scals.append(_pi_scalar(num, (a + b + m) - i_j - g_j, exact))
+            items = [(e_cur - m * step, c_cur * scal)
+                     for e_cur, c_cur in items for m, scal in enumerate(scals)]
         pairs.extend(items)
     # (det P)^(-1/2) with P = diag(ch,1,...,1,ch) tensor identity, det P = ch^(2(n+1))
     return AtTransform(n=n, prefactor=_pi_scalar(1 / ch ** (n + 1), 0, exact), tanh=th,
@@ -605,15 +675,15 @@ def _monomial_weight(exps, wmap, axes: int):
 
 def _first_order(poly: FockPoly, moves: list[tuple[int, int, int]]) -> FockPoly:
     """Apply sum of sign * z_src d/d z_dst to the polynomial."""
+    n = poly.n
+    shifts = [(_BITS * dst, _exponents(n, src) - _exponents(n, dst), sign)
+              for src, dst, sign in moves]
     pairs = []
-    for exps, coeff in poly.terms.items():
-        for src, dst, sign in moves:
-            e = exps[dst]
+    for key, coeff in poly.terms.items():
+        for shift, move, sign in shifts:
+            e = (key >> shift) & _MASK
             if e:
-                newe = list(exps)
-                newe[dst] -= 1
-                newe[src] += 1
-                pairs.append((tuple(newe), coeff * (sign * e)))
+                pairs.append((key + move, coeff * (sign * e)))
     return poly._with(_collect(pairs))
 
 
@@ -647,7 +717,7 @@ def highest_weight_check(phi: FockPoly, theta: ThetaDatum) -> HighestWeightRepor
 
     weights_row = set()
     weights_col = set()
-    for exps in phi.terms:
+    for exps, _ in phi.items():
         weights_row.add(_monomial_weight(exps, row_w, n + 1))
         weights_col.add(_monomial_weight(exps, col_w, n + 1))
     if len(weights_row) != 1 or len(weights_col) != 1:

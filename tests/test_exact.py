@@ -228,6 +228,31 @@ class TestPiLaurent:
         b = PiLaurent({-2: QQi(0, 1)})
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
+    @pytest.mark.parametrize("scalar", [QQi(1, -2), 3, F(-1, 3)])
+    def test_equality_across_rings(self, scalar):
+        # both orders, and neither side raises inside the other's coercion
+        wrapped = PiLaurent.single(scalar)
+        assert scalar == wrapped and wrapped == scalar
+        assert not (scalar != wrapped or wrapped != scalar)
+        assert QQi.coerce(scalar) != PiLaurent.single(scalar, -1)
+        assert PiLaurent.single(scalar, 1) != QQi.coerce(scalar)
+        assert QQi(1).__eq__(wrapped) is NotImplemented
+
+    def test_float_compares_unequal_without_raising(self):
+        for value in (QQi(1), PiLaurent.single(1), PiLaurent.single(2, -1)):
+            assert value != 1.0 and not (value == 1.0)
+            assert 1.0 != value and not (1.0 == value)
+            assert value.__eq__(1.0) is NotImplemented
+
+    def test_mixed_sum_keeps_the_left_power_first(self):
+        # complex() sums the powers in order, so a scalar plus a PiLaurent
+        # must order them as the sum of two PiLaurents does
+        b = PiLaurent({-1: QQi(2), 3: QQi(1)})
+        for scalar in (5, QQi(5), F(5)):
+            assert list((scalar + b).terms) == [0, -1, 3]
+            assert list((PiLaurent.single(scalar) + b).terms) == [0, -1, 3]
+            assert list((b + scalar).terms) == [-1, 3, 0]
+
 
 class TestExactLinearAlgebra:
     def test_inverse_roundtrip(self):

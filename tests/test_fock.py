@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arczeta.errors import InvalidParameterError
 from arczeta.exact import PiLaurent, QQi, rational_hyperbolic
@@ -80,6 +82,133 @@ class TestFockPoly:
         with pytest.raises(InvalidParameterError):
             FockPoly(1, {(-1, 0, 0, 0): 1})
 
+    def test_constructor_refusals(self):
+        # a negative entry, a wrong length, a degree beyond the 16-bit field,
+        # and a packed key in place of a tuple
+        for bad in ((0, -1, 2, 0), (1, 0, 0), (1, 0, 0, 0, 0), (65536, 0, 0, 0),
+                    (40000, 0, 0, 30000), var(1, 1, 2).terms.popitem()[0]):
+            with pytest.raises(InvalidParameterError):
+                FockPoly(1, {bad: 1})
+        assert FockPoly(1, {(0, 0, 65535, 0): 1}).degree() == 65535
+
+    def test_degree_field_bound(self):
+        # one term, so the repeated squaring stays cheap
+        top = var(1, 1, 1) ** 65535
+        assert list(top.items()) == [((65535, 0, 0, 0), 1)] and top.degree() == 65535
+        with pytest.raises(InvalidParameterError):
+            var(1, 1, 1) ** 65536
+        with pytest.raises(InvalidParameterError):
+            (var(1, 1, 1) ** 40000 + var(1, 1, 2)) * var(1, 2, 2) ** 30000
+
+    def test_coefficients_in_the_narrowest_ring(self):
+        f = var(1, 1, 1) + var(1, 1, 2).scale(F(1, 2))
+        assert [type(c) for c in f.terms.values()] == [int, QQi]
+        g = f * var(1, 2, 1).scale(PiLaurent.single(1, -1))
+        assert [type(c) for c in g.terms.values()] == [PiLaurent, PiLaurent]
+        assert dict(g.items()) == {(1, 0, 1, 0): PiLaurent.single(1, -1),
+                                   (0, 1, 1, 0): PiLaurent.single(F(1, 2), -1)}
+
+
+# -- the packed engine against arithmetic on exponent tuples -----------------
+
+def _o_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return _o_clean(out)
+
+
+def _o_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return _o_clean(out)
+
+
+def _o_first_order(a, moves):
+    out = {}
+    for exps, c in a.items():
+        for src, dst, sign in moves:
+            if exps[dst]:
+                e = list(exps)
+                e[dst] -= 1
+                e[src] += 1
+                out = _o_add(out, {tuple(e): c * (sign * exps[dst])})
+    return out
+
+
+def _o_omega_at(a, n, ch, sh):
+    # per column j the exponents i, g of z_1j and z_(n+1)j drop together by
+    # ell, with weight C(g, ell) i!/(i-ell)! (-tanh)^ell cosh^-(i+g-2ell) pi^-ell
+    th = sh / ch
+    out = {}
+    for exps, c in a.items():
+        partial = [(exps, c)]
+        for j in range(n + 1):
+            v1, v2 = j, n * (n + 1) + j
+            i, g = exps[v1], exps[v2]
+            nxt = []
+            for e, cc in partial:
+                for ell in range(min(i, g) + 1):
+                    w = list(e)
+                    w[v1] -= ell
+                    w[v2] -= ell
+                    weight = math.comb(g, ell) * math.perm(i, ell) * (-th) ** ell
+                    nxt.append((tuple(w), cc * PiLaurent.single(weight / ch ** (i + g - 2 * ell),
+                                                                -ell)))
+            partial = nxt
+        for e, cc in partial:
+            out = _o_add(out, {e: cc})
+    return out
+
+
+_small_qqi = st.builds(QQi, st.fractions(-3, 3, max_denominator=4),
+                       st.fractions(-3, 3, max_denominator=4))
+_coeffs = _small_qqi | st.builds(PiLaurent, st.dictionaries(st.integers(-2, 2), _small_qqi,
+                                                             min_size=1, max_size=3))
+
+
+@st.composite
+def _poly_case(draw):
+    n = draw(st.sampled_from((1, 2)))
+    nvars = (n + 1) ** 2
+    table = st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), _coeffs, max_size=4)
+    moves = st.lists(st.tuples(st.integers(0, nvars - 1), st.integers(0, nvars - 1),
+                               st.sampled_from((1, -1))), max_size=3)
+    return n, draw(table), draw(table), draw(st.integers(0, 3)), draw(moves)
+
+
+class TestPackedEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(_poly_case())
+    def test_matches_tuple_oracle(self, case):
+        from arczeta.fock import _first_order
+
+        n, ta, tb, k, moves = case
+        a, b = FockPoly(n, ta), FockPoly(n, tb)
+        oa, ob = _o_clean(ta), _o_clean(tb)
+        assert dict(a.items()) == oa
+        assert a.degree() == max((sum(e) for e in oa), default=0)
+        assert dict((a * b).items()) == _o_mul(oa, ob)
+        assert dict((a + b).items()) == _o_add(oa, ob)
+        power = {(0,) * (n + 1) ** 2: 1}
+        for _ in range(k):
+            power = _o_mul(power, oa)
+        assert dict((a**k).items()) == power
+        assert a**k == FockPoly(n, power)
+        assert (a**k).degree() == max((sum(e) for e in power), default=0)
+        ch, sh = rational_hyperbolic(F(1, 3))
+        for got, want in ((_first_order(a, moves), _o_first_order(oa, moves)),
+                          (omega_at((ch, sh), a).poly, _o_omega_at(oa, n, ch, sh))):
+            assert dict(got.items()) == want
+            assert got == FockPoly(n, want)  # the same packed keys, degree field included
+
 
 class TestBargmann:
     def test_square_norm(self):
@@ -88,6 +217,11 @@ class TestBargmann:
 
     def test_distinct_monomials_orthogonal(self):
         assert not bargmann_inner(var(1, 1, 1), var(1, 1, 2))
+
+    def test_exact_inner_is_always_a_pilaurent(self):
+        zero = bargmann_inner(var(1, 1, 1), var(1, 1, 2))
+        assert type(zero) is PiLaurent and not zero
+        assert type(bargmann_inner(var(1, 1, 1), var(1, 1, 1))) is PiLaurent
 
     def test_anticorner_minor_norm(self):
         # independent expansion: det of rows {1,2} columns {2,3} squared
@@ -103,8 +237,8 @@ class TestBargmann:
         f = var(2, 1, 2) * var(2, 2, 3) + var(2, 1, 3).scale(QQi(0, 1))
         g = f
         exact = complex(bargmann_inner(f, g))
-        approx = bargmann_inner(FockPoly(f.n, f.terms, exact=False),
-                                FockPoly(g.n, g.terms, exact=False))
+        approx = bargmann_inner(FockPoly(f.n, dict(f.items()), exact=False),
+                                FockPoly(g.n, dict(g.items()), exact=False))
         assert np.isclose(exact, approx)
 
     def test_conjugation_side(self):
@@ -210,6 +344,28 @@ class TestHighestWeightNorm:
         monkeypatch.undo()
         assert len(built) == 0
         assert norm == PiLaurent.single(144, -6)
+
+    def test_builds_no_exact_ring_object(self, monkeypatch):
+        # phi has integer coefficients, so it is built on ints alone, and its
+        # norm sums integers per power of pi before building one PiLaurent
+        import arczeta.exact as exact
+
+        th = classify_theta(lam("15/2", "9/2", "7/2", "5/2", "3/2"))
+        assert th.n == 4 and th.case is Case.I
+        built = {QQi: 0, PiLaurent: 0}
+        # every QQi and PiLaurent sets its one field through one of these
+        for name in ("_set", "_set_terms"):
+            def counting(obj, value, setter=getattr(exact, name)):
+                built[type(obj)] += 1
+                setter(obj, value)
+
+            monkeypatch.setattr(exact, name, counting)
+        phi = harmonic_hwv(th)
+        assert built == {QQi: 0, PiLaurent: 0}
+        norm = bargmann_inner(phi, phi)
+        monkeypatch.undo()
+        assert type(norm) is PiLaurent and built[PiLaurent] <= len(norm.terms) == 1
+        assert norm == faraut_koranyi_norm2(th)
 
 
 class TestOmegaK:
@@ -391,7 +547,7 @@ class TestOmegaAt:
         f_ex = FockPoly(1, {(2, 1, 1, 0): 1}, exact=True)
         for transform in (omega_at, weil_transform_bruteforce):
             a = transform((ch, sh), f_ex)
-            b = transform(t, FockPoly(f_ex.n, f_ex.terms, exact=False))
+            b = transform(t, FockPoly(f_ex.n, dict(f_ex.items()), exact=False))
             assert a.poly.terms.keys() == b.poly.terms.keys()
             for exps, c in a.poly.terms.items():
                 assert np.isclose(complex(c), b.poly.terms[exps])
