@@ -6,6 +6,12 @@ shipped schema) or CSV for tables.  Exit codes: 0 pass, 1 numerical failure,
 2 invalid input, 3 inadmissible parameter.
 
 The default seed comes from ``ARCZETA_SEED`` when set.
+
+A call that names a verb builds that verb's parser only.  argparse makes a
+help formatter for every argument it adds, so building all nine verbs costs
+far more than the parse itself, and a batch of verified reports pays it on
+every call.  No verb, ``-h`` or an unknown verb builds the full parser, whose
+help text and errors need every verb.  Both read one table of verbs.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .weights import (
     c_squared,
     classify_theta,
     formal_degree_product,
+    parse_fraction,
     weyl_dim,
     zeta_closed,
 )
@@ -153,7 +160,8 @@ def table_rows(n: int, max_entry: Fraction) -> list[dict]:
     rows = []
     for lam in admissible_sweep(n, max_entry):
         theta = classify_theta(lam)
-        zc = zeta_closed(theta)
+        dim = weyl_dim(lam)
+        zc = zeta_closed(theta, dim=dim)
         rows.append({
             "lambda": str(lam),
             "case": theta.case.value,
@@ -163,7 +171,7 @@ def table_rows(n: int, max_entry: Fraction) -> list[dict]:
             "zeta_rational": str(zc.rational),
             "zeta_pi_exp": zc.pi_exp,
             "zeta_float": float(zc),
-            "dim": weyl_dim(lam),
+            "dim": dim,
             "formal_degree_product": str(formal_degree_product(lam)),
         })
     return rows
@@ -178,79 +186,11 @@ def table_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _add_common(sub):
-    sub.add_argument("--out", default=None, help="write the JSON report here")
-    sub.add_argument("--samples", type=int, default=1_000_000)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
-
-
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arczeta",
-        description="closed forms and cross-verified integrals for rank-one unitary groups",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sc = subs.add_parser("classify", help="classify a parameter and print its data")
-    sc.add_argument("--lambda", dest="lam", required=True,
-                    help="comma list of half-integers, e.g. 3/2,1/2")
-    sc.add_argument("--out", default=None)
-
-    st = subs.add_parser("table", help="closed-form table over an admissible sweep")
-    st.add_argument("--n", type=int, required=True)
-    st.add_argument("--max-entry", default="15/2")
-    st.add_argument("--format", choices=["json", "csv"], default="json")
-    st.add_argument("--out", default=None)
-
-    ss = subs.add_parser("verify-s", help="scalar domain integral vs closed form")
-    ss.add_argument("--p", type=int, required=True)
-    ss.add_argument("--q", type=int, required=True)
-    ss.add_argument("--kappa", required=True, help="comma list (length p)")
-    ss.add_argument("--iota", required=True, help="comma list (length q)")
-    ss.add_argument("--s", required=True)
-    ss.add_argument("--method", choices=["quad", "mc"], default="quad")
-    _add_common(ss)
-
-    stt = subs.add_parser("verify-t", help="endomorphism scalar vs closed form")
-    stt.add_argument("--lambda", dest="lam", required=True)
-    stt.add_argument("--s", required=True)
-    stt.add_argument("--method", choices=["quad", "mc"], default="quad")
-    _add_common(stt)
-
-    sz = subs.add_parser("verify-zeta", help="end-to-end group integral vs closed form")
-    sz.add_argument("--lambda", dest="lam", required=True)
-    sz.add_argument("--method", choices=["mc", "radial"], default="mc")
-    _add_common(sz)
-
-    sp = subs.add_parser("verify-prop61", help="two evaluation routes of the compact matrix coefficient")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
-
-    sa = subs.add_parser("verify-at", help="hyperbolic transform vs brute-force kernel (exact)")
-    sa.add_argument("--max-degree", type=int, default=4)
-    sa.add_argument("--out", default=None)
-
-    so = subs.add_parser("verify-schur",
-                         help="character L2 norms over Haar characteristic polynomials")
-    so.add_argument("--weights", default="1,0;2,1;2,2;1,0,0;2,1,0",
-                    help="semicolon-separated weight lists")
-    _add_common(so)
-
-    sf = subs.add_parser("verify-fd", help="formal-degree proportionality (exact)")
-    sf.add_argument("--n", type=int, required=True)
-    sf.add_argument("--max-entry", default="9/2")
-    sf.add_argument("--count", type=int, default=5)
-    sf.add_argument("--out", default=None)
-    return parser
-
-
 def _fraction(text: str) -> Fraction:
     """A fraction option value; a malformed one, or one with a zero
     denominator, is invalid input."""
     try:
-        return Fraction(text.strip())
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"cannot parse {text!r} as a fraction: {exc}") from None
 
@@ -259,23 +199,48 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
     return [_fraction(part) for part in text.split(",")]
 
 
+# Each verb has a function that adds its arguments to its subparser and a
+# handler that returns (report, passed); the CSV table prints itself and
+# returns no report.
+
+def _add_common(sub):
+    sub.add_argument("--out", default=None, help="write the JSON report here")
+    sub.add_argument("--samples", type=int, default=1_000_000)
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=1)
+
+
+def _classify_args(sub):
+    sub.add_argument("--lambda", dest="lam", required=True,
+                     help="comma list of half-integers, e.g. 3/2,1/2")
+    sub.add_argument("--out", default=None)
+
+
 def _classify(args, seed, samples):
     t0 = time.perf_counter()
     lam = HCParameter.parse(args.lam)
     theta = classify_theta(lam)
+    dim = weyl_dim(lam)
     doc = build_report(
-        "classify", lam=lam, theta=theta, closed=zeta_closed(theta), verdict="PASS",
+        "classify", lam=lam, theta=theta, closed=zeta_closed(theta, dim=dim), verdict="PASS",
         extra={
             "gamma": str(theta.gamma),
             "alphas": [str(a) for a in theta.alphas],
             "betas": [str(b) for b in theta.betas],
             "c2": str(c_squared(theta)),
-            "dim": weyl_dim(lam),
+            "dim": dim,
             "nonstandard_congruence": theta.nonstandard_congruence,
         },
         wall_time=time.perf_counter() - t0,
     )
     return doc, True
+
+
+def _table_args(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--max-entry", default="15/2")
+    sub.add_argument("--format", choices=["json", "csv"], default="json")
+    sub.add_argument("--out", default=None)
 
 
 def _table(args, seed, samples):
@@ -294,12 +259,29 @@ def _table(args, seed, samples):
     return None, True
 
 
+def _verify_s_args(sub):
+    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--kappa", required=True, help="comma list (length p)")
+    sub.add_argument("--iota", required=True, help="comma list (length q)")
+    sub.add_argument("--s", required=True)
+    sub.add_argument("--method", choices=["quad", "mc"], default="quad")
+    _add_common(sub)
+
+
 def _verify_s(args, seed, samples):
     rep = verify_S(args.p, args.q, _parse_fraction_list(args.kappa),
                    _parse_fraction_list(args.iota), _fraction(args.s),
                    samples=samples, seed=seed, workers=args.workers,
                    method=args.method)
     return build_report("verify-s", report=rep), rep.passed
+
+
+def _verify_t_args(sub):
+    sub.add_argument("--lambda", dest="lam", required=True)
+    sub.add_argument("--s", required=True)
+    sub.add_argument("--method", choices=["quad", "mc"], default="quad")
+    _add_common(sub)
 
 
 def _verify_t(args, seed, samples):
@@ -310,6 +292,12 @@ def _verify_t(args, seed, samples):
     return build_report("verify-t", lam=lam, theta=theta, report=rep), rep.passed
 
 
+def _verify_zeta_args(sub):
+    sub.add_argument("--lambda", dest="lam", required=True)
+    sub.add_argument("--method", choices=["mc", "radial"], default="mc")
+    _add_common(sub)
+
+
 def _verify_zeta(args, seed, samples):
     lam = HCParameter.parse(args.lam)
     theta = classify_theta(lam)
@@ -318,9 +306,20 @@ def _verify_zeta(args, seed, samples):
     return build_report("verify-zeta", lam=lam, theta=theta, report=rep), rep.passed
 
 
+def _verify_prop61_args(sub):
+    sub.add_argument("--trials", type=int, default=20)
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--out", default=None)
+
+
 def _verify_prop61(args, seed, samples):
     rep = verify_prop61(trials=args.trials, seed=seed)
     return build_report("verify-prop61", report=rep), rep.passed
+
+
+def _verify_at_args(sub):
+    sub.add_argument("--max-degree", type=int, default=4)
+    sub.add_argument("--out", default=None)
 
 
 def _verify_at(args, seed, samples):
@@ -328,11 +327,24 @@ def _verify_at(args, seed, samples):
     return build_report("verify-at", report=rep), rep.passed
 
 
+def _verify_schur_args(sub):
+    sub.add_argument("--weights", default="1,0;2,1;2,2;1,0,0;2,1,0",
+                     help="semicolon-separated weight lists")
+    _add_common(sub)
+
+
 def _verify_schur(args, seed, samples):
     weights = [[int(x) for x in w.split(",")] for w in args.weights.split(";")]
     rep = verify_schur_orthogonality(weights, samples=samples, seed=seed,
                                      workers=args.workers)
     return build_report("verify-schur", report=rep), rep.passed
+
+
+def _verify_fd_args(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--max-entry", default="9/2")
+    sub.add_argument("--count", type=int, default=5)
+    sub.add_argument("--out", default=None)
 
 
 def _verify_fd(args, seed, samples):
@@ -348,18 +360,41 @@ def _verify_fd(args, seed, samples):
     return build_report("verify-fd", report=rep), rep.passed
 
 
-# each handler returns (report, passed); the CSV table prints itself and returns no report
-_COMMANDS = {
-    "classify": _classify,
-    "table": _table,
-    "verify-s": _verify_s,
-    "verify-t": _verify_t,
-    "verify-zeta": _verify_zeta,
-    "verify-prop61": _verify_prop61,
-    "verify-at": _verify_at,
-    "verify-schur": _verify_schur,
-    "verify-fd": _verify_fd,
+# verb -> (help line, its arguments, its handler), in the order --help lists them
+_VERBS = {
+    "classify": ("classify a parameter and print its data", _classify_args, _classify),
+    "table": ("closed-form table over an admissible sweep", _table_args, _table),
+    "verify-s": ("scalar domain integral vs closed form", _verify_s_args, _verify_s),
+    "verify-t": ("endomorphism scalar vs closed form", _verify_t_args, _verify_t),
+    "verify-zeta": ("end-to-end group integral vs closed form", _verify_zeta_args,
+                    _verify_zeta),
+    "verify-prop61": ("two evaluation routes of the compact matrix coefficient",
+                      _verify_prop61_args, _verify_prop61),
+    "verify-at": ("hyperbolic transform vs brute-force kernel (exact)", _verify_at_args,
+                  _verify_at),
+    "verify-schur": ("character L2 norms over Haar characteristic polynomials",
+                     _verify_schur_args, _verify_schur),
+    "verify-fd": ("formal-degree proportionality (exact)", _verify_fd_args, _verify_fd),
 }
+
+
+def make_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone.
+
+    A one-verb parser reads that verb's arguments as the full parser does.
+    Its usage still lists every verb, because an unrecognized argument prints
+    that usage. The full parser keeps argparse's own rendering of the choices,
+    under which its errors name the verb argument ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="arczeta",
+        description="closed forms and cross-verified integrals for rank-one unitary groups",
+    )
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _VERBS if verb is None else (verb,):
+        help_line, add_arguments, _ = _VERBS[name]
+        add_arguments(subs.add_parser(name, help=help_line))
+    return parser
 
 
 def _run(args) -> int:
@@ -374,7 +409,8 @@ def _run(args) -> int:
         raise InvalidParameterError(
             f"statistical commands need samples >= {MIN_STATISTICAL_SAMPLES}"
         )
-    doc, passed = _COMMANDS[args.command](args, seed, samples)
+    _, _, handler = _VERBS[args.command]
+    doc, passed = handler(args, seed, samples)
     if doc is not None:
         _emit(doc, args.out)
     return EXIT_PASS if passed else EXIT_FAIL
@@ -394,9 +430,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    # a named verb needs its own parser only; no verb, -h or a typo needs them all
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = make_parser(verb).parse_args(argv)
     try:
         return _run(args)
     except InadmissibleParameterError as exc:

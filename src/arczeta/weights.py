@@ -44,6 +44,7 @@ __all__ = [
     "zeta_closed",
     "c_squared",
     "admissible_sweep",
+    "parse_fraction",
 ]
 
 
@@ -70,11 +71,26 @@ def _halves(xs) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, 2) for x in xs)
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Text as a Fraction.  The common form ``[-]digits[/digits]`` in ASCII
+    digits is read as ints, and a zero denominator raises as ``Fraction``
+    does; any other text goes to ``Fraction``, which accepts more forms."""
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return Fraction(int(num))
+        if den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
 def _half_integer(x) -> Fraction:
     """An entry given as an int, a Fraction or text, checked to be a half-integer."""
     if isinstance(x, str):
         try:
-            value = Fraction(x.strip())
+            value = parse_fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameterError(f"cannot parse half-integer {x!r}: {exc}") from None
     elif isinstance(x, (int, Fraction)):
@@ -498,16 +514,18 @@ def _coerce_theta(lam_or_theta) -> ThetaDatum:
     return classify_theta(lam_or_theta)
 
 
-def zeta_closed(lam_or_theta) -> ClosedValue:
+def zeta_closed(lam_or_theta, *, dim: int | None = None) -> ClosedValue:
     """Exact value of the group integral per unit squared norm of the matched
     joint highest-weight vector: ``closed_T`` at s = (n+1)/2 over the
-    dimension of the lowest K-type, which joins the integer denominator."""
+    dimension of the lowest K-type, which joins the integer denominator.
+    A caller that holds that dimension (:func:`weyl_dim`) passes it as
+    ``dim`` and it is not taken again."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
     s = Fraction(theta.n + 1, 2)
     p, q, kappas, iotas = T_arguments(theta)
     a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
-    return _S_value(p, q, s, a, b, offsets, theta.dim_sigma())
+    return _S_value(p, q, s, a, b, offsets, theta.dim_sigma() if dim is None else dim)
 
 
 def c_squared(lam_or_theta) -> Fraction:

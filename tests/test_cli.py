@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import csv
 import io
 import json
@@ -335,3 +337,128 @@ def test_every_verb_runs_without_scipy():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(argvs)
+
+
+VERBS = ["classify", "table", "verify-s", "verify-t", "verify-zeta", "verify-prop61",
+         "verify-at", "verify-schur", "verify-fd"]
+
+# usage and help cases: each exits from argparse before a verb runs
+PARSER_EXITS = [
+    [], ["--help"], ["bogus"],
+    *([verb, "--help"] for verb in VERBS),
+    ["classify"], ["table"], ["verify-s", "--p", "1", "--q", "1", "--kappa", "0", "--iota", "0"],
+    ["verify-t", "--lambda", "3/2,1/2"], ["verify-zeta"], ["verify-fd", "--count", "2"],
+    ["verify-zeta", "--lambda", "3/2,1/2", "extra"],
+    ["table", "--n", "1", "--format", "xml"],
+    ["classify", "--lambda", "3/2,1/2", "--bogus", "1"],
+]
+
+
+def full_parser_exit(capsys, argv):
+    """Exit code, stdout and stderr of the parser of every verb on ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        make_parser().parse_args(_join_negative_values(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_main_parser_exits_match_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = full_parser_exit(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == expected
+
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "error: the following arguments are required: command\n"),
+    (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+])
+def test_full_parser_names_the_verb_argument_command(capsys, argv, message):
+    # the full parser keeps argparse's default choices rendering, under which
+    # these two errors name the verb argument "command"
+    code, out, err = full_parser_exit(capsys, argv)
+    assert code == 2 and not out and message in err
+
+def test_process_parser_exits_match_full_parser(capsys, monkeypatch):
+    # the same cases as a process sees them: its own stdout, stderr and exit code
+    monkeypatch.setenv("COLUMNS", "80")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-m", "arczeta.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(run, PARSER_EXITS))
+    for argv, outcome in zip(PARSER_EXITS, got):
+        assert outcome == full_parser_exit(capsys, argv), argv
+
+
+# every option of every verb, negative values without "=" included
+VERB_ARGVS = [
+    ["classify", "--lambda", "-1/2,-5/2", "--out", "c.json"],
+    ["table", "--n", "2", "--max-entry", "7/2", "--format", "csv", "--out", "t.csv"],
+    ["verify-s", "--p", "2", "--q", "1", "--kappa", "-1,-1", "--iota", "2", "--s", "2",
+     "--method", "mc", "--samples", "20000", "--seed", "3", "--workers", "2", "--out", "s.json"],
+    ["verify-t", "--lambda", "5/2,3/2,1/2", "--s", "3/2", "--method", "mc",
+     "--samples", "20000", "--seed", "-4", "--workers", "2", "--out", "t.json"],
+    ["verify-zeta", "--lambda", "1/2,-7/2,-9/2", "--method", "radial", "--samples", "20000",
+     "--seed", "5", "--workers", "2", "--out", "z.json"],
+    ["verify-prop61", "--trials", "3", "--seed", "6", "--out", "p.json"],
+    ["verify-at", "--max-degree", "3", "--out", "a.json"],
+    ["verify-schur", "--weights", "1,0;2,1", "--samples", "20000", "--seed", "7",
+     "--workers", "2", "--out", "o.json"],
+    ["verify-fd", "--n", "2", "--max-entry", "11/2", "--count", "8", "--out", "f.json"],
+]
+
+
+def test_one_verb_parser_reads_as_full_parser():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                if line.startswith("arczeta ")]
+    defaults = [[verb] for verb in ("verify-prop61", "verify-at", "verify-schur")]
+    assert sorted({argv[0] for argv in VERB_ARGVS}) == sorted(VERBS)
+    full = make_parser()
+    for argv in VERB_ARGVS + examples + defaults:
+        argv = _join_negative_values(argv)
+        assert make_parser(argv[0]).parse_args(argv) == full.parse_args(argv), argv
+
+
+@pytest.fixture
+def add_parser_calls(monkeypatch):
+    """Names passed to argparse's subparser factory, which is counted, not replaced."""
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return calls
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_named_verb_builds_its_parser_only(capsys, add_parser_calls, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0 and add_parser_calls == [verb]
+
+
+def test_named_verb_run_builds_its_parser_only(capsys, add_parser_calls):
+    code, out, _ = run_cli(capsys, "classify", "--lambda", "3/2,1/2")
+    assert code == 0 and json.loads(out)["case"] == "I"
+    assert add_parser_calls == ["classify"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]])
+def test_no_verb_builds_every_parser(capsys, add_parser_calls, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert add_parser_calls == VERBS

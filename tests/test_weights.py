@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from arczeta.weights import (
     formal_degree_product,
     gl_dim,
     hc_to_blattner,
+    parse_fraction,
     weyl_dim,
     zeta_closed,
 )
@@ -73,6 +75,38 @@ class TestHCParameter:
         with pytest.raises(InvalidParameterError,
                            match="position 1: cannot parse half-integer 'x'"):
             HCParameter.parse("3/2,x")
+
+    # the form read as ints: an optional minus and ASCII digits, over ASCII digits
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True))
+    def test_integer_form_reads_as_fraction_does(self, text):
+        try:
+            expected = F(text)
+        except ZeroDivisionError as exc:
+            with pytest.raises(ZeroDivisionError, match="^" + re.escape(str(exc)) + "$"):
+                parse_fraction(text)
+        else:
+            value = parse_fraction(text)
+            assert type(value) is F and value == expected
+
+    @pytest.mark.parametrize("text", [
+        " 3/2", "+1/2", "1.5", "3/02", "-2/4", "3/0", "-3/00", "x", "", "-", "3/", "/2",
+        "--1/2", "1_1/2", "\u0663/2"])
+    def test_other_text_reads_as_fraction_does(self, text):
+        # every other form keeps Fraction's value or Fraction's error, in the
+        # words HCParameter.parse has always used
+        try:
+            expected = F(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            message = f"bad entry at position 0: cannot parse half-integer {text!r}: {exc}"
+            with pytest.raises(InvalidParameterError) as err:
+                HCParameter.parse(text + ",-7/2")
+            assert str(err.value) == message
+            with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+                parse_fraction(text)
+        else:
+            assert parse_fraction(text) == expected
+            assert HCParameter.parse(text + ",-7/2").entries[0] == expected
 
 
 class TestBlattner:
@@ -411,6 +445,11 @@ class TestZetaAndProjection:
             th = classify_theta(lv)
             lhs = zeta_closed(th) * weyl_dim(lv)
             assert lhs == closed_T(th, F(th.n + 1, 2))
+
+    def test_zeta_with_given_dimension(self):
+        for lv in admissible_sweep(2, F(9, 2)) + admissible_sweep(1, 4):
+            th = classify_theta(lv)
+            assert zeta_closed(th, dim=weyl_dim(lv)) == zeta_closed(th)
 
     def test_c_squared_examples(self):
         assert c_squared(lam("3/2", "1/2")) == F(1, 2)
