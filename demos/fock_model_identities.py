@@ -49,7 +49,7 @@ print("3. The hyperbolic action: closed transform vs kernel brute force")
 print("=" * 72)
 ch, sh = rational_hyperbolic(F(1, 2))
 print(f"  exact hyperbolic pair: cosh = {ch}, sinh = {sh}")
-f = FockPoly(1, {(2, 1, 0, 1): 1}, exact=True)
+f = FockPoly(1, {(2, 1, 0, 1): 1})
 a = omega_at((ch, sh), f)
 b = weil_transform_bruteforce((ch, sh), f)
 print("  transform  :", sorted(e for e, _ in a.poly.items()))
@@ -62,9 +62,10 @@ print("=" * 72)
 print("4. Two routes to the same matrix coefficient")
 print("=" * 72)
 theta = classify_theta(HCParameter.parse("5/2,3/2,1/2"))
+phi = harmonic_hwv(theta)  # integer coefficients: one vector for both rings
 kI = CoverElement(np.eye(2, dtype=object), 1, 1)  # an object block: the exact ring
-exact_sub = omega_matcoef(kI, (ch, sh), kI, theta)
-exact_tra = omega_matcoef_transform_route(kI, (ch, sh), kI, theta)
+exact_sub = omega_matcoef(kI, (ch, sh), kI, theta, phi)
+exact_tra = omega_matcoef_transform_route(kI, (ch, sh), kI, theta, phi)
 print("  substitution route (exact):", exact_sub)
 print("  transform route   (exact):", exact_tra)
 print("  equal:", exact_sub == exact_tra)
@@ -72,7 +73,6 @@ print("  equal:", exact_sub == exact_tra)
 rng = np.random.default_rng(1)
 k = CoverElement.from_blocks(haar_unitary(2, rng), np.exp(2j * np.pi * rng.uniform()))
 kp = CoverElement.from_blocks(haar_unitary(2, rng), np.exp(2j * np.pi * rng.uniform()))
-phi = harmonic_hwv(theta, exact=False)
 v1 = omega_matcoef(kp, 0.7, k, theta, phi)
 v2 = omega_matcoef_transform_route(kp, 0.7, k, theta, phi)
 print(f"  random unitaries (float): |route1 - route2| / |route1| = "

@@ -17,13 +17,13 @@ the total degree, so a monomial product is one integer add (Monagan & Pearce,
 packed exponent vectors).  Degrees stop at 2^16 - 1; a product past that is
 refused, never wrapped.
 
-Two coefficient modes share all code paths: complex floats, and exact
-coefficients, each held in the narrowest of ``int``, :class:`~arczeta.exact.QQi`
-(Gaussian rationals) and :class:`~arczeta.exact.PiLaurent` (Gaussian rationals
-times integer powers of pi) that holds it.  A coefficient becomes a
-PiLaurent only once a power of pi other than pi^0 enters.
-The compact group acts through one :class:`~arczeta.group.CoverElement`
-type in either ring; it must be in the ring of the polynomial it acts on.
+Each coefficient is exact, in the narrowest of ``int``, :class:`~arczeta.exact.QQi`
+(Gaussian rationals) and :class:`~arczeta.exact.PiLaurent` (times integer powers
+of pi) that holds it, or a float (complex).  Ints mix with either kind, so the
+highest-weight vector, built on ints, serves both; a float meeting a QQi or a
+PiLaurent raises ``TypeError``.  The scalars passed set the ring of a result:
+the dtype of a :class:`~arczeta.group.CoverElement`'s blocks, and the hyperbolic
+parameter as a float or an exact (cosh, sinh) pair.
 """
 
 from __future__ import annotations
@@ -99,28 +99,30 @@ def _unpack(n: int, key: int) -> tuple:
     return tuple(memoryview(key.to_bytes(2 * nvars + 2, sys.byteorder)).cast("H")[:nvars])
 
 
-# -- the two coefficient modes -----------------------------------------------
+# -- coefficients --------------------------------------------------------------
 # Scalars enter either ring through these helpers, and every sum of terms
 # goes through one accumulator.
 
+_EXACT = (int, QQi, PiLaurent)
 
-def _coerce(c, exact: bool):
-    """``c`` as a polynomial coefficient: complex in float mode; in exact mode
-    an int, QQi or PiLaurent as given, and any other rational as a QQi."""
-    if not exact:
-        return complex(c)
-    if type(c) in (int, QQi, PiLaurent):
+
+def _coerce(c):
+    """``c`` as a polynomial coefficient: an int, QQi or PiLaurent as given, a
+    float as a Python complex, and any other rational as a QQi."""
+    if type(c) in _EXACT:
         return c
+    if isinstance(c, (float, complex)):
+        return complex(c)
     return QQi.coerce(c)
 
 
-def _pi_scalar(value, k: int, exact: bool):
-    """``value * pi**k`` in the mode's ring: the narrow exact scalar for k == 0,
-    a PiLaurent of one power of pi otherwise, or a float that divides by
-    pi**-k when k < 0."""
-    if exact:
-        return PiLaurent.single(value, k) if k else _coerce(value, True)
-    return value * math.pi**k if k >= 0 else value / math.pi**-k
+def _pi_scalar(value, k: int):
+    """``value * pi**k`` in the ring of ``value``: for a float, a float that
+    divides by pi**-k when k < 0; for a rational, the narrow exact scalar for
+    k == 0 and a PiLaurent of one power of pi otherwise."""
+    if isinstance(value, (float, complex)):
+        return value * math.pi**k if k >= 0 else value / math.pi**-k
+    return PiLaurent.single(value, k) if k else _coerce(value)
 
 
 def _collect(pairs) -> dict:
@@ -140,26 +142,25 @@ def _collect(pairs) -> dict:
     return out
 
 
-def _poly(n: int, exact: bool, terms: dict) -> "FockPoly":
+def _poly(n: int, terms: dict) -> "FockPoly":
     """A polynomial over an already clean table of packed keys."""
     res = FockPoly.__new__(FockPoly)
-    res.n, res.exact, res.terms = n, exact, terms
+    res.n, res.terms = n, terms
     return res
 
 
 class FockPoly:
     """Sparse polynomial in the (n+1)^2 matrix variables.
 
-    ``terms`` maps packed monomial keys to nonzero coefficients: all complex
-    (float mode) or all exact (int, :class:`QQi` or :class:`PiLaurent`).
-    The constructor takes exponent tuples; :meth:`items` reads them back.
+    ``terms`` maps packed monomial keys to nonzero coefficients, exact or float
+    as the module docstring sets out.  The constructor takes exponent tuples;
+    :meth:`items` reads them back.
     """
 
-    __slots__ = ("n", "terms", "exact")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Optional[dict] = None, exact: bool = True):
+    def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = int(n)
-        self.exact = bool(exact)
         nvars = (n + 1) * (n + 1)
         pairs = []
         for exps, c in (terms or {}).items():
@@ -171,12 +172,12 @@ class FockPoly:
                 raise InvalidParameterError(f"bad exponent vector {exps}")
             if sum(exps) > _MAX_DEGREE:
                 raise InvalidParameterError(f"degree of {exps} is beyond the limit {_MAX_DEGREE}")
-            pairs.append((_pack(self.n, exps), _coerce(c, self.exact)))
+            pairs.append((_pack(self.n, exps), _coerce(c)))
         self.terms = _collect(pairs)
 
     def _with(self, terms: dict) -> "FockPoly":
-        """A polynomial of this size and mode over an already clean term table."""
-        return _poly(self.n, self.exact, terms)
+        """A polynomial of this size over an already clean term table."""
+        return _poly(self.n, terms)
 
     def items(self):
         """The (exponent tuple, coefficient) pairs, in term order."""
@@ -184,21 +185,21 @@ class FockPoly:
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def zero(cls, n: int, exact: bool = True) -> "FockPoly":
-        return cls(n, {}, exact)
+    def zero(cls, n: int) -> "FockPoly":
+        return cls(n, {})
 
     @classmethod
-    def one(cls, n: int, exact: bool = True) -> "FockPoly":
-        return _poly(int(n), bool(exact), {0: _coerce(1, exact)})
+    def one(cls, n: int) -> "FockPoly":
+        return _poly(int(n), {0: 1})
 
     @classmethod
-    def variable(cls, n: int, i: int, j: int, exact: bool = True) -> "FockPoly":
-        return _poly(int(n), bool(exact), {_exponents(n, _var(n, i, j)): _coerce(1, exact)})
+    def variable(cls, n: int, i: int, j: int) -> "FockPoly":
+        return _poly(int(n), {_exponents(n, _var(n, i, j)): 1})
 
     # -- ring ops ------------------------------------------------------------
     def _check(self, other: "FockPoly"):
-        if self.n != other.n or self.exact != other.exact:
-            raise InvalidParameterError("polynomial mode/size mismatch")
+        if self.n != other.n:
+            raise InvalidParameterError("polynomial size mismatch")
 
     def __add__(self, other: "FockPoly") -> "FockPoly":
         self._check(other)
@@ -233,13 +234,13 @@ class FockPoly:
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "FockPoly":
-        scalar = _coerce(scalar, self.exact)
+        scalar = _coerce(scalar)
         return self._with({e: c * scalar for e, c in self.terms.items()} if scalar else {})
 
     def __pow__(self, k: int) -> "FockPoly":
         if k < 0:
             raise InvalidParameterError("negative power of a polynomial")
-        out = FockPoly.one(self.n, self.exact)
+        out = FockPoly.one(self.n)
         base = self
         while k:
             if k & 1:
@@ -256,16 +257,10 @@ class FockPoly:
         return not self.terms
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FockPoly)
-            and self.n == other.n
-            and self.exact == other.exact
-            and self.terms == other.terms
-        )
+        return isinstance(other, FockPoly) and self.n == other.n and self.terms == other.terms
 
     def __repr__(self):
-        k = len(self.terms)
-        return f"FockPoly(n={self.n}, terms={k}, deg={self.degree()}, exact={self.exact})"
+        return f"FockPoly(n={self.n}, terms={len(self.terms)}, deg={self.degree()})"
 
 
 # ---------------------------------------------------------------------------
@@ -275,31 +270,28 @@ class FockPoly:
 def bargmann_inner(f: FockPoly, g: FockPoly):
     """Hermitian inner product; monomial z^a has squared norm a!/pi^|a|.
 
-    Exact mode returns :class:`PiLaurent`, float mode a complex number.  The
-    second argument is the conjugated one.  Exact mode sums c * conj(d) * a!
-    per power of pi and builds one PiLaurent at the end, its powers in the
-    order in which a running sum of PiLaurents would hold them.  The float
-    route goes through log-gamma and cannot overflow.
+    The second argument is the conjugated one.  Each matching term is summed in
+    the ring of c * conj(d): exact ones as c * conj(d) * a! per power of pi into
+    one PiLaurent, its powers in the order a running sum would hold them; float
+    ones into a complex number through log-gamma, which cannot overflow.  A
+    float term makes the result complex, any exact part added as a complex, and
+    so does a float coefficient when no term is nonzero.
     """
     if f.n != g.n:
         raise InvalidParameterError("mismatched variable counts")
-    if f.exact != g.exact:
-        raise InvalidParameterError("mismatched coefficient modes")
     n, top = f.n, _top(f.n)
-    if not f.exact:
-        acc = 0j
-        for e, c in f.terms.items():
-            d = g.terms.get(e)
-            if d is not None:
-                log_fact = sum(math.lgamma(k + 1) for k in _unpack(n, e))
-                acc = acc + c * d.conjugate() * math.exp(log_fact - (e >> top) * math.log(math.pi))
-        return acc
-    sums: dict[int, object] = {}  # power of pi -> coefficient
+    acc = None  # the float sum, once a float term appears
+    sums: dict[int, object] = {}  # power of pi -> exact coefficient
     for e, c in f.terms.items():
         d = g.terms.get(e)
         if d is None:
             continue
-        x = c * d.conjugate() * math.prod(map(math.factorial, _unpack(n, e)))
+        x = c * d.conjugate()
+        if type(x) not in _EXACT:
+            log_fact = sum(math.lgamma(k + 1) for k in _unpack(n, e))
+            acc = (acc or 0j) + x * math.exp(log_fact - (e >> top) * math.log(math.pi))
+            continue
+        x = x * math.prod(map(math.factorial, _unpack(n, e)))
         shift = -(e >> top)
         for k, v in x.terms.items() if type(x) is PiLaurent else ((0, x),):
             k += shift
@@ -309,6 +301,10 @@ def bargmann_inner(f: FockPoly, g: FockPoly):
                     del sums[k]
                     continue
             sums[k] = v
+    if acc is not None:
+        return acc + complex(PiLaurent(sums)) if sums else acc
+    if not sums and any(type(c) not in _EXACT for c in (*f.terms.values(), *g.terms.values())):
+        return 0j  # no float term matched, but the polynomials are floats
     return PiLaurent(sums)
 
 
@@ -316,14 +312,14 @@ def bargmann_inner(f: FockPoly, g: FockPoly):
 # minors and highest-weight vectors
 
 
-def minors(n: int, i: int, exact: bool = True) -> tuple[FockPoly, FockPoly]:
+def minors(n: int, i: int) -> tuple[FockPoly, FockPoly]:
     """The leading principal i x i minor and its anti-corner companion
     (rows n-i+1..n, columns n-i+2..n+1)."""
     if not 1 <= i <= n:
         raise InvalidParameterError(f"minor index {i} out of range for n={n}")
 
     def det(rows, cols):
-        return leading_minors([[FockPoly.variable(n, r, c, exact) for c in cols] for r in rows])[-1]
+        return leading_minors([[FockPoly.variable(n, r, c) for c in cols] for r in rows])[-1]
 
     delta = det(range(1, i + 1), range(1, i + 1))
     delta_p = det(range(n - i + 1, n + 1), range(n - i + 2, n + 2))
@@ -350,40 +346,32 @@ def _minor_powers(theta: ThetaDatum) -> tuple[list[tuple[int, int]], list[tuple[
     return steps(theta.betas), steps(theta.alphas)
 
 
-def harmonic_hwv(theta: ThetaDatum, exact: bool = True) -> FockPoly:
+def harmonic_hwv(theta: ThetaDatum) -> FockPoly:
     """Joint highest-weight polynomial of the classified datum.
 
     The minor powers of :func:`_minor_powers`, leading minors first, times
     z_{n+1,1}^gamma (Case I) or z_{n+1,p+1}^gamma (Case II).  Normalized with
-    leading coefficient one.
+    leading coefficient one; its int coefficients serve both rings.
     """
     n = theta.n
     leading, anti = _minor_powers(theta)
-    out = FockPoly.one(n, exact)
+    out = FockPoly.one(n)
     for side, powers in ((0, leading), (1, anti)):
         for i, e in powers:
-            out = out * minors(n, i, exact)[side] ** e
+            out = out * minors(n, i)[side] ** e
     corner = 1 if theta.case is Case.I else theta.p + 1
-    return out * FockPoly.variable(n, n + 1, corner, exact) ** int(theta.gamma)
+    return out * FockPoly.variable(n, n + 1, corner) ** int(theta.gamma)
 
 
 def hwv_norm2(theta: ThetaDatum) -> float:
     """Squared norm of the joint highest-weight vector, from its exact
     polynomial and the exact inner product."""
-    phi = harmonic_hwv(theta, exact=True)
+    phi = harmonic_hwv(theta)
     return complex(bargmann_inner(phi, phi)).real
 
 
-def _same_ring(exact: bool, *blocks):
-    """Refuse blocks whose ring, read from the dtype as :class:`CoverElement`
-    reads it (object: Gaussian rationals), is not the polynomial's."""
-    if any((np.asarray(b).dtype == object) != exact for b in blocks):
-        raise InvalidParameterError("cover element and polynomial are in different rings")
-
-
-def _cover_data(k: CoverElement, exact: bool):
+def _cover_data(k: CoverElement):
     """(transpose of the n-block, inverse of the n-block, y, y_inv, ratio)."""
-    _same_ring(exact, k.block_n)
     inv = k.inverse()
     return k.block_n.T, inv.block_n, k.block_1, inv.block_1, k.zeta_ratio
 
@@ -394,11 +382,11 @@ def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> Foc
 
     def image_power(v: int, e: int) -> FockPoly:
         if (v, e) not in cache:
-            lin = f._with(_collect((_exponents(f.n, w), _coerce(c, f.exact)) for w, c in images[v]))
+            lin = f._with(_collect((_exponents(f.n, w), _coerce(c)) for w, c in images[v]))
             cache[v, e] = lin**e
         return cache[v, e]
 
-    one = FockPoly.one(f.n, f.exact)
+    one = FockPoly.one(f.n)
     pairs = []
     for exps, coeff in f.items():
         term = one
@@ -410,10 +398,10 @@ def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> Foc
 
 
 def _twist(f: FockPoly, ratio, power: int) -> FockPoly:
-    """Scale by the carried root ratio to the given det-twist power."""
+    """Scale by the carried root ratio to the given det-twist power, in its ring."""
     if not power:
         return f
-    return f.scale(ratio**power if f.exact else cpow_int(complex(ratio), power))
+    return f.scale(cpow_int(ratio, power) if isinstance(ratio, complex) else ratio**power)
 
 
 def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
@@ -424,7 +412,7 @@ def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     twist enters through the cover's root ratio to the power p - q.
     """
     n, p = theta.n, theta.p
-    xt, xi, y, yi, ratio = _cover_data(k, f.exact)
+    xt, xi, y, yi, ratio = _cover_data(k)
     images: dict[int, list[tuple[int, object]]] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 2):
@@ -446,16 +434,17 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     columns by A -> A xp and C -> C t(xp)^{-1}, the U(q) factor on the rest by
     B -> B t(yq)^{-1} and D -> D yq, with det twists (n-1)/2 and -(n-1)/2
     consumed through the root ratio.  ``kp`` is a (xp, yq, ratio) triple with
-    ratio**2 * det(yq) == det(xp), its blocks in the polynomial's ring (read
-    from their dtype).
+    ratio**2 * det(yq) == det(xp), in the ring of the blocks' dtype as
+    :class:`CoverElement` reads it; blocks in two rings are refused.
     """
     n, p, q = theta.n, theta.p, theta.q
-    ring = object if f.exact else complex
     xp, yq_mat, ratio = kp
-    _same_ring(f.exact, xp, yq_mat)
-    xp = np.asarray(xp, dtype=ring).reshape(p, p)
-    yq_mat = np.asarray(yq_mat, dtype=ring).reshape(q, q)
-    check_root_ratio(ratio, leading_minors(yq_mat)[-1], leading_minors(xp)[-1], f.exact)
+    xp, yq_mat = np.asarray(xp).reshape(p, p), np.asarray(yq_mat).reshape(q, q)
+    if (xp.dtype == object) != (yq_mat.dtype == object):
+        raise InvalidParameterError("partner blocks are in different rings")
+    if xp.dtype != object:
+        xp, yq_mat, ratio = xp.astype(complex), yq_mat.astype(complex), complex(ratio)
+    check_root_ratio(ratio, leading_minors(yq_mat)[-1], leading_minors(xp)[-1])
     xi_p, yi = block_inverse(xp), block_inverse(yq_mat)
     images: dict[int, list[tuple[int, object]]] = {}
     for i in range(1, n + 1):
@@ -482,15 +471,15 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
 # the hyperbolic transform
 
 
-def _hyperbolic_scalars(t, exact: bool):
-    """(cosh, tanh) in the right scalar ring; exact input is a (ch, sh) pair."""
-    if exact:
-        ch, sh = t
-        ch, sh = Fraction(ch), Fraction(sh)
-        if ch * ch - sh * sh != 1:
-            raise InvalidParameterError("need cosh^2 - sinh^2 = 1 exactly")
-        return ch, sh / ch
-    return math.cosh(t), math.tanh(t)
+def _hyperbolic_scalars(t):
+    """(cosh, tanh): floats of a float t, Fractions of an exact (ch, sh) tuple."""
+    if not isinstance(t, tuple):
+        return math.cosh(t), math.tanh(t)
+    ch, sh = t
+    ch, sh = Fraction(ch), Fraction(sh)
+    if ch * ch - sh * sh != 1:
+        raise InvalidParameterError("need cosh^2 - sinh^2 = 1 exactly")
+    return ch, sh / ch
 
 
 @dataclass(frozen=True)
@@ -507,13 +496,13 @@ class AtTransform:
 
     def exp_factor(self, max_degree: int) -> FockPoly:
         """The exponential tag expanded through total degree ``max_degree``."""
-        n, exact = self.n, self.poly.exact
-        bil = _poly(n, exact, {_exponents(n, _var(n, 1, j), _var(n, n + 1, j)): _coerce(1, exact)
-                               for j in range(1, n + 2)})
-        out = power = FockPoly.one(n, exact)
+        n = self.n
+        bil = _poly(n, {_exponents(n, _var(n, 1, j), _var(n, n + 1, j)): 1
+                        for j in range(1, n + 2)})
+        out = power = FockPoly.one(n)
         for m in range(1, max_degree // 2 + 1):
             power = power * bil
-            out = out + power.scale(_pi_scalar(self.tanh**m / math.factorial(m), m, exact))
+            out = out + power.scale(_pi_scalar(self.tanh**m / math.factorial(m), m))
         return out
 
     def pair_with(self, g: FockPoly):
@@ -540,15 +529,15 @@ def _corner_columns(n: int) -> list[tuple[int, int, int]]:
 def omega_at(t, f: FockPoly) -> AtTransform:
     """Closed form of the hyperbolic action on a polynomial.
 
-    ``t`` is a float in float mode, or an exact ``(cosh, sinh)`` pair of
-    Fractions in exact mode.  Derivation: substitute the first variable row
+    ``t`` is a float, for float scalars, or an exact ``(cosh, sinh)`` tuple of
+    rationals, for exact ones.  Derivation: substitute the first variable row
     by the integration row and the last row by its shifted image, then kill
     each integral by the one-variable Gaussian pairing
     int w^i wbar^l e^{pi c wbar} = i!/(i-l)! c^(i-l) / pi^l (zero for l > i);
     the middle rows ride along.
     """
-    n, exact = f.n, f.exact
-    ch, th = _hyperbolic_scalars(t, exact)
+    n = f.n
+    ch, th = _hyperbolic_scalars(t)
     chinv = 1 / ch
     pairs = []
     for key, coeff in f.terms.items():
@@ -557,12 +546,12 @@ def omega_at(t, f: FockPoly) -> AtTransform:
         for s1, s2, step in _corner_columns(n):
             i_j, g_j = (key >> s1) & _MASK, (key >> s2) & _MASK
             scals = [_pi_scalar(math.comb(g_j, ell) * math.perm(i_j, ell) * (-th) ** ell
-                                * chinv ** (i_j + g_j - 2 * ell), -ell, exact)
+                                * chinv ** (i_j + g_j - 2 * ell), -ell)
                      for ell in range(min(i_j, g_j) + 1)]
             acc = [(cur - ell * step, cur_coeff * scal)
                    for cur, cur_coeff in acc for ell, scal in enumerate(scals)]
         pairs.extend(acc)
-    return AtTransform(n=n, prefactor=_pi_scalar(chinv ** (n + 1), 0, exact), tanh=th,
+    return AtTransform(n=n, prefactor=_pi_scalar(chinv ** (n + 1), 0), tanh=th,
                        poly=f._with(_collect(pairs)))
 
 
@@ -572,8 +561,8 @@ def weil_transform_bruteforce(t, f: FockPoly) -> AtTransform:
     (middle rows one source, corner rows two sources including the joint
     antiholomorphic term) and each variable is integrated by monomial
     orthogonality.  Used as the oracle against :func:`omega_at`."""
-    n, exact = f.n, f.exact
-    ch, th = _hyperbolic_scalars(t, exact)
+    n = f.n
+    ch, th = _hyperbolic_scalars(t)
     chinv = 1 / ch
     pairs = []
     for key, coeff in f.terms.items():
@@ -594,12 +583,12 @@ def weil_transform_bruteforce(t, f: FockPoly) -> AtTransform:
                     math.factorial(i_j) * math.factorial(g_j),
                     math.factorial(a) * math.factorial(b) * math.factorial(m),
                 )
-                scals.append(_pi_scalar(num, (a + b + m) - i_j - g_j, exact))
+                scals.append(_pi_scalar(num, (a + b + m) - i_j - g_j))
             items = [(e_cur - m * step, c_cur * scal)
                      for e_cur, c_cur in items for m, scal in enumerate(scals)]
         pairs.extend(items)
     # (det P)^(-1/2) with P = diag(ch,1,...,1,ch) tensor identity, det P = ch^(2(n+1))
-    return AtTransform(n=n, prefactor=_pi_scalar(1 / ch ** (n + 1), 0, exact), tanh=th,
+    return AtTransform(n=n, prefactor=_pi_scalar(1 / ch ** (n + 1), 0), tanh=th,
                        poly=f._with(_collect(pairs)))
 
 
@@ -612,15 +601,16 @@ def omega_matcoef(kp, t, k, theta: ThetaDatum, phi: Optional[FockPoly] = None):
 
     The hyperbolic element contributes the scalar (cosh t)^{-(n+1)} and the
     diagonal companion (or its inverse in Case II) sandwiched between the two
-    unitaries; root ratios multiply along the composition.
+    unitaries; root ratios multiply along the composition.  The covers and
+    ``t`` set the ring; the default ``phi``, on ints, serves both.
     """
-    n, exact = theta.n, k.exact
+    n = theta.n
     if phi is None:
-        phi = harmonic_hwv(theta, exact=exact)
-    ch, _ = _hyperbolic_scalars(t, exact)
+        phi = harmonic_hwv(theta)
+    ch, _ = _hyperbolic_scalars(t)
     mid = b_t_cover(ch, n)
     el = kp.compose(mid.inverse() if theta.case is Case.II else mid).compose(k)
-    return _pi_scalar(ch ** -(n + 1), 0, exact) * bargmann_inner(omega_k(el, phi, theta), phi)
+    return _pi_scalar(ch ** -(n + 1), 0) * bargmann_inner(omega_k(el, phi, theta), phi)
 
 
 def omega_matcoef_transform_route(kp, t, k, theta: ThetaDatum, phi: Optional[FockPoly] = None):
@@ -631,7 +621,7 @@ def omega_matcoef_transform_route(kp, t, k, theta: ThetaDatum, phi: Optional[Foc
     exponential tag truncated at the relevant degree.
     """
     if phi is None:
-        phi = harmonic_hwv(theta, exact=k.exact)
+        phi = harmonic_hwv(theta)
     f = omega_k(k, phi, theta)
     g = omega_k(kp.inverse(), phi, theta)
     return omega_at(t, f).pair_with(g)

@@ -113,11 +113,12 @@ def block_inverse(block: np.ndarray) -> np.ndarray:
     return np.linalg.inv(block)
 
 
-def check_root_ratio(ratio, det_second, det_first, exact: bool) -> None:
-    """Refuse a root ratio unless ratio**2 * det_second == det_first: exactly
-    among Gaussian rationals, to ``ZETA_TOL`` relative in floats."""
+def check_root_ratio(ratio, det_second, det_first) -> None:
+    """Refuse a root ratio unless ratio**2 * det_second == det_first: to
+    ``ZETA_TOL`` relative when their difference is a float, exactly otherwise."""
     miss = ratio * ratio * det_second - det_first
-    if (miss != 0) if exact else abs(miss) > ZETA_TOL * max(1.0, abs(det_first)):
+    if (abs(miss) > ZETA_TOL * max(1.0, abs(det_first))
+            if isinstance(miss, (float, complex, np.inexact)) else miss != 0):
         raise InvalidParameterError("root ratio**2 * det(second block) != det(first block)")
 
 
@@ -152,7 +153,7 @@ class CoverElement:
         dn = leading_minors(bn)[-1]
         if not dn or not y:
             raise InvalidParameterError("cover blocks must be invertible")
-        check_root_ratio(ratio, y, dn, exact)
+        check_root_ratio(ratio, y, dn)
 
     @classmethod
     def from_blocks(cls, block_n, block_1) -> "CoverElement":

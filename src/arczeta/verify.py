@@ -488,8 +488,9 @@ def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
 
 
 def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
-    """Substitution route versus transform route at random (t, k, k'); a
-    trial fails above relative disagreement ``PROP61_TOL``.
+    """Substitution route versus transform route at random float (t, k, k'),
+    so both run in complex floats on the one int-coefficient phi of each
+    case; a trial fails above relative disagreement ``PROP61_TOL``.
 
     The cases are every admissible parameter at n=1 up to 3 and the Case I
     parameters at n=2 up to 7/2.
@@ -506,7 +507,7 @@ def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
     worst = 0.0
     failures = []
     for theta in thetas:
-        phi = harmonic_hwv(theta, exact=False)
+        phi = harmonic_hwv(theta)
         for _ in range(trials):
             t = float(rng.uniform(-1.5, 1.5))
             k = CoverElement.from_blocks(haar_unitary(theta.n, rng),
@@ -539,7 +540,7 @@ def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
         if sum(exps) > max_degree:
             continue
         total += 1
-        f = FockPoly(1, {exps: 1}, exact=True)
+        f = FockPoly(1, {exps: 1})
         a = omega_at((ch, sh), f)
         b = weil_transform_bruteforce((ch, sh), f)
         if not (a.poly == b.poly and a.prefactor == b.prefactor

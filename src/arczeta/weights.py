@@ -115,7 +115,8 @@ class HCParameter:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ent = tuple(_half_integer(e) for e in self.entries)
+        ent = tuple(e if type(e) is Fraction and e.denominator <= 2 else _half_integer(e)
+                    for e in self.entries)
         object.__setattr__(self, "entries", ent)
         if len(ent) < 2:
             raise InvalidParameterError("parameter needs at least two entries")

@@ -290,7 +290,7 @@ class TestLeadingMinors:
             delta, delta_p = minors(n, i)
             for rows, cols, got in ((range(1, i + 1), range(1, i + 1), delta),
                                     (range(n - i + 1, n + 1), range(n - i + 2, n + 2), delta_p)):
-                ref = leibniz([[FockPoly.variable(n, r, c, True) for c in cols] for r in rows])
+                ref = leibniz([[FockPoly.variable(n, r, c) for c in cols] for r in rows])
                 assert got.terms == ref.terms
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -33,8 +33,8 @@ from conftest import (exact_cover_2, exact_identity, exact_phase_square, exact_u
 F = Fraction
 
 
-def var(n, i, j, exact=True):
-    return FockPoly.variable(n, i, j, exact)
+def var(n, i, j):
+    return FockPoly.variable(n, i, j)
 
 
 class TestFockPoly:
@@ -55,11 +55,11 @@ class TestFockPoly:
     def test_ring_laws_random_small(self, rng):
         # associativity and distributivity on random small exact polynomials
         def random_poly():
-            out = FockPoly.zero(1, exact=True)
+            out = FockPoly.zero(1)
             for _ in range(3):
                 exps = tuple(int(rng.integers(0, 3)) for _ in range(4))
                 coeff = QQi(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-                out = out + FockPoly(1, {exps: coeff}, exact=True)
+                out = out + FockPoly(1, {exps: coeff})
             return out
 
         for _ in range(10):
@@ -73,10 +73,6 @@ class TestFockPoly:
         g = f * f
         assert g.degree() == 2 and len(g.terms) == 3
         assert (f**3).degree() == 3
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            var(1, 1, 1, exact=True) + var(1, 1, 1, exact=False)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -237,8 +233,8 @@ class TestBargmann:
         f = var(2, 1, 2) * var(2, 2, 3) + var(2, 1, 3).scale(QQi(0, 1))
         g = f
         exact = complex(bargmann_inner(f, g))
-        approx = bargmann_inner(FockPoly(f.n, dict(f.items()), exact=False),
-                                FockPoly(g.n, dict(g.items()), exact=False))
+        approx = bargmann_inner(FockPoly(f.n, {e: complex(c) for e, c in f.items()}),
+                                FockPoly(g.n, {e: complex(c) for e, c in g.items()}))
         assert np.isclose(exact, approx)
 
     def test_conjugation_side(self):
@@ -376,7 +372,7 @@ class TestOmegaK:
 
     def test_diagonal_weight_n1(self):
         th = classify_theta(lam("3/2", "1/2"))
-        phi = harmonic_hwv(th, exact=False)
+        phi = harmonic_hwv(th)
         theta_ang = 0.9
         k = CoverElement.from_blocks(
             np.array([[np.exp(1j * theta_ang)]]), 1.0 + 0j
@@ -388,22 +384,22 @@ class TestOmegaK:
 
     def test_degree_preserved(self, rng):
         th = classify_theta(lam("7/2", "3/2", "1/2"))
-        phi = harmonic_hwv(th, exact=False)
+        phi = harmonic_hwv(th)
         k = random_cover(2, rng)
         assert omega_k(k, phi, th).degree() == phi.degree()
 
     def test_unitary_invariance_of_inner_product(self, rng):
         th = classify_theta(lam("7/2", "3/2", "1/2"))
-        f = harmonic_hwv(th, exact=False)
-        g = minors(2, 1, exact=False)[1] ** f.degree()
+        f = harmonic_hwv(th)
+        g = minors(2, 1)[1] ** f.degree()
         k = random_cover(2, rng)
         a = bargmann_inner(omega_k(k, f, th), omega_k(k, g, th))
-        b = bargmann_inner(f, g)
+        b = complex(bargmann_inner(f, g))
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
     def test_root_flip_covariance(self, rng):
         th = classify_theta(lam("5/2", "3/2", "1/2"))  # p - q = -1
-        phi = harmonic_hwv(th, exact=False)
+        phi = harmonic_hwv(th)
         k = random_cover(2, rng)
         out = omega_k(k, phi, th)
         flipped = omega_k(CoverElement(k.block_n, k.block_1, -k.zeta_ratio), phi, th)
@@ -432,7 +428,7 @@ class TestOmegaK:
 class TestOmegaKPrime:
     def test_commutes_with_row_action(self, rng):
         th = classify_theta(lam("5/2", "3/2", "1/2"))
-        phi = harmonic_hwv(th, exact=False)
+        phi = harmonic_hwv(th)
         k = random_cover(2, rng)
         xp = np.array([[np.exp(0.3j)]])
         yq = haar_unitary(2, rng)
@@ -461,16 +457,20 @@ class TestOmegaKPrime:
         assert lhs == omega_kprime(([[QQi(1)]], y1 @ y2, i * i), f, th)
         assert lhs != omega_kprime(([[QQi(1)]], y2 @ y1, i * i), f, th)
 
-    def test_ring_mismatch_refused(self):
-        # float blocks on an exact polynomial, and Gaussian-rational blocks on
-        # a float one, are refused as omega_k refuses a cover in the other ring
+    def test_blocks_in_two_rings_refused(self):
+        # the ring is read from the blocks' dtype, so the two must agree
         th = classify_theta(lam("5/2", "3/2", "1/2"))
-        exact_blocks = ([[QQi(0, 1)]], np.array(exact_unitary_2x2(), dtype=object), 1)
-        float_blocks = (np.eye(1), np.eye(2), 1.0)
-        for kp, f in ((float_blocks, harmonic_hwv(th)),
-                      (exact_blocks, harmonic_hwv(th, exact=False))):
+        phi = harmonic_hwv(th)
+        for kp in (([[QQi(0, 1)]], np.eye(2), 1),
+                   (np.eye(1), np.array(exact_unitary_2x2(), dtype=object), 1)):
             with pytest.raises(InvalidParameterError, match="different rings"):
-                omega_kprime(kp, f, th)
+                omega_kprime(kp, phi, th)
+
+    def test_float_blocks_on_gaussian_rationals_raise(self):
+        th = classify_theta(lam("5/2", "3/2", "1/2"))
+        f = harmonic_hwv(th).scale(QQi(0, 1))
+        with pytest.raises(TypeError):
+            omega_kprime((np.eye(1), np.eye(2), 1.0), f, th)
 
     def test_root_relation_refused(self):
         # ratio**2 * det(yq) must equal det(xp): exactly among Gaussian
@@ -479,14 +479,14 @@ class TestOmegaKPrime:
         exact_blocks = ([[QQi(0, 1)]], np.array(exact_unitary_2x2(), dtype=object), 1)
         float_blocks = (np.eye(1), np.eye(2), 1j)
         for kp, f in ((exact_blocks, harmonic_hwv(th)),
-                      (float_blocks, harmonic_hwv(th, exact=False))):
+                      (float_blocks, harmonic_hwv(th))):
             with pytest.raises(InvalidParameterError, match="root ratio"):
                 omega_kprime(kp, f, th)
 
     def test_left_action_composition(self, rng):
         # non-commuting second-factor blocks discriminate the convention
         th = classify_theta(lam("5/2", "3/2", "1/2"))
-        f = harmonic_hwv(th, exact=False) + minors(2, 1, exact=False)[1] ** 4
+        f = harmonic_hwv(th) + minors(2, 1)[1] ** 4
         y1, y2 = haar_unitary(2, rng), haar_unitary(2, rng)
         r1, r2 = (np.linalg.det(y) ** -0.5 for y in (y1, y2))  # ratio**2 * det(y) == 1
         xp = np.array([[1.0 + 0j]])
@@ -505,7 +505,7 @@ class TestOmegaKPrime:
         from arczeta.fock import _first_order, _var
 
         th = classify_theta(lam("-1/2", "-5/2", "-9/2"))  # (p, q) = (2, 1)
-        f = harmonic_hwv(th, exact=False) + FockPoly.variable(2, 3, 2, False) ** 2
+        f = harmonic_hwv(th) + FockPoly.variable(2, 3, 2) ** 2
         eps = 1e-6
         e12 = np.array([[1.0, eps], [0.0, 1.0]], dtype=complex)  # exp(eps E_{12})
         yq = np.array([[1.0 + 0j]])
@@ -521,12 +521,12 @@ class TestOmegaKPrime:
 
 class TestOmegaAt:
     def test_t_zero_is_identity(self):
-        f = FockPoly(1, {(1, 2, 0, 3): 1}, exact=True)
+        f = FockPoly(1, {(1, 2, 0, 3): 1})
         tr = omega_at((F(1), F(0)), f)
         assert tr.poly == f and complex(tr.prefactor) == 1.0
 
     def test_constant_input_n1(self):
-        tr = omega_at(0.6, FockPoly.one(1, exact=False))
+        tr = omega_at(0.6, FockPoly(1, {(0, 0, 0, 0): 1.0}))
         assert list(tr.poly.terms.values()) == [1.0 + 0j]
         assert np.isclose(tr.prefactor, math.cosh(0.6) ** -2)
         assert np.isclose(tr.tanh, math.tanh(0.6))
@@ -536,7 +536,7 @@ class TestOmegaAt:
         for exps in itertools.product(range(3), repeat=4):
             if sum(exps) > 4:
                 continue
-            f = FockPoly(1, {exps: 1}, exact=True)
+            f = FockPoly(1, {exps: 1})
             a = omega_at((ch, sh), f)
             b = weil_transform_bruteforce((ch, sh), f)
             assert a.poly == b.poly and a.prefactor == b.prefactor
@@ -544,10 +544,10 @@ class TestOmegaAt:
     def test_float_matches_exact(self):
         ch, sh = rational_hyperbolic(F(1, 2))
         t = math.asinh(float(sh))
-        f_ex = FockPoly(1, {(2, 1, 1, 0): 1}, exact=True)
+        f_ex = FockPoly(1, {(2, 1, 1, 0): 1})
         for transform in (omega_at, weil_transform_bruteforce):
             a = transform((ch, sh), f_ex)
-            b = transform(t, FockPoly(f_ex.n, dict(f_ex.items()), exact=False))
+            b = transform(t, FockPoly(f_ex.n, {e: complex(c) for e, c in f_ex.items()}))
             assert a.poly.terms.keys() == b.poly.terms.keys()
             for exps, c in a.poly.terms.items():
                 assert np.isclose(complex(c), b.poly.terms[exps])
@@ -557,8 +557,8 @@ class TestOmegaAt:
     def test_pairing_against_transform_degree_bound(self):
         # orders of the exponential tag beyond deg(g) cannot contribute
         ch, sh = rational_hyperbolic(F(1, 3))
-        f = FockPoly(1, {(0, 2, 0, 0): 1}, exact=True)
-        g = FockPoly(1, {(0, 1, 1, 0): 1}, exact=True)
+        f = FockPoly(1, {(0, 2, 0, 0): 1})
+        g = FockPoly(1, {(0, 1, 1, 0): 1})
         tr = omega_at((ch, sh), f)
         full = tr.exp_factor(6) * tr.poly
         trunc = tr.exp_factor(g.degree()) * tr.poly
@@ -616,7 +616,7 @@ class TestMatrixCoefficientRoutes:
                    for lv in cases)
         for lv in cases:
             th = classify_theta(lv)
-            phi = harmonic_hwv(th, exact=False)
+            phi = harmonic_hwv(th)
             for _ in range(3):
                 t = float(rng.uniform(-1.2, 1.2))
                 k = random_cover(th.n, rng)
@@ -631,7 +631,7 @@ class TestCaseTwoRestrictionEvidence:
 
     def test_routes_deviate_for_positive_alpha(self):
         th = classify_theta(lam("3/2", "-3/2"), enforce_closed_form_domain=False)
-        phi = harmonic_hwv(th, exact=False)
+        phi = harmonic_hwv(th)
         kI = CoverElement.from_blocks(np.eye(1), 1)
         t = 0.8
         sub = omega_matcoef(kI, t, kI, th, phi)
@@ -651,7 +651,7 @@ class TestCaseTwoRestrictionEvidence:
         from arczeta.group import h_from_z
 
         th = classify_theta(lam("3/2", "-3/2"), enforce_closed_form_domain=False)
-        phi = harmonic_hwv(th, exact=False)
+        phi = harmonic_hwv(th)
         kI = CoverElement.from_blocks(np.eye(1), 1)
 
         def integrand(u):
@@ -663,7 +663,7 @@ class TestCaseTwoRestrictionEvidence:
 
         total, _ = quad(integrand, 0.0, 1.0 - 1e-12, epsabs=1e-12, epsrel=1e-12)
         total *= math.pi  # ball volume factor of the radial reduction
-        norm2 = bargmann_inner(phi, phi).real
+        norm2 = complex(bargmann_inner(phi, phi)).real
         honest = total / norm2
         claimed = math.pi / (float(th.gamma) + 1 - th.p)  # the product formula
         assert math.isclose(honest, math.pi / 3, rel_tol=1e-8)
@@ -735,7 +735,7 @@ class TestCompiledMatrixCoefficient:
                                      enforce_closed_form_domain=False))
         for th in thetas:
             mc = MatrixCoefficient(th)
-            phi = harmonic_hwv(th, exact=False)
+            phi = harmonic_hwv(th)
             blocks = []
             for _ in range(8):
                 k = random_cover(th.n, rng)
@@ -749,3 +749,78 @@ class TestCompiledMatrixCoefficient:
             vals = mc.evaluate(bn, b1, ratio)
             for v, (_, direct) in zip(vals, blocks):
                 assert abs(v - direct) <= 1e-10 * abs(direct), str(th.lam)
+
+
+def _float_cover(k):
+    """The same cover element with complex blocks: the float ring."""
+    return CoverElement(np.array(k.block_n.tolist(), dtype=complex), complex(k.block_1),
+                        complex(k.zeta_ratio))
+
+
+class TestRingFromData:
+    """The ring of a result is set by the scalars passed, not by a mode."""
+
+    @pytest.mark.parametrize("text", [("5/2", "3/2", "1/2"), ("-1/2", "-5/2")])
+    def test_one_phi_serves_both_rings(self, text):
+        # Case I at n = 2 under a Gaussian-rational unitary; Case II at
+        # (p, q) = (1, 1) under a rational circle point with its exact root
+        th = classify_theta(lam(*text))
+        phi = harmonic_hwv(th)
+        if th.n == 2:
+            k = exact_cover_2()
+        else:
+            y, root = exact_phase_square()
+            k = CoverElement(np.array([[y]], dtype=object), 1, root)
+        kp = k.inverse()
+        ch, sh = rational_hyperbolic(F(1, 2))
+        t = math.asinh(float(sh))
+        for route in (omega_matcoef, omega_matcoef_transform_route):
+            exact = route(kp, (ch, sh), k, th, phi)
+            assert type(exact) is PiLaurent
+            approx = route(_float_cover(kp), t, _float_cover(k), th, phi)
+            assert type(approx) is complex
+            assert abs(approx - complex(exact)) <= 1e-12 * abs(complex(exact)), route.__name__
+
+    def test_inner_product_of_mixed_coefficients(self):
+        # z_11 with an int coefficient, z_12 with a complex one: the int term
+        # is summed exactly, the complex one through log-gamma
+        f = FockPoly(1, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 0.5j})
+        got = bargmann_inner(f, f)
+        assert type(got) is complex
+        assert abs(got - 4.25 / math.pi) <= 1e-12
+        floats = FockPoly(1, {e: complex(c) for e, c in f.items()})
+        assert abs(got - bargmann_inner(floats, floats)) <= 1e-12
+        # no matching term: a float coefficient still makes the zero complex
+        zero = bargmann_inner(var(1, 1, 1), FockPoly(1, {(0, 1, 0, 0): 1.0}))
+        assert type(zero) is complex and zero == 0
+
+    def test_gaussian_rationals_refuse_floats(self, rng):
+        th = classify_theta(lam("5/2", "3/2", "1/2"))
+        f = harmonic_hwv(th).scale(QQi(1, 1))
+        with pytest.raises(TypeError):
+            f.scale(0.5)
+        with pytest.raises(TypeError):
+            omega_k(random_cover(2, rng), f, th)
+        with pytest.raises(TypeError):
+            omega_at(0.3, f)
+        with pytest.raises(TypeError):
+            bargmann_inner(f, FockPoly(2, {e: complex(c) for e, c in f.items()}))
+
+    def test_no_exact_parameter(self):
+        import inspect
+
+        import arczeta.fock as fock
+        from arczeta.group import check_root_ratio
+
+        assert FockPoly.__slots__ == ("n", "terms")
+        callables = [check_root_ratio]
+        for obj in vars(fock).values():
+            if inspect.isfunction(obj) and obj.__module__ == fock.__name__:
+                callables.append(obj)
+            elif inspect.isclass(obj) and obj.__module__ == fock.__name__:
+                callables.extend(m.__func__ if isinstance(m, classmethod) else m
+                                 for m in vars(obj).values()
+                                 if inspect.isfunction(m) or isinstance(m, classmethod))
+        assert len(callables) > 30
+        for fn in callables:
+            assert "exact" not in inspect.signature(fn).parameters, fn.__qualname__

@@ -434,7 +434,7 @@ class TestVerifyZeta:
         for text in ("3/2,1/2", "5/2,3/2,1/2", "1/2,-1/2,-5/2"):
             th = classify_theta(lam(*text.split(",")))
             n = th.n
-            phi = harmonic_hwv(th, exact=False)
+            phi = harmonic_hwv(th)
             sign = +1 if th.case.value == "I" else -1
             for _ in range(5):
                 z = rng.standard_normal(n) + 1j * rng.standard_normal(n)

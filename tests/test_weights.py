@@ -57,6 +57,19 @@ class TestHCParameter:
             with pytest.raises(InvalidParameterError, match="cannot interpret"):
                 HCParameter.of(bad, F(1, 2))
 
+    def test_each_entry_read_once(self, monkeypatch):
+        # a half-integer Fraction is kept as it is, so parse reads each text
+        # entry once and the constructor does not read the Fractions again
+        import arczeta.weights as weights
+
+        half = F(3, 2)
+        assert HCParameter.of(half, F(1, 2)).entries[0] is half
+        calls = []
+        read = weights._half_integer
+        monkeypatch.setattr(weights, "_half_integer", lambda x: calls.append(x) or read(x))
+        assert HCParameter.parse("5/2,3/2,1/2") == HCParameter.of(F(5, 2), F(3, 2), F(1, 2))
+        assert calls == ["5/2", "3/2", "1/2"]
+
     def test_denominator_distinguishes_classes(self):
         assert classify_theta(HCParameter.of(2, 1)).nonstandard_congruence
         assert not classify_theta(lam("3/2", "1/2")).nonstandard_congruence
