@@ -166,10 +166,6 @@ class CoverElement:
     def n(self) -> int:
         return self.block_n.shape[0]
 
-    @property
-    def exact(self) -> bool:
-        return self.block_n.dtype == object
-
     def compose(self, other: "CoverElement") -> "CoverElement":
         """Product; the root ratios multiply."""
         return CoverElement(self.block_n @ other.block_n, self.block_1 * other.block_1,

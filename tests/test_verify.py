@@ -1,5 +1,11 @@
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -9,6 +15,7 @@ import pytest
 import arczeta.characters
 import arczeta.verify
 from arczeta.characters import psi_pi
+from arczeta.cli import build_report
 from arczeta.errors import ConvergenceError, InvalidParameterError
 from arczeta.fock import MatrixCoefficient
 from arczeta.group import random_group_element
@@ -561,3 +568,141 @@ class TestSuites:
         # the domain integrand: (0, 0) is a det power, (2, 1) one Schur batch
         dom = verify_S(2, 2, (0, 0), (2, 1), 6, method="mc", samples=2000, seed=1)
         assert dom.verdict in ("PASS", "FAIL") and calls == [2, 3, 2, 2]
+
+
+class TestForkedSubstreams:
+    """Worker substreams in forked processes: the same bits as in-process, a
+    bounded process count, and no child left behind."""
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Fork at any budget, on two usable CPUs; count the real forks."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def normal_chunk(rng, size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    @pytest.mark.parametrize("cpus, workers, children", [
+        ({0, 1}, 2, 1), ({0, 1}, 3, 1), ({0, 1}, 64, 1), ({0, 1, 2}, 2, 1),
+        ({0, 1, 2}, 3, 2), ({0}, 3, 0), ({0, 1}, 1, 0)])
+    def test_process_count_bounded_by_cpus(self, forks, monkeypatch, cpus, workers, children):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        forked = _reduce_mean(self.normal_chunk, 10 * workers, workers, 4)
+        assert len(forks) == children
+        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 10**18)
+        assert forked == _reduce_mean(self.normal_chunk, 10 * workers, workers, 4)
+        assert len(forks) == children
+        self.assert_no_children()
+
+    def test_small_budget_stays_in_process(self, forks, monkeypatch):
+        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 11)
+        _reduce_mean(self.normal_chunk, 21, 2, 0)  # budgets 11 and 10
+        assert forks == []
+        _reduce_mean(self.normal_chunk, 22, 2, 0)
+        assert len(forks) == 1
+
+    def test_workers_below_one_refused(self, forks):
+        with pytest.raises(InvalidParameterError, match="^need at least one worker, got 0$"):
+            _reduce_mean(self.normal_chunk, 100, 0, 0)
+        assert forks == []
+
+    def test_child_exception_reraised(self, forks):
+        parent = os.getpid()
+
+        def chunk(rng, size):
+            if os.getpid() != parent:
+                raise ConvergenceError(f"substream of {size} failed")
+            return self.normal_chunk(rng, size)
+
+        with pytest.raises(ConvergenceError, match="^substream of 50 failed$"):
+            _reduce_mean(chunk, 100, 2, 0)
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_parent_exception_kills_children(self, forks):
+        parent = os.getpid()
+
+        def chunk(rng, size):
+            if os.getpid() == parent:
+                raise InvalidParameterError("parent substream failed")
+            time.sleep(60)  # ended by the parent's kill, long before this
+            return self.normal_chunk(rng, size)
+
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="^parent substream failed$"):
+            _reduce_mean(chunk, 100, 2, 0)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_success_leaves_no_child(self, forks):
+        mean, stderr, count = _reduce_mean(self.normal_chunk, 1000, 2, 3)
+        assert count == 1000 and len(forks) == 1
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_reports_identical_to_in_process(self, forks, monkeypatch, workers, seed):
+        # several chunks per substream, so the merge crosses chunks and workers
+        monkeypatch.setattr(arczeta.verify, "DEFAULT_CHUNK", 700)
+        zeta = [lam(*text.split(",")) for text in (
+            "3/2,1/2", "7/2,3/2,1/2", "9/2,5/2,3/2,1/2",              # Case I, n = 1..3
+            "1/2,-3/2", "1/2,-7/2,-9/2", "3/2,1/2,-5/2,-9/2")]        # Case II
+        calls = [(lambda k, s=lv: verify_zeta(s, **k)) for lv in zeta] + [
+            lambda k: verify_S(2, 2, (0, 0), (2, 1), 6, method="mc", **k),
+            lambda k: verify_S(1, 2, -1, (2, 1), 3, method="mc", **k),
+            lambda k: verify_T(classify_theta(lam("7/2", "3/2", "1/2")), 3, method="mc", **k),
+            lambda k: verify_schur_orthogonality([[2, 1], [2, 1, 0]], **k),
+        ]
+
+        def report(call):
+            doc = build_report("verify", report=call({"samples": 3000, "seed": seed,
+                                                      "workers": workers}))
+            del doc["timestamp"], doc["wall_time"]
+            return json.dumps(doc, sort_keys=True)
+
+        forked = [report(call) for call in calls]
+        assert len(forks) == len(calls) + 1  # the Schur call reduces twice
+        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 10**18)
+        assert forked == [report(call) for call in calls]
+        assert len(forks) == len(calls) + 1
+        self.assert_no_children()
+
+    def test_cli_child_prints_nothing(self, tmp_path):
+        # a child leaves through os._exit, so no output buffer is flushed twice
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "z.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "arczeta.cli", "verify-zeta", "--lambda", "3/2,1/2",
+             "--workers", "2", "--samples", "200000", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"verify-zeta: PASS -> {out}"]
+        assert json.loads(out.read_text())["estimate"]["samples"] == 200_000
+
+    def test_cli_import_loads_no_pool(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = ("import sys, arczeta.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
