@@ -653,11 +653,6 @@ class TestForkedSubstreams:
         assert len(forks) == 1
         self.assert_no_children()
 
-    def test_success_leaves_no_child(self, forks):
-        mean, stderr, count = _reduce_mean(self.normal_chunk, 1000, 2, 3)
-        assert count == 1000 and len(forks) == 1
-        self.assert_no_children()
-
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_reports_identical_to_in_process(self, forks, monkeypatch, workers, seed):
