@@ -15,6 +15,14 @@ Substreams with a large enough budget run in parallel, in processes forked
 for the one call (at most one per usable CPU); each process returns its
 chunk sums and the parent merges them in worker order, so which process ran
 a substream never changes a number.
+
+A zeta chunk makes all its draws at once and evaluates them in blocks of a
+fixed size (``group._BLOCK``), so its estimates are reproducible for a fixed
+(seed, workers) pair at that block size.  Another block size draws the same
+numbers but can move the last bit of a sample: numpy's complex ``a * b`` and
+``b * a`` can differ in the last bit (FMA kernels, e.g. on AVX-512), and
+numpy evaluates ``a * <temporary>`` as ``<temporary> * a`` in place when
+the temporary holds 256 KiB or more, which no block does.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from .fock import (
     omega_matcoef_transform_route,
     weil_transform_bruteforce,
 )
-from .group import (CoverElement, haar_char_rows, haar_unitary, sample_ball, sample_domain,
-                    weighted_ball_volume)
+from .group import (CoverElement, _blocks, haar_char_rows, haar_unitary, sample_ball,
+                    sample_domain, weighted_ball_volume)
 from .weights import (
     Case,
     ClosedValue,
@@ -85,8 +93,8 @@ DEFAULT_CHUNK = 100_000
 DEGENERATE_RELSTD = 1e-12
 PROP61_TOL = 1e-9
 # a substream runs in a forked process only from this budget up: forking and
-# reaping a child of an 80 MB parent takes 3.4-4.8 ms (2-core Xeon), the
-# cost of 2,000 (n = 4) to 9,000 (n = 2) samples of a zeta chunk
+# reaping a child of a 62 MB parent takes 2.6-5.5 ms (2-core Xeon), the
+# cost of 1,500 (n = 4) to 6,000 (n = 2) samples of a zeta chunk
 _FORK_MIN_SAMPLES = 50_000
 
 
@@ -466,47 +474,55 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     The sampled element is (z, k); one root ratio is drawn for k and threaded
     through both genuine factors, so flipping every carried root
     (``flip_roots``) must leave each sample bit-identical.
+
+    Every draw is made for the whole chunk, in stream order: the ball point,
+    the Haar factor, the U(1) angle.  The arithmetic after the draws runs
+    over blocks of ``group._BLOCK`` samples, so each elementwise pass reads
+    an L2-sized block.
     """
     n = theta.n
     u, dirs = sample_ball(n, e_imp, rng, size)
-    x = haar_unitary(n, rng, size=size)  # (row, col, batch)
-    yang = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    y = np.exp(1j * yang)
-
-    one_minus_u = 1.0 - u
+    x_all = haar_unitary(n, rng, size=size)  # (row, col, batch)
+    yang_all = rng.uniform(0.0, 2.0 * np.pi, size=size)
     sign = +1 if theta.case is Case.I else -1
-    # both ball blocks are I + (scale - 1) d d* on the sampled direction d, so
-    # each product with x is the rank-one update x + (scale - 1) d (d* x),
-    # built batch-last in one buffer that the two blocks share
-    d = np.ascontiguousarray(dirs.T)
-    dx = d[0].conj() * x[0]
-    for i in range(1, n):
-        dx += d[i].conj() * x[i]
-    block = np.empty_like(x)
-
-    def rank_one_update(scale):
-        np.multiply(d[:, None], dx[None], out=block)
-        np.multiply(scale - 1.0, block, out=block)
-        return np.add(block, x, out=block)
-
-    # psi at theta_z k, whose positive roots have the ratio sqrt(1 - u); the
-    # coefficient at b_z^(+-1) k
-    sech = one_minus_u**0.5
-    e_psi = char_poly_batch(rank_one_update(sech))
-    # det of the psi block is e_n = sech det x with sech > 0, so det x has the
-    # argument of e_n
-    ratio_k = np.exp(0.5j * np.angle(e_psi[:, n])) * np.exp(-0.5j * yang)
-    if flip_roots:
-        # flipping the carried root of the block determinant negates the
-        # ratio; the two genuine factors consume opposite integer powers, so
-        # every sample below must come out bit-identical
-        ratio_k = -ratio_k
-    psi = psi_batch(theta, e_psi, one_minus_u ** (-0.5) * y, sech * ratio_k)
-    bz_scale = one_minus_u ** (-0.5 * sign)
-    coeff = coeff_eval.evaluate(rank_one_update(bz_scale), bz_scale * y, ratio_k)
-
     c_norm = weighted_ball_volume(n, e_imp)
-    return c_norm * coeff * psi * one_minus_u ** (-0.5 * (n + 1) - e_imp)
+    out = np.empty(size, dtype=complex)
+    for b in _blocks(size):
+        x, yang = x_all[:, :, b], yang_all[b]
+        y = np.exp(1j * yang)
+        one_minus_u = 1.0 - u[b]
+        # both ball blocks are I + (scale - 1) d d* on the sampled direction
+        # d, so each product with x is the rank-one update
+        # x + (scale - 1) d (d* x), built batch-last in one buffer that the
+        # two blocks share
+        d = np.ascontiguousarray(dirs[b].T)
+        dx = d[0].conj() * x[0]
+        for i in range(1, n):
+            dx += d[i].conj() * x[i]
+        block = np.empty_like(x)
+
+        def rank_one_update(scale):
+            np.multiply(d[:, None], dx[None], out=block)
+            np.multiply(scale - 1.0, block, out=block)
+            return np.add(block, x, out=block)
+
+        # psi at theta_z k, whose positive roots have the ratio sqrt(1 - u);
+        # the coefficient at b_z^(+-1) k
+        sech = one_minus_u**0.5
+        e_psi = char_poly_batch(rank_one_update(sech))
+        # det of the psi block is e_n = sech det x with sech > 0, so det x has
+        # the argument of e_n
+        ratio_k = np.exp(0.5j * np.angle(e_psi[:, n])) * np.exp(-0.5j * yang)
+        if flip_roots:
+            # flipping the carried root of the block determinant negates the
+            # ratio; the two genuine factors consume opposite integer powers,
+            # so every sample below must come out bit-identical
+            ratio_k = -ratio_k
+        psi = psi_batch(theta, e_psi, one_minus_u ** (-0.5) * y, sech * ratio_k)
+        bz_scale = one_minus_u ** (-0.5 * sign)
+        coeff = coeff_eval.evaluate(rank_one_update(bz_scale), bz_scale * y, ratio_k)
+        out[b] = c_norm * coeff * psi * one_minus_u ** (-0.5 * (n + 1) - e_imp)
+    return out
 
 
 def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,

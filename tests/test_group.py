@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import arczeta.group
 from arczeta.characters import char_poly_batch, schur_eval_batch
 from arczeta.errors import BoundaryError, ConvergenceError, InvalidParameterError
 from arczeta.group import (
@@ -222,6 +223,24 @@ class TestHaar:
         ref.standard_normal(shape)
         ref.standard_normal(shape)
         assert used.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rest", [5, 1])
+    def test_blocks_change_no_bit(self, monkeypatch, m, rest):
+        # the fill and both Gram-Schmidt passes are elementwise over the
+        # batch, so a batch run block by block is the batch run as one block;
+        # a rest of one matrix joins the block before it
+        size = 2 * arczeta.group._BLOCK + rest
+        blocked_rng, one_rng = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
+        blocked = haar_unitary(m, blocked_rng, size=size)
+        monkeypatch.setattr(arczeta.group, "_BLOCK", size + 1)
+        one = haar_unitary(m, one_rng, size=size)
+        assert blocked.shape == (m, m, size)
+        assert np.array_equal(blocked.view(float), one.view(float))
+        assert blocked_rng.bit_generator.state == one_rng.bit_generator.state
+        gram = np.einsum("kin,kjn->nij", blocked.conj(), blocked)
+        assert np.abs(gram - np.eye(m)).max() <= 1e-13
+        assert haar_unitary(m, blocked_rng).shape == (m, m)
 
     def test_unitary_completion(self, rng):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
