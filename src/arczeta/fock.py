@@ -28,8 +28,10 @@ parameter as a float or an exact (cosh, sinh) pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,7 +188,7 @@ class FockPoly:
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "FockPoly":
-        return cls(n, {})
+        return _poly(int(n), {})
 
     @classmethod
     def one(cls, n: int) -> "FockPoly":
@@ -240,14 +242,17 @@ class FockPoly:
     def __pow__(self, k: int) -> "FockPoly":
         if k < 0:
             raise InvalidParameterError("negative power of a polynomial")
-        out = FockPoly.one(self.n)
+        if not k:
+            return FockPoly.one(self.n)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     # -- queries -------------------------------------------------------------
     def degree(self) -> int:
@@ -261,6 +266,20 @@ class FockPoly:
 
     def __repr__(self):
         return f"FockPoly(n={self.n}, terms={len(self.terms)}, deg={self.degree()})"
+
+
+class _Product(FockPoly):
+    """A product of polynomial powers, multiplied out in order, that keeps
+    its (factor, exponent) pairs, so that a substitution, a ring
+    homomorphism, can act on the factors (:func:`_act`).  Equality and every
+    operation read only the expanded terms."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, n: int, factors):
+        self.n, self.factors = n, tuple(factors)
+        self.terms = functools.reduce(operator.mul, (g**e for g, e in self.factors),
+                                      FockPoly.one(n)).terms
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +365,29 @@ def _minor_powers(theta: ThetaDatum) -> tuple[list[tuple[int, int]], list[tuple[
     return steps(theta.betas), steps(theta.alphas)
 
 
+def _hwv_factors(theta: ThetaDatum) -> list[tuple[FockPoly, int]]:
+    """The (factor, exponent) pairs of phi: the minor powers of
+    :func:`_minor_powers`, leading minors first, then z_{n+1,1}^gamma
+    (Case I) or z_{n+1,p+1}^gamma (Case II) when gamma is nonzero."""
+    n = theta.n
+    leading, anti = _minor_powers(theta)
+    factors = [(minors(n, i)[side], e)
+               for side, powers in ((0, leading), (1, anti)) for i, e in powers]
+    if theta.gamma:
+        corner = 1 if theta.case is Case.I else theta.p + 1
+        factors.append((FockPoly.variable(n, n + 1, corner), int(theta.gamma)))
+    return factors
+
+
 def harmonic_hwv(theta: ThetaDatum) -> FockPoly:
     """Joint highest-weight polynomial of the classified datum.
 
-    The minor powers of :func:`_minor_powers`, leading minors first, times
-    z_{n+1,1}^gamma (Case I) or z_{n+1,p+1}^gamma (Case II).  Normalized with
-    leading coefficient one; its int coefficients serve both rings.
+    The product of :func:`_hwv_factors`, multiplied out in their order and
+    normalized with leading coefficient one; its int coefficients serve both
+    rings.  The result keeps its factors, so :func:`omega_k` and
+    :func:`omega_kprime` substitute the minors, not the expanded terms.
     """
-    n = theta.n
-    leading, anti = _minor_powers(theta)
-    out = FockPoly.one(n)
-    for side, powers in ((0, leading), (1, anti)):
-        for i, e in powers:
-            out = out * minors(n, i)[side] ** e
-    corner = 1 if theta.case is Case.I else theta.p + 1
-    return out * FockPoly.variable(n, n + 1, corner) ** int(theta.gamma)
+    return _Product(theta.n, _hwv_factors(theta))
 
 
 def hwv_norm2(theta: ThetaDatum) -> float:
@@ -371,9 +398,10 @@ def hwv_norm2(theta: ThetaDatum) -> float:
 
 
 def _cover_data(k: CoverElement):
-    """(transpose of the n-block, inverse of the n-block, y, y_inv, ratio)."""
+    """(transpose of the n-block, inverse of the n-block, y, y_inv, ratio),
+    the blocks as nested lists of Python scalars."""
     inv = k.inverse()
-    return k.block_n.T, inv.block_n, k.block_1, inv.block_1, k.zeta_ratio
+    return k.block_n.T.tolist(), inv.block_n.tolist(), k.block_1, inv.block_1, k.zeta_ratio
 
 
 def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> FockPoly:
@@ -389,12 +417,20 @@ def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> Foc
     one = FockPoly.one(f.n)
     pairs = []
     for exps, coeff in f.items():
-        term = one
-        for v, e in enumerate(exps):
-            if e:
-                term = term * image_power(v, e)
+        powers = [image_power(v, e) for v, e in enumerate(exps) if e]
+        term = functools.reduce(operator.mul, powers) if powers else one
         pairs.extend((e, c * coeff) for e, c in term.terms.items())
     return f._with(_collect(pairs))
+
+
+def _act(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> FockPoly:
+    """:func:`_substitute` into ``f``, factor by factor when ``f`` keeps its
+    factors: the substitution is a ring homomorphism, and a factor has far
+    fewer terms than the product (a full-row minor maps to det times a
+    minor, where its expanded powers leave rounding residues in floats)."""
+    if not isinstance(f, _Product):
+        return _substitute(f, images)
+    return _Product(f.n, [(_substitute(g, images), e) for g, e in f.factors])
 
 
 def _twist(f: FockPoly, ratio, power: int) -> FockPoly:
@@ -409,7 +445,10 @@ def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
 
     Blocks are split by the datum's (p, q): the first p columns pair with the
     transpose action, the rest with the inverse action, and the genuine det
-    twist enters through the cover's root ratio to the power p - q.
+    twist enters through the cover's root ratio to the power p - q.  On phi
+    from :func:`harmonic_hwv` the substitution acts on its factors, each
+    substituted once and raised to its power; any other polynomial is
+    substituted term by term.
     """
     n, p = theta.n, theta.p
     xt, xi, y, yi, ratio = _cover_data(k)
@@ -424,7 +463,7 @@ def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     for j in range(1, n + 2):
         v = _var(n, n + 1, j)
         images[v] = [(v, yi if j <= p else y)]
-    return _twist(_substitute(f, images), ratio, p - theta.q)
+    return _twist(_act(f, images), ratio, p - theta.q)
 
 
 def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
@@ -464,7 +503,7 @@ def omega_kprime(kp, f: FockPoly, theta: ThetaDatum) -> FockPoly:
             images[v] = [
                 (_var(n, n + 1, p + c), yq_mat[c - 1][j - p - 1]) for c in range(1, q + 1)
             ]
-    return _twist(_substitute(f, images), ratio, n - 1)
+    return _twist(_act(f, images), ratio, n - 1)
 
 
 # ---------------------------------------------------------------------------

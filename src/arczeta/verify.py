@@ -610,7 +610,9 @@ def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
 def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
     """Substitution route versus transform route at random float (t, k, k'),
     so both run in complex floats on the one int-coefficient phi of each
-    case; a trial fails above relative disagreement ``PROP61_TOL``.
+    case; a trial fails above relative disagreement ``PROP61_TOL``.  phi is
+    built once per case and keeps its minor factors, so both routes
+    substitute the factors, not its expanded terms.
 
     The cases are every admissible parameter at n=1 up to 3 and the Case I
     parameters at n=2 up to 7/2.

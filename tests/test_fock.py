@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arczeta.errors import InvalidParameterError
-from arczeta.exact import PiLaurent, QQi, rational_hyperbolic
+from arczeta.exact import PiLaurent, QQi, exact_inverse, leading_minors, rational_hyperbolic
 from arczeta.fock import (
     FockPoly,
     MatrixCoefficient,
+    _hwv_factors,
     bargmann_inner,
     harmonic_hwv,
     highest_weight_check,
@@ -423,6 +424,83 @@ class TestOmegaK:
         ch = F(5, 3)
         out = omega_k(b_t_cover(ch, 2), phi, th)
         assert out == phi.scale(QQi.coerce((1 / ch) ** 2))
+
+
+def cayley_cover(n, seed):
+    """An exact cover: U = (I - A)(I + A)^-1 for a seeded Gaussian-rational
+    skew-Hermitian A, with block_1 = det U / r**2 for a Pythagorean unit r."""
+    gen = np.random.default_rng(seed)
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = QQi(0, F(int(gen.integers(-3, 4)), 3))
+        for j in range(i + 1, n):
+            a[i][j] = QQi(F(int(gen.integers(-3, 4)), 4), F(int(gen.integers(-3, 4)), 5))
+            a[j][i] = -a[i][j].conjugate()
+    eye = [[QQi(int(i == j)) for j in range(n)] for i in range(n)]
+    inv = exact_inverse([[eye[i][j] + a[i][j] for j in range(n)] for i in range(n)])
+    u = [[sum(((eye[i][k] - a[i][k]) * inv[k][j] for k in range(n)), QQi(0)) for j in range(n)]
+         for i in range(n)]
+    r = (QQi(F(3, 5), F(4, 5)), QQi(F(5, 13), F(-12, 13)), QQi(0, 1))[seed % 3]
+    return CoverElement(np.array(u, dtype=object), leading_minors(u)[-1] / (r * r), r)
+
+
+def _expanded(phi):
+    """phi as a plain polynomial: the same terms, no factor list."""
+    return FockPoly(phi.n, dict(phi.items()))
+
+
+class TestFactoredSubstitution:
+    """omega_k substitutes phi's factors; substituting the expanded terms is
+    the oracle.  A substitution is a ring homomorphism, so the two are equal
+    in the exact ring."""
+
+    SWEEPS = [(1, F(9, 2), 24), (2, F(9, 2), 34), (3, F(7, 2), 15)]
+
+    @pytest.mark.parametrize("n,bound,count", SWEEPS)
+    def test_equals_expanded_substitution_exact(self, n, bound, count):
+        lams = admissible_sweep(n, bound)
+        assert len(lams) == count
+        for i, lv in enumerate(lams):
+            th = classify_theta(lv)
+            phi = harmonic_hwv(th)
+            k = cayley_cover(n, i)
+            factored = omega_k(k, phi, th)
+            assert factored == omega_k(k, _expanded(phi), th), str(lv)
+            assert all(type(c) in (int, QQi) for c in factored.terms.values())
+
+    def test_equals_expanded_substitution_float_n3(self, rng):
+        lams = admissible_sweep(3, F(9, 2))
+        assert len(lams) == 34
+        for lv in lams:
+            th = classify_theta(lv)
+            phi = harmonic_hwv(th)
+            k = random_cover(3, rng)
+            a, b = omega_k(k, phi, th), omega_k(k, _expanded(phi), th)
+            scale = max(abs(c) for c in b.terms.values())
+            gap = max(abs(a.terms.get(e, 0) - b.terms.get(e, 0)) for e in {*a.terms, *b.terms})
+            assert gap <= 1e-13 * scale, str(lv)
+
+    @pytest.mark.parametrize("n,bound", [(1, F(9, 2)), (2, F(9, 2)), (3, F(9, 2))])
+    def test_phi_is_the_product_of_its_factors(self, n, bound):
+        # the factors multiplied out one by one, with no power taken
+        for lv in admissible_sweep(n, bound):
+            th = classify_theta(lv)
+            phi = harmonic_hwv(th)
+            factors = _hwv_factors(th)
+            assert phi.factors == tuple(factors), str(lv)
+            prod = FockPoly.one(n)
+            for g, e in factors:
+                for _ in range(e):
+                    prod = prod * g
+            assert prod == phi, str(lv)
+
+    def test_routes_agree_exact_n3(self):
+        th = classify_theta(lam("7/2", "5/2", "3/2", "1/2"))
+        ch, sh = rational_hyperbolic(F(2, 7))
+        k, kp = cayley_cover(3, 1), cayley_cover(3, 2)
+        value = omega_matcoef(kp, (ch, sh), k, th)
+        assert type(value) is PiLaurent and value
+        assert value == omega_matcoef_transform_route(kp, (ch, sh), k, th)
 
 
 class TestOmegaKPrime:

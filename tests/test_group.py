@@ -242,6 +242,40 @@ class TestHaar:
         assert np.abs(gram - np.eye(m)).max() <= 1e-13
         assert haar_unitary(m, blocked_rng).shape == (m, m)
 
+    @staticmethod
+    def _division_haar(m, rng, size=None):
+        """The Gram-Schmidt draw as it divided each column by its norm."""
+        shape = (1 if size is None else size, m, m)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        q = np.empty(shape[::-1], dtype=complex)
+        for b in arczeta.group._blocks(shape[0]):
+            qb = q[:, :, b]
+            qb.real, qb.imag = re[b].T, im[b].T
+            for j in range(m):
+                col = qb[j]
+                if j:
+                    done = qb[:j]
+                    done_conj = done.conj()
+                    for _ in range(2):
+                        col -= (done * (done_conj * col).sum(axis=1)[:, None]).sum(axis=0)
+                col /= np.sqrt((col.real**2 + col.imag**2).sum(axis=0))
+        return q[:, :, 0].T if size is None else q.transpose(1, 0, 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size", [None, 2 * arczeta.group._BLOCK + 5])
+    def test_reciprocal_scaling_matches_division(self, m, size):
+        # numpy divides complex by real as complex division, whose bits are
+        # those of a multiply by the reciprocal; so are the ball directions'
+        got = haar_unitary(m, np.random.default_rng(60 + m), size=size)
+        ref = self._division_haar(m, np.random.default_rng(60 + m), size=size)
+        assert np.array_equal(got, ref)
+        u, d = sample_ball(m, 1.5, np.random.default_rng(m), 2 * arczeta.group._BLOCK + 5)
+        ref_rng = np.random.default_rng(m)
+        ref_u = ref_rng.beta(m, 2.5, size=d.shape[0])
+        ref_d = ref_rng.standard_normal(d.shape) + 1j * ref_rng.standard_normal(d.shape)
+        ref_d /= np.linalg.norm(ref_d, axis=1, keepdims=True)
+        assert np.array_equal(u, ref_u) and np.array_equal(d, ref_d)
+
     def test_unitary_completion(self, rng):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v /= np.linalg.norm(v)
