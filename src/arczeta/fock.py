@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .exact import PiLaurent, QQi, leading_minors
-from .group import CoverElement, b_t_cover, block_inverse, check_root_ratio, cpow_int
+from .group import b_t_cover, block_inverse, check_root_ratio, cpow_int
 from .weights import Case, ThetaDatum
 
 __all__ = [
@@ -397,13 +397,6 @@ def hwv_norm2(theta: ThetaDatum) -> float:
     return complex(bargmann_inner(phi, phi)).real
 
 
-def _cover_data(k: CoverElement):
-    """(transpose of the n-block, inverse of the n-block, y, y_inv, ratio),
-    the blocks as nested lists of Python scalars."""
-    inv = k.inverse()
-    return k.block_n.T.tolist(), inv.block_n.tolist(), k.block_1, inv.block_1, k.zeta_ratio
-
-
 def _substitute(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> FockPoly:
     """Substitute each variable by a linear form (list of (var, coeff))."""
     cache: dict[tuple[int, int], FockPoly] = {}
@@ -450,8 +443,15 @@ def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
     substituted once and raised to its power; any other polynomial is
     substituted term by term.
     """
+    return _omega_k(k, k.inverse(), f, theta)
+
+
+def _omega_k(k, inv, f: FockPoly, theta: ThetaDatum) -> FockPoly:
+    """:func:`omega_k`, given ``inv``, the inverse of ``k``; the blocks are
+    read as nested lists of Python scalars."""
     n, p = theta.n, theta.p
-    xt, xi, y, yi, ratio = _cover_data(k)
+    xt, xi = k.block_n.T.tolist(), inv.block_n.tolist()
+    y, yi, ratio = k.block_1, inv.block_1, k.zeta_ratio
     images: dict[int, list[tuple[int, object]]] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 2):
@@ -662,7 +662,7 @@ def omega_matcoef_transform_route(kp, t, k, theta: ThetaDatum, phi: Optional[Foc
     if phi is None:
         phi = harmonic_hwv(theta)
     f = omega_k(k, phi, theta)
-    g = omega_k(kp.inverse(), phi, theta)
+    g = _omega_k(kp.inverse(), kp, phi, theta)  # k' is its inverse's inverse
     return omega_at(t, f).pair_with(g)
 
 

@@ -12,9 +12,9 @@ Estimates are reproducible bit for bit for a fixed (seed, workers) pair: the
 sample budget is split into per-worker substreams with spawned seed
 sequences, evaluated in vectorized chunks, and reduced in worker order.
 Substreams with a large enough budget run in parallel, in processes forked
-for the one call (at most one per usable CPU); each process returns its
-chunk sums and the parent merges them in worker order, so which process ran
-a substream never changes a number.
+for the one call (at most one per usable CPU, each pinned to its own); each
+process returns its chunk sums and the parent merges them in worker order,
+so which process ran a substream never changes a number.
 
 A zeta chunk makes all its draws at once and evaluates them in blocks of a
 fixed size (``group._BLOCK``), so its estimates are reproducible for a fixed
@@ -195,20 +195,23 @@ def _receive(read_end: int):
     return value
 
 
-def _run_substreams(chunks_fn, rngs: list, budgets: list[int]) -> list[list[tuple]]:
-    """Chunk triples of every substream, in worker order.
+def _spread(work, count: int, forked: bool) -> list:
+    """``[work(i) for i in range(count)]``, over P = min(count, usable CPUs)
+    processes when ``forked``, else in the caller.
 
-    With P = min(workers, usable CPUs) processes, substream i runs in process
-    i mod P; process 0 is the caller, the others are forked for this call and
-    reaped before it returns or raises.  When a substream's budget is below
-    ``_FORK_MIN_SAMPLES`` everything runs in the caller."""
-    procs = 1
-    if budgets[-1] >= _FORK_MIN_SAMPLES and hasattr(os, "sched_getaffinity"):
-        procs = min(len(rngs), len(os.sched_getaffinity(0)))
+    Item i runs in process i mod P; process 0 is the caller, the others are
+    forked for this call and reaped before it returns or raises.  Process i
+    is pinned to the i-th usable CPU (a forked child tends to stay on its
+    parent's CPU), and the caller's own affinity is restored on the way
+    out."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    procs = min(count, len(cpus)) if forked else 1
+    if procs < 2:
+        return [work(i) for i in range(count)]
 
-    def run(first: int) -> list[list[tuple]]:
-        return [_substream_chunks(chunks_fn, rngs[i], budgets[i])
-                for i in range(first, len(rngs), procs)]
+    def run(first: int) -> list:
+        os.sched_setaffinity(0, {cpus[first]})
+        return [work(i) for i in range(first, count, procs)]
 
     children = []
     try:
@@ -222,10 +225,19 @@ def _run_substreams(chunks_fn, rngs: list, budgets: list[int]) -> list[list[tupl
             os.kill(pid, SIGKILL)
         raise
     finally:
+        os.sched_setaffinity(0, cpus)
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
-    return [per_proc[i % procs][i // procs] for i in range(len(rngs))]
+    return [per_proc[i % procs][i // procs] for i in range(count)]
+
+
+def _run_substreams(chunks_fn, rngs: list, budgets: list[int]) -> list[list[tuple]]:
+    """Chunk triples of every substream, in worker order, spread over pinned
+    processes (:func:`_spread`) when every substream holds at least
+    ``_FORK_MIN_SAMPLES`` samples, else all in the caller."""
+    return _spread(lambda i: _substream_chunks(chunks_fn, rngs[i], budgets[i]), len(rngs),
+                   budgets[-1] >= _FORK_MIN_SAMPLES)
 
 
 def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
@@ -236,11 +248,13 @@ def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
     merged pairwise in worker order (Chan, Golub & LeVeque 1979).  The merge
     reads only each chunk's (size, sum, squared deviation), so substreams
     evaluated in forked processes (:func:`_run_substreams`) give the same
-    bits as evaluated here.  Fork is safe on this path: a chunk is
-    elementwise numpy plus small ``np.linalg.det`` calls, and OpenBLAS
-    re-creates its thread pool in the child through its ``pthread_atfork``
-    handlers.  Python 3.12 and later warn (``DeprecationWarning``) on a fork
-    in a process that runs other threads; the warning is left visible."""
+    bits as evaluated here.  Fork is safe on this path and on
+    :func:`verify_prop61`'s: a chunk is elementwise numpy plus small
+    ``np.linalg.det`` calls, a Prop 6.1 trial is polynomial arithmetic plus
+    small LAPACK inversions, and OpenBLAS re-creates its thread pool in the
+    child through its ``pthread_atfork`` handlers.  Python 3.12 and later
+    warn (``DeprecationWarning``) on a fork in a process that runs other
+    threads; the warning is left visible."""
     if workers < 1:
         raise InvalidParameterError(f"need at least one worker, got {workers}")
     if samples < 1:
@@ -615,7 +629,10 @@ def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
     substitute the factors, not its expanded terms.
 
     The cases are every admissible parameter at n=1 up to 3 and the Case I
-    parameters at n=2 up to 7/2.
+    parameters at n=2 up to 7/2.  Every draw is made first, case by case
+    and trial by trial; the trials then run spread over pinned processes
+    (:func:`_spread`) and are read back in order, so the report has the
+    same bits whatever the process count.
     """
     t0 = time.perf_counter()
     if trials < 1:
@@ -626,22 +643,26 @@ def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
         th = classify_theta(lam)
         if th.case is Case.I:
             thetas.append(th)
+    phis = [harmonic_hwv(theta) for theta in thetas]
+    # per trial: t, then the blocks and phase of k and of k'
+    draws = [(c, float(rng.uniform(-1.5, 1.5)),
+              haar_unitary(theta.n, rng), np.exp(2j * np.pi * rng.uniform()),
+              haar_unitary(theta.n, rng), np.exp(2j * np.pi * rng.uniform()))
+             for c, theta in enumerate(thetas) for _ in range(trials)]
+
+    def trial(i: int) -> float:
+        c, t, x, y, xp, yp = draws[i]
+        k, kp = CoverElement.from_blocks(x, y), CoverElement.from_blocks(xp, yp)
+        lhs = omega_matcoef_transform_route(kp, t, k, thetas[c], phis[c])
+        rhs = omega_matcoef(kp, t, k, thetas[c], phis[c])
+        return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
     worst = 0.0
     failures = []
-    for theta in thetas:
-        phi = harmonic_hwv(theta)
-        for _ in range(trials):
-            t = float(rng.uniform(-1.5, 1.5))
-            k = CoverElement.from_blocks(haar_unitary(theta.n, rng),
-                                         np.exp(2j * np.pi * rng.uniform()))
-            kp = CoverElement.from_blocks(haar_unitary(theta.n, rng),
-                                          np.exp(2j * np.pi * rng.uniform()))
-            lhs = omega_matcoef_transform_route(kp, t, k, theta, phi)
-            rhs = omega_matcoef(kp, t, k, theta, phi)
-            rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-            worst = max(worst, rel)
-            if not rel <= PROP61_TOL:
-                failures.append({"lambda": str(theta.lam), "t": t, "rel": rel})
+    for (c, t, *_), rel in zip(draws, _spread(trial, len(draws), True)):
+        worst = max(worst, rel)
+        if not rel <= PROP61_TOL:
+            failures.append({"lambda": str(thetas[c].lam), "t": t, "rel": rel})
     est = Estimate(complex(worst), 0.0, trials * len(thetas), seed, time.perf_counter() - t0)
     return VerifyReport("verify_prop61", est, None,
                         "PASS" if not failures else "FAIL", worst,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,6 +7,24 @@ from fractions import Fraction
 from arczeta.exact import QQi
 from arczeta.group import CoverElement, haar_unitary
 from arczeta.weights import HCParameter
+
+
+_getaffinity = getattr(os, "sched_getaffinity", None)
+_setaffinity = getattr(os, "sched_setaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def affinity_unchanged():
+    """Fail a test that leaves this process's CPU affinity changed, and undo
+    the change: a leaked pin would run every later test on one CPU.  The
+    functions are those read at import, so a test's stub does not hide a
+    leak."""
+    before = _getaffinity(0) if _getaffinity else None
+    yield
+    if _getaffinity and _getaffinity(0) != before:
+        after = _getaffinity(0)
+        _setaffinity(0, before)
+        pytest.fail(f"the test left the CPU affinity at {sorted(after)}, not {sorted(before)}")
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from arczeta.group import random_group_element
 from arczeta.verify import (
     Estimate,
     _reduce_mean,
+    _spread,
     verify_at_lemma,
     verify_formal_degree,
     verify_prop61,
@@ -611,8 +612,9 @@ class TestSuites:
 
 
 class TestForkedSubstreams:
-    """Worker substreams in forked processes: the same bits as in-process, a
-    bounded process count, and no child left behind."""
+    """Worker substreams and Prop 6.1 trials in forked processes: the same
+    bits as in-process, a bounded process count, one pinned CPU per process,
+    and no child left behind."""
 
     @staticmethod
     def assert_no_children():
@@ -620,8 +622,18 @@ class TestForkedSubstreams:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        """Fork at any budget, on two usable CPUs; count the real forks."""
+    def pins(self, monkeypatch):
+        """Record each os.sched_setaffinity call as (calling pid, CPU set)
+        instead of making it: the faked CPUs need not exist."""
+        calls = []
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: calls.append((os.getpid(), set(cpus))))
+        return calls
+
+    @pytest.fixture
+    def forks(self, monkeypatch, pins):
+        """Fork at any budget, on two usable CPUs (pins recorded, not made);
+        count the real forks."""
         pids = []
         fork = os.fork
 
@@ -677,7 +689,7 @@ class TestForkedSubstreams:
         assert len(forks) == 1
         self.assert_no_children()
 
-    def test_parent_exception_kills_children(self, forks):
+    def test_parent_exception_kills_children(self, forks, pins):
         parent = os.getpid()
 
         def chunk(rng, size):
@@ -690,6 +702,57 @@ class TestForkedSubstreams:
         with pytest.raises(InvalidParameterError, match="^parent substream failed$"):
             _reduce_mean(chunk, 100, 2, 0)
         assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        assert pins[-1] == (os.getpid(), {0, 1})  # the caller's affinity restored
+        self.assert_no_children()
+
+    def test_each_process_pins_its_own_cpu(self, forks, pins, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 2})
+        # in each process the last recorded pin is that process's own
+        out = _spread(lambda i: (i, pins[-1]), 7, True)
+        assert len(forks) == 2
+        procs = [os.getpid(), *forks]
+        assert out == [(i, (procs[i % 3], {(0, 2, 5)[i % 3]})) for i in range(7)]
+        assert pins == [(os.getpid(), {0}), (os.getpid(), {0, 2, 5})]
+        self.assert_no_children()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_real_pins_leave_affinity_unchanged(self):
+        before = os.sched_getaffinity(0)
+        cpus = sorted(before)
+        procs = min(4, len(cpus))
+        out = _spread(lambda i: os.sched_getaffinity(0), 4, True)
+        assert out == [{cpus[i % procs]} if procs > 1 else before for i in range(4)]
+        assert os.sched_getaffinity(0) == before
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_prop61_reports_identical_on_one_and_two_cpus(self, forks, monkeypatch, seed):
+        def report():
+            doc = build_report("verify", report=verify_prop61(trials=20, seed=seed))
+            del doc["timestamp"], doc["wall_time"]
+            return json.dumps(doc, sort_keys=True)
+
+        spread = report()
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert report() == spread
+        assert len(forks) == 1
+        assert json.loads(spread)["verdict"] == "PASS"
+        self.assert_no_children()
+
+    def test_prop61_child_trial_error_reraised(self, forks, monkeypatch):
+        parent = os.getpid()
+        route = arczeta.verify.omega_matcoef
+
+        def failing(kp, t, k, theta, phi):
+            if os.getpid() != parent:
+                raise ConvergenceError(f"trial at n = {theta.n} failed")
+            return route(kp, t, k, theta, phi)
+
+        monkeypatch.setattr(arczeta.verify, "omega_matcoef", failing)
+        with pytest.raises(ConvergenceError, match="^trial at n = 1 failed$"):
+            verify_prop61(trials=2, seed=0)
         assert len(forks) == 1
         self.assert_no_children()
 
