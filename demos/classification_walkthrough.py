@@ -13,7 +13,6 @@ from arczeta import (
     closed_S,
     closed_T,
     formal_degree_product,
-    weyl_dim,
     zeta_closed,
 )
 from arczeta.weights import dual_S_arguments
@@ -29,7 +28,7 @@ print(theta)
 print("  Lambda      =", theta.Lambda)
 print("  LambdaDual  =", theta.LambdaDual)
 print("  LambdaPrime =", theta.LambdaPrime)
-print("  dim sigma   =", weyl_dim(lam))
+print("  dim sigma   =", theta.dim_sigma)
 print("  zeta value  =", zeta_closed(lam), "=", float(zeta_closed(lam)))
 print("  c^2         =", c_squared(lam))
 
@@ -56,7 +55,7 @@ for lam in admissible_sweep(2, F(7, 2)):
     print(
         f"{str(lam):>18} {theta.case.value:>4} {str((theta.p, theta.q)):>6} "
         f"{str(c_squared(theta)):>6} {str(zeta_closed(theta)):>12} "
-        f"{weyl_dim(lam):>4} {str(formal_degree_product(lam)):>4}"
+        f"{theta.dim_sigma:>4} {str(formal_degree_product(lam)):>4}"
     )
 print()
 print("Definite-partner parameters (p = 0) have c^2 = 1 exactly; all others")

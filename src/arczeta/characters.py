@@ -38,8 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import leading_minors
-from .group import cartan_decompose, cpow_int, theta_t_cover, theta_z_cover
+from .exact import leading_minors, power
+from .group import cartan_decompose, theta_t_cover, theta_z_cover
 from .weights import ThetaDatum
 
 __all__ = [
@@ -102,12 +102,11 @@ def schur_eval(mu, eigs):
             det = det * x
         if shift < 0 and not det:
             raise InvalidParameterError("zero eigenvalue with negative determinant shift")
-        detpow = det**shift if not isinstance(det, complex) else cpow_int(det, shift)
-        return detpow * schur_eval([x - shift for x in mu], eigs)
+        return power(det, shift) * schur_eval([x - shift for x in mu], eigs)
     nu = [x for x in mu if x > 0]
     ell = len(nu)
     if ell == 0:
-        return 1 if not isinstance(eigs[0], complex) else 1.0 + 0j
+        return eigs[0] ** 0  # one, in the ring of the eigenvalues
     h = _complete_homogeneous(eigs, nu[0] + ell - 1)
 
     def h_at(k):
@@ -190,7 +189,7 @@ def schur_eval_batch(mu, e: np.ndarray) -> np.ndarray:
     shift = mu[-1] if mu else 0
     pref = np.ones(count, dtype=complex)
     if shift != 0:
-        pref = cpow_int(e[:, m], shift)
+        pref = power(e[:, m], shift)
         mu = [x - shift for x in mu]
     nu = [x for x in mu if x > 0]
     ell = len(nu)
@@ -232,9 +231,9 @@ def psi_batch(theta: ThetaDatum, e_rows: np.ndarray, block_1: np.ndarray,
     (parts_n, tw2n), (parts_1, _) = theta.lambda_gl()
     psi = schur_eval_batch(list(parts_n), e_rows)
     if parts_1[0]:
-        psi = psi * cpow_int(block_1, parts_1[0])
+        psi = psi * power(block_1, parts_1[0])
     if tw2n:
-        psi = psi * cpow_int(ratio, tw2n)
+        psi = psi * power(ratio, tw2n)
     return psi
 
 

@@ -54,7 +54,6 @@ from .weights import (
     classify_theta,
     formal_degree_product,
     parse_fraction,
-    weyl_dim,
     zeta_closed,
 )
 
@@ -160,8 +159,7 @@ def table_rows(n: int, max_entry: Fraction) -> list[dict]:
     rows = []
     for lam in admissible_sweep(n, max_entry):
         theta = classify_theta(lam)
-        dim = weyl_dim(lam)
-        zc = zeta_closed(theta, dim=dim)
+        zc = zeta_closed(theta)
         rows.append({
             "lambda": str(lam),
             "case": theta.case.value,
@@ -171,7 +169,7 @@ def table_rows(n: int, max_entry: Fraction) -> list[dict]:
             "zeta_rational": str(zc.rational),
             "zeta_pi_exp": zc.pi_exp,
             "zeta_float": float(zc),
-            "dim": dim,
+            "dim": theta.dim_sigma,
             "formal_degree_product": str(formal_degree_product(lam)),
         })
     return rows
@@ -221,15 +219,14 @@ def _classify(args, seed, samples):
     t0 = time.perf_counter()
     lam = HCParameter.parse(args.lam)
     theta = classify_theta(lam)
-    dim = weyl_dim(lam)
     doc = build_report(
-        "classify", lam=lam, theta=theta, closed=zeta_closed(theta, dim=dim), verdict="PASS",
+        "classify", lam=lam, theta=theta, closed=zeta_closed(theta), verdict="PASS",
         extra={
             "gamma": str(theta.gamma),
             "alphas": [str(a) for a in theta.alphas],
             "betas": [str(b) for b in theta.betas],
             "c2": str(c_squared(theta)),
-            "dim": dim,
+            "dim": theta.dim_sigma,
             "nonstandard_congruence": theta.nonstandard_congruence,
         },
         wall_time=time.perf_counter() - t0,

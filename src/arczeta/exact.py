@@ -137,11 +137,9 @@ class QQi:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("QQi exponent must be int")
-        base = self if k >= 0 else self.inverse()
-        out = QQi(1)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        if not k:
+            return QQI_ONE
+        return power(self, k) if k > 0 else power(self.inverse(), -k)
 
     def __eq__(self, other):
         if type(other) is not QQi:
@@ -369,6 +367,32 @@ def leading_minors(rows) -> list:
         prev = cur
         out.append(cur[tuple(range(r + 1))])
     return out
+
+
+def power(x, k: int):
+    """``x`` to the integer power ``k`` by binary exponentiation, in the ring
+    of ``x``: numbers, :class:`QQi`, polynomials, and numpy arrays, where
+    every product is elementwise.
+
+    For k < 0 the base is inverted first, as ``1 / x``, except that an int
+    inverts as ``Fraction(1, x)``, so an exact base stays exact; k == 0 is
+    ``x ** 0``.  Inverting first and then multiplying in a fixed order makes
+    the power of -x that of x, sign flipped for odd k, bit for bit, so a value
+    invariant under flipping both roots of a cover element is invariant in
+    every bit.
+    """
+    if not k:
+        return x**0
+    if k < 0:
+        x, k = (Fraction(1, x) if type(x) is int else 1 / x), -k
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 def rational_hyperbolic(rho: Fraction) -> tuple[Fraction, Fraction]:

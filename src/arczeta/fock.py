@@ -40,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError
-from .exact import PiLaurent, QQi, leading_minors
-from .group import b_t_cover, block_inverse, check_root_ratio, cpow_int
+from .exact import PiLaurent, QQi, leading_minors, power
+from .group import b_t_cover, block_inverse, check_root_ratio
 from .weights import Case, ThetaDatum
 
 __all__ = [
@@ -242,17 +242,7 @@ class FockPoly:
     def __pow__(self, k: int) -> "FockPoly":
         if k < 0:
             raise InvalidParameterError("negative power of a polynomial")
-        if not k:
-            return FockPoly.one(self.n)
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return power(self, k) if k else FockPoly.one(self.n)
 
     # -- queries -------------------------------------------------------------
     def degree(self) -> int:
@@ -426,11 +416,9 @@ def _act(f: FockPoly, images: dict[int, list[tuple[int, object]]]) -> FockPoly:
     return _Product(f.n, [(_substitute(g, images), e) for g, e in f.factors])
 
 
-def _twist(f: FockPoly, ratio, power: int) -> FockPoly:
-    """Scale by the carried root ratio to the given det-twist power, in its ring."""
-    if not power:
-        return f
-    return f.scale(cpow_int(ratio, power) if isinstance(ratio, complex) else ratio**power)
+def _twist(f: FockPoly, ratio, k: int) -> FockPoly:
+    """Scale by the carried root ratio to the det-twist power ``k``."""
+    return f.scale(power(ratio, k)) if k else f
 
 
 def omega_k(k, f: FockPoly, theta: ThetaDatum) -> FockPoly:
@@ -538,10 +526,10 @@ class AtTransform:
         n = self.n
         bil = _poly(n, {_exponents(n, _var(n, 1, j), _var(n, n + 1, j)): 1
                         for j in range(1, n + 2)})
-        out = power = FockPoly.one(n)
+        out = bil_m = FockPoly.one(n)
         for m in range(1, max_degree // 2 + 1):
-            power = power * bil
-            out = out + power.scale(_pi_scalar(self.tanh**m / math.factorial(m), m))
+            bil_m = bil_m * bil
+            out = out + bil_m.scale(_pi_scalar(self.tanh**m / math.factorial(m), m))
         return out
 
     def pair_with(self, g: FockPoly):
@@ -829,12 +817,12 @@ class MatrixCoefficient:
     def evaluate(self, block_n: np.ndarray, block_1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
         """Batched evaluation; block_n is batch-last (n, n, N), block_1 and
         ratio (N,)."""
-        out = self.phi_norm2 * cpow_int(block_1, self._y_exp)
+        out = self.phi_norm2 * power(block_1, self._y_exp)
         if self._minor_exps:
             kmax = self._minor_exps[-1][0]
             lead = leading_minors(block_n[:kmax, :kmax])
             for k, e in self._minor_exps:
-                out = out * cpow_int(lead[k - 1], e)
+                out = out * power(lead[k - 1], e)
         if self._ratio_exp:
-            out = out * cpow_int(ratio, self._ratio_exp)
+            out = out * power(ratio, self._ratio_exp)
         return out

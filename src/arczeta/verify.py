@@ -69,7 +69,6 @@ from .weights import (
     closed_T_factors,
     dual_S_arguments,
     formal_degree_product,
-    weyl_dim,
     T_arguments,
     zeta_closed,
 )
@@ -562,7 +561,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
         norm2 = hwv_norm2(theta)
         target_float = float(closed) * norm2
         rep = verify_T(theta, s0, method="quad")
-        dim = theta.dim_sigma()
+        dim = theta.dim_sigma
         val = rep.estimate.value * norm2 / dim
         est = Estimate(val, rep.estimate.stderr * norm2 / dim, 0, seed,
                        time.perf_counter() - t0)
@@ -601,7 +600,7 @@ def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
     for lam in lams:
         theta = classify_theta(lam)
         sval = closed_S(*dual_S_arguments(theta), 0)
-        dim = weyl_dim(lam)
+        dim = theta.dim_sigma
         fd = formal_degree_product(lam)
         ratio = ClosedValue(Fraction(dim), 0) / sval / fd
         ratios.append(ratio)

@@ -182,7 +182,12 @@ class Case(enum.Enum):
 
 @dataclass(frozen=True)
 class ThetaDatum:
-    """Complete classification data for one admissible parameter."""
+    """Complete classification data for one admissible parameter.
+
+    ``dim_sigma`` is the dimension of sigma, the lowest K-type, whose U(n)
+    highest weight is ``Lambda.first``: :func:`classify_theta` takes Weyl's
+    product once, on the drops of the doubled entries it already holds, and
+    :func:`gl_dim` of ``Lambda.first`` is the same integer."""
 
     lam: HCParameter
     n: int
@@ -197,6 +202,7 @@ class ThetaDatum:
     LambdaPrime: WeightPair
     nonstandard_congruence: bool
     closed_form_valid: bool
+    dim_sigma: int
 
     def lambda_gl(self):
         """Integer parts of Lambda per factor, with doubled twist exponents.
@@ -217,9 +223,6 @@ class ThetaDatum:
                 )
             out.append((tuple(int(p) for p in parts), int(2 * tw)))
         return tuple(out)
-
-    def dim_sigma(self) -> int:
-        return gl_dim(self.Lambda.first)
 
     def __str__(self):
         return (
@@ -338,6 +341,7 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
         LambdaDual=WeightPair(_halves(dual[0]), _halves(dual[1])),
         LambdaPrime=WeightPair(_halves(prime[0]), _halves(prime[1])),
         nonstandard_congruence=nonstandard, closed_form_valid=closed_ok,
+        dim_sigma=_weyl_count([(first[0] - x) // 2 for x in first]),
     )
 
 
@@ -515,18 +519,17 @@ def _coerce_theta(lam_or_theta) -> ThetaDatum:
     return classify_theta(lam_or_theta)
 
 
-def zeta_closed(lam_or_theta, *, dim: int | None = None) -> ClosedValue:
+def zeta_closed(lam_or_theta) -> ClosedValue:
     """Exact value of the group integral per unit squared norm of the matched
-    joint highest-weight vector: ``closed_T`` at s = (n+1)/2 over the
-    dimension of the lowest K-type, which joins the integer denominator.
-    A caller that holds that dimension (:func:`weyl_dim`) passes it as
-    ``dim`` and it is not taken again."""
+    joint highest-weight vector: ``closed_T`` at s = (n+1)/2 over
+    ``dim_sigma``, the dimension of the lowest K-type that classification
+    fixed, which joins the integer denominator."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
     s = Fraction(theta.n + 1, 2)
     p, q, kappas, iotas = T_arguments(theta)
     a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
-    return _S_value(p, q, s, a, b, offsets, theta.dim_sigma() if dim is None else dim)
+    return _S_value(p, q, s, a, b, offsets, theta.dim_sigma)
 
 
 def c_squared(lam_or_theta) -> Fraction:

@@ -53,6 +53,11 @@ class TestSchur:
         x, y = Fraction(3), Fraction(7)
         assert schur_eval([1, -1], [x, y]) == schur_eval([2, 0], [x, y]) / (x * y)
 
+    def test_exact_on_integer_eigenvalues(self):
+        # an int determinant to a negative power inverts as a Fraction
+        val = schur_eval([0, -1], [2, 3])
+        assert val == Fraction(5, 6) and type(val) is Fraction
+
     def test_zero_eigenvalue_negative_shift(self):
         with pytest.raises(InvalidParameterError):
             schur_eval([0, -1], [1, 0])

@@ -9,10 +9,12 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import arczeta.verify
+import arczeta.weights
 from arczeta.cli import (
     _join_negative_values,
     main,
@@ -73,6 +75,20 @@ class TestTable:
             assert a["c2"] == b["c2"]
             assert a["zeta_pi_exp"] == str(b["zeta_pi_exp"])
             assert float(a["zeta_float"]) == pytest.approx(b["zeta_float"])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_weyl_product_per_row(self, monkeypatch, n):
+        # classification fixes sigma's dimension; a row takes no second one
+        calls = []
+        count = arczeta.weights._weyl_count
+
+        def counting(d):
+            calls.append(d)
+            return count(d)
+
+        monkeypatch.setattr(arczeta.weights, "_weyl_count", counting)
+        rows = table_rows(n, Fraction(15, 2))
+        assert rows and len(calls) == len(rows)
 
     def test_cli_csv(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "1", "--max-entry", "5/2",

@@ -13,6 +13,7 @@ from arczeta.exact import (
     QQi,
     exact_inverse,
     leading_minors,
+    power,
     rational_hyperbolic,
 )
 from arczeta.fock import FockPoly, minors
@@ -55,15 +56,18 @@ def test_gaussian_rational_field_laws(a, b, c):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(gaussians, st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gaussians, st.integers(min_value=-6, max_value=6))
 def test_gaussian_rational_powers(a, k):
-    expect = QQi(1)
-    for _ in range(k):
-        expect = expect * a
-    assert a**k == expect
     if a:
         assert a**-1 == a.inverse()
+    elif k < 0:
+        return
+    base, expect = (a if k >= 0 else a.inverse()), QQi(1)
+    for _ in range(abs(k)):
+        expect = expect * base
+    got = a**k
+    assert type(got) is QQi and got == expect
 
 
 class Pair:
@@ -171,6 +175,9 @@ class TestQQi:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             QQi(1).inverse() * QQi(0).inverse()
+        with pytest.raises(ZeroDivisionError):
+            QQi(0) ** -1
+        assert QQi(0) ** 0 == 1 and QQi(0) ** 3 == 0
 
     def test_complex_cast(self):
         assert complex(QQi(F(1, 2), -2)) == 0.5 - 2j
@@ -326,6 +333,52 @@ class TestLeadingMinors:
         for k in range(n):
             assert worst_gap(got[:k] + [-got[k]] + got[k + 1:]) > 1e-14
         assert worst_gap([minor * (1 + 1e-12) for minor in got]) > 1e-14
+
+
+def squaring_reference(z, k):
+    """Reference complex power by binary exponentiation, whose bits
+    ``power`` must give: it inverts as 1.0 / z first and squares once more
+    after the last bit."""
+    if k == 0:
+        return np.ones_like(z) if isinstance(z, np.ndarray) else 1.0 + 0j
+    base = z if k > 0 else 1.0 / z
+    k = abs(k)
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+class TestPower:
+    def test_bit_identical_to_the_squaring_reference(self):
+        rng = np.random.default_rng(33)
+        size = 20_000
+        z = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * np.exp(
+            rng.uniform(-2.5, 2.5, size))
+        for k in range(-12, 13):
+            got, ref = power(z, k), squaring_reference(z, k)
+            assert got.dtype == ref.dtype == complex
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), k
+            for x in z[:200].tolist():
+                a, b = power(x, k), squaring_reference(x, k)
+                assert type(a) is type(b) is complex
+                assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex()), (x, k)
+
+    def test_exact_scalars_stay_exact(self):
+        assert power(2, 3) == 8 and type(power(2, 3)) is int
+        for x, k, want in ((2, -3, F(1, 8)), (-3, -1, F(-1, 3)), (F(2, 3), -2, F(9, 4))):
+            got = power(x, k)
+            assert got == want and type(got) is F
+
+    def test_polynomial_powers(self):
+        x = FockPoly.variable(1, 1, 1) + FockPoly.one(1)
+        assert x**0 == FockPoly.one(1)
+        assert x**5 == x * x * x * x * x
+        with pytest.raises(InvalidParameterError):
+            x ** -1
 
 
 class TestRationalHyperbolic:

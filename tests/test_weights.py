@@ -459,10 +459,10 @@ class TestZetaAndProjection:
             lhs = zeta_closed(th) * weyl_dim(lv)
             assert lhs == closed_T(th, F(th.n + 1, 2))
 
-    def test_zeta_with_given_dimension(self):
+    def test_dim_sigma_fixed_at_classification(self):
         for lv in admissible_sweep(2, F(9, 2)) + admissible_sweep(1, 4):
             th = classify_theta(lv)
-            assert zeta_closed(th, dim=weyl_dim(lv)) == zeta_closed(th)
+            assert th.dim_sigma == weyl_dim(lv) == gl_dim(th.Lambda.first)
 
     def test_c_squared_examples(self):
         assert c_squared(lam("3/2", "1/2")) == F(1, 2)
@@ -585,7 +585,7 @@ def _classify_oracle(lv, enforce):
     return dict(lam=lv, n=n, case=Case.I if b == 0 else Case.II, p=p, q=q, gamma=gamma,
                 alphas=alphas, betas=betas, Lambda=Lambda, LambdaDual=Lambda.negated_reversed(),
                 LambdaPrime=prime, nonstandard_congruence=fr[0].denominator == 1,
-                closed_form_valid=closed_ok)
+                closed_form_valid=closed_ok, dim_sigma=gl_dim(Lambda.first))
 
 
 def _fraction_fields(th):
