@@ -11,7 +11,8 @@ A call that names a verb builds that verb's parser only.  argparse makes a
 help formatter for every argument it adds, so building all nine verbs costs
 far more than the parse itself, and a batch of verified reports pays it on
 every call.  No verb, ``-h`` or an unknown verb builds the full parser, whose
-help text and errors need every verb.  Both read one table of verbs.
+help text and errors need every verb.  Both read one table of verbs.  A
+parser holds no state between calls, so each one is built once per process.
 """
 
 from __future__ import annotations
@@ -395,6 +396,9 @@ def make_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(make_parser)
+
+
 def _run(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -431,7 +435,7 @@ def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     # a named verb needs its own parser only; no verb, -h or a typo needs them all
     verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = make_parser(verb).parse_args(argv)
+    args = _parser(verb).parse_args(argv)
     try:
         return _run(args)
     except InadmissibleParameterError as exc:

@@ -7,8 +7,9 @@ with quadrature.
 
 The Fractions are inputs and outputs only.  Each entry is read once, as a
 doubled integer 2*x (or as an integer ratio where a closed form takes any
-rational), all arithmetic runs on machine integers, and every returned
-Fraction is built once, from its integers, at the end.
+rational), and all arithmetic runs on machine integers.  Each half-integer
+is one shared Fraction per process, built by ``_half``; other results (c
+squared, a closed value's rational) are built once per call, at the end.
 
 The central object is :class:`ThetaDatum`, the complete classification of an
 admissible strictly decreasing parameter into one of two shapes (Case I when
@@ -20,6 +21,7 @@ partner weight ``LambdaPrime``) that drive every other module.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,9 +68,15 @@ def _twice(x) -> int:
     return 2 * x.numerator // x.denominator
 
 
+@functools.cache
+def _half(two: int) -> Fraction:
+    """The half-integer two/2, one shared immutable Fraction per value."""
+    return Fraction(two, 2)
+
+
 def _halves(xs) -> tuple[Fraction, ...]:
     """Doubled integers back as Fractions, one per entry."""
-    return tuple(Fraction(x, 2) for x in xs)
+    return tuple(map(_half, xs))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -80,9 +88,10 @@ def parse_fraction(text: str) -> Fraction:
     digits = num[1:] if num[:1] == "-" else num
     if digits.isascii() and digits.isdigit():
         if not slash:
-            return Fraction(int(num))
+            return _half(2 * int(num))
         if den.isascii() and den.isdigit():
-            return Fraction(int(num), int(den))
+            num, den = int(num), int(den)
+            return _half(2 * num // den) if den in (1, 2) else Fraction(num, den)
     return Fraction(text)
 
 
@@ -210,9 +219,9 @@ class ThetaDatum:
         The det twists of the two K factors (U(n) part, U(1) part) are t and -t.
         """
         if self.case is Case.I:
-            t = Fraction(self.n - 1, 2)
+            t = _half(self.n - 1)
         else:
-            t = Fraction(-(self.p - self.q), 2)
+            t = _half(self.q - self.p)
         out = []
         for entries, tw in zip(self.Lambda, (t, -t)):
             parts = tuple(e - tw for e in entries)
@@ -281,14 +290,14 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
         alphas = [two[i - 1] + 2 * (i - n) + 1 for i in range(1, n + 1)]
         betas: list[int] = []
         if gamma < 0:
-            raise InadmissibleParameterError(f"Case I needs gamma >= 0, got {Fraction(gamma, 2)}")
+            raise InadmissibleParameterError(f"Case I needs gamma >= 0, got {_half(gamma)}")
         if any(x < y for x, y in zip(alphas, alphas[1:])):
             raise InadmissibleParameterError(
                 f"alphas must be weakly decreasing, got {_halves(alphas)}")
         if alphas[-1] < gamma + 4:
             raise InadmissibleParameterError(
                 "violated constraint alpha_n >= gamma + 2 "
-                f"({Fraction(alphas[-1], 2)} < {Fraction(gamma + 4, 2)})"
+                f"({_half(alphas[-1])} < {_half(gamma + 4)})"
             )
         tw = n - 1
         first, second = [al + tw for al in alphas], [gamma - tw]
@@ -302,7 +311,7 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
         betas = [2 * (i - p) - 1 - two[n - i] for i in range(1, p + 1)]
         alphas = [two[r - 1] + 2 * (r - q) + 1 for r in range(1, q)]
         if gamma <= 0:
-            raise InadmissibleParameterError(f"Case II needs gamma > 0, got {Fraction(gamma, 2)}")
+            raise InadmissibleParameterError(f"Case II needs gamma > 0, got {_half(gamma)}")
         if any(x < 0 for x in betas) or any(x < y for x, y in zip(betas, betas[1:])):
             raise InadmissibleParameterError(
                 f"betas must be weakly decreasing >= 0, got {_halves(betas)}")
@@ -312,7 +321,7 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
         if betas and betas[0] > gamma - 4 * p:
             raise InadmissibleParameterError(
                 "violated constraint beta_1 <= gamma - 2p "
-                f"({Fraction(betas[0], 2)} > {Fraction(gamma - 4 * p, 2)})"
+                f"({_half(betas[0])} > {_half(gamma - 4 * p)})"
             )
         closed_ok = not any(alphas)
         if not closed_ok and enforce_closed_form_domain:
@@ -335,7 +344,7 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     assert dual[0] + dual[1] == [x + s for x, s in zip(lam_dual, _dual_shift(n))]
 
     return ThetaDatum(
-        lam=lam, n=n, case=case, p=p, q=q, gamma=Fraction(gamma, 2),
+        lam=lam, n=n, case=case, p=p, q=q, gamma=_half(gamma),
         alphas=_halves(alphas), betas=_halves(betas),
         Lambda=WeightPair(_halves(first), _halves(second)),
         LambdaDual=WeightPair(_halves(dual[0]), _halves(dual[1])),
@@ -348,13 +357,14 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
 def _drops(mu: Sequence[Fraction]) -> tuple[tuple[int, int], list[int]]:
     """The first entry of a dominant weight as an integer ratio and its drops
     mu_0 - mu_i, taken in integers; a weight is refused unless they are
-    non-decreasing integers."""
+    non-decreasing integers.  Entries whose gaps are integers share one
+    reduced denominator b, so each entry is read over b alone."""
     a, b = _ratio(mu[0]) if len(mu) else (0, 1)
     drops = []
     for x in mu:
         num, den = _ratio(x)
-        d, r = divmod(a * den - num * b, b * den)
-        if r or (drops and d < drops[-1]):
+        d, r = divmod(a - num, b)
+        if den != b or r or (drops and d < drops[-1]):
             raise InvalidParameterError(f"not a dominant weight: {[Fraction(y) for y in mu]}")
         drops.append(d)
     return (a, b), drops
@@ -428,10 +438,9 @@ class ClosedValue:
         return f"{self.rational} * pi^{self.pi_exp}"
 
 
-def _as_tuple(x, length: int) -> tuple[Fraction, ...]:
-    if isinstance(x, (int, Fraction)):
-        return (_as_fraction(x),) * length
-    return tuple(map(_as_fraction, x))
+def _as_tuple(x, length: int) -> tuple:
+    """A weight as a tuple; a scalar is the constant weight of ``length``."""
+    return (x,) * length if isinstance(x, (int, Fraction)) else tuple(x)
 
 
 def _S_factors(p: int, q: int, kappas, iotas, s) -> tuple[int, int, list[int], list[int], list[int]]:
@@ -526,7 +535,7 @@ def zeta_closed(lam_or_theta) -> ClosedValue:
     fixed, which joins the integer denominator."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
-    s = Fraction(theta.n + 1, 2)
+    s = _half(theta.n + 1)
     p, q, kappas, iotas = T_arguments(theta)
     a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
     return _S_value(p, q, s, a, b, offsets, theta.dim_sigma)
@@ -604,4 +613,4 @@ def admissible_sweep(n: int, max_entry) -> list[HCParameter]:
             if p > 0 or tail[0] <= -3:
                 found.append(head + tail)
     found.sort(key=lambda twices: [-t for t in twices])
-    return [HCParameter(tuple(Fraction(t, 2) for t in twices)) for twices in found]
+    return [HCParameter(_halves(twices)) for twices in found]

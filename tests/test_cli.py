@@ -15,6 +15,7 @@ import pytest
 
 import arczeta.verify
 import arczeta.weights
+from arczeta import cli
 from arczeta.cli import (
     _join_negative_values,
     main,
@@ -448,7 +449,8 @@ def test_one_verb_parser_reads_as_full_parser():
 
 @pytest.fixture
 def add_parser_calls(monkeypatch):
-    """Names passed to argparse's subparser factory, which is counted, not replaced."""
+    """Names passed to argparse's subparser factory, which is counted, not
+    replaced, from a process with no parser built yet."""
     calls = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -456,8 +458,10 @@ def add_parser_calls(monkeypatch):
         calls.append(name)
         return add_parser(self, name, **kwargs)
 
+    cli._parser.cache_clear()
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    return calls
+    yield calls
+    cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("verb", VERBS)
@@ -478,3 +482,40 @@ def test_no_verb_builds_every_parser(capsys, add_parser_calls, argv):
     with pytest.raises(SystemExit):
         main(argv)
     assert add_parser_calls == VERBS
+
+
+def test_second_call_builds_no_parser(capsys, add_parser_calls):
+    # each verb's parser is built once per process, and so is the full one
+    for _ in range(2):
+        assert run_cli(capsys, "classify", "--lambda", "3/2,1/2")[0] == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+    assert add_parser_calls == ["classify"] + VERBS
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["table", "--help"], ["verify-fd", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: arczeta" in texts[0]
+
+
+def test_usage_error_leaves_the_parser_as_a_fresh_process_has_it(capsys, tmp_path):
+    # a parse that fails on the shared parser changes nothing the next call reads
+    argv = ["table", "--n", "2", "--max-entry", "9/2", "--format", "csv"]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    fresh = subprocess.run([sys.executable, "-m", "arczeta.cli", *argv], capture_output=True,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    assert fresh.returncode == 0 and not fresh.stderr and fresh.stdout.count(b"\n") > 10
+    for bad in (["table", "--n", "two"], ["table", "--format", "xml", "--n", "2"], ["table"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.encode(), err) == (0, fresh.stdout, "")

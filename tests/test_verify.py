@@ -36,9 +36,14 @@ from arczeta.verify import (
 from arczeta.weights import (
     ClosedValue,
     admissible_sweep,
+    c_squared,
     classify_theta,
+    closed_S,
     closed_T,
     closed_T_factors,
+    dual_S_arguments,
+    weyl_dim,
+    zeta_closed,
 )
 
 from conftest import embed, lam
@@ -517,6 +522,45 @@ class TestFormalDegree:
             lams = admissible_sweep(n, bound)
             assert len(lams) >= 5
             assert verify_formal_degree(lams).passed
+
+
+class TestRanksFiveAndSix:
+    """Criteria 1, 2 and 11 and the radial route on n = 5, 6, where the
+    paper's formulas hold as they do on the n = 1..4 sweeps of the
+    acceptance suite."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        return {n: admissible_sweep(n, F(15, 2)) for n in (5, 6)}
+
+    def test_projection_identity_and_bound(self, sweeps):
+        # criteria 1 and 2 at zero tolerance
+        total = 0
+        for n, lams in sweeps.items():
+            for lv in lams:
+                th = classify_theta(lv)
+                c2 = c_squared(th)
+                rhs = closed_T(th, F(n + 1, 2))
+                assert closed_S(*dual_S_arguments(th), 0) * c2 == rhs, str(lv)
+                assert zeta_closed(th) == rhs / weyl_dim(lv), str(lv)
+                assert 0 < c2 <= 1 and (c2 == 1) == (th.p == 0 or th.q == 0), str(lv)
+                total += 1
+        assert total == 534
+
+    def test_formal_degree_consistency(self, sweeps):
+        # criterion 11
+        for lams in sweeps.values():
+            rep = verify_formal_degree(lams)
+            assert rep.passed, rep.details["mismatches"]
+
+    def test_radial_route(self):
+        count = 0
+        for n in (5, 6):
+            for lv in admissible_sweep(n, F(11, 2)):
+                rep = verify_zeta(lv, method="radial")
+                assert rep.passed and rep.rel_err <= 1e-8, str(lv)
+                count += 1
+        assert count == 125
 
 
 class TestSuites:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arczeta import weights
 from arczeta.characters import schur_eval
 from arczeta.errors import InadmissibleParameterError, InvalidParameterError, PoleError
 from arczeta.weights import (
@@ -60,8 +61,6 @@ class TestHCParameter:
     def test_each_entry_read_once(self, monkeypatch):
         # a half-integer Fraction is kept as it is, so parse reads each text
         # entry once and the constructor does not read the Fractions again
-        import arczeta.weights as weights
-
         half = F(3, 2)
         assert HCParameter.of(half, F(1, 2)).entries[0] is half
         calls = []
@@ -230,7 +229,8 @@ class TestDimensions:
         assert gl_dim(mu) == schur_eval(mu, ones)
         assert gl_dim([x + F(1, 2) for x in mu]) == schur_eval(mu, ones)
 
-    @pytest.mark.parametrize("mu", [(0, 1), (F(1, 2), 0), (-2, 1, 1), (-1, -1, 2)])
+    @pytest.mark.parametrize("mu", [(0, 1), (F(1, 2), 0), (-2, 1, 1), (-1, -1, 2),
+                                    (F(3, 2), 1), (1, F(1, 2))])
     def test_gl_dim_refuses_non_dominant(self, mu):
         # Weyl's product is 1 at (-2, 1, 1) and (-1, -1, 2), whose mu + rho
         # are even permutations of (2, 1, 0)
@@ -389,6 +389,8 @@ class TestClosedS:
             for fn in (closed_S, closed_S_factors):
                 with pytest.raises(InvalidParameterError, match="not a dominant weight"):
                     fn(*args, 5)
+        with pytest.raises(InvalidParameterError, match="not a dominant weight"):
+            closed_S(2, 1, (F(1, 2), 0), (0,), 3)
 
     def test_both_factors_one_dimensional_consistent(self):
         # p=q=2, both weights constant: the two product shapes must agree
@@ -640,12 +642,48 @@ class TestIntegerClassification:
     @pytest.mark.parametrize("entries", [("7/2", "5/2", "3/2", "1/2"),
                                          ("3/2", "1/2", "-5/2", "-9/2")])
     def test_one_fraction_per_returned_entry(self, monkeypatch, entries):
-        # the arithmetic runs on doubled integers: a Fraction is built only
-        # for an entry of the result
+        # the arithmetic runs on doubled integers: a cold classification
+        # builds one Fraction per distinct value of the result, and a second
+        # one reuses them all
         lv = lam(*entries)
+        weights._half.cache_clear()
         count, th = self._built(monkeypatch, lambda: classify_theta(lv))
-        assert count == len(_fraction_fields(th)) == 16
+        assert count == len(set(_fraction_fields(th))) <= len(_fraction_fields(th)) == 16
+        assert self._built(monkeypatch, lambda: classify_theta(lv)) == (0, th)
         assert self._built(monkeypatch, lambda: formal_degree_product(lv))[0] == 1
         s = F(th.n + 1, 2)
         for args in (dual_S_arguments(th) + (0,), T_arguments(th) + (s,)):
             assert self._built(monkeypatch, lambda: closed_S(*args))[0] <= 2
+
+    def test_warm_sweep_builds_no_fraction(self, monkeypatch):
+        # once every half-integer exists, classifying the n = 1..4 sweep to
+        # 15/2 builds no Fraction at all
+        sweep = [lv for n in (1, 2, 3, 4) for lv in admissible_sweep(n, F(15, 2))]
+        first = [classify_theta(lv) for lv in sweep]
+        count, again = self._built(monkeypatch, lambda: [classify_theta(lv) for lv in sweep])
+        assert count == 0 and again == first and len(sweep) == 714
+
+
+class TestHalf:
+    def test_one_object_per_value(self):
+        assert weights._half(7) is weights._half(7) == F(7, 2)
+        assert weights._half(-6) is weights._half(-6) == -3
+        assert type(weights._half(4)) is F
+
+    def test_sweep_and_classification_share_the_halves(self):
+        lv = admissible_sweep(2, F(7, 2))[0]
+        th = classify_theta(lv)
+        assert all(e is weights._half(int(2 * e)) for e in lv.entries + th.Lambda.first)
+        assert th.gamma is weights._half(int(2 * th.gamma))
+
+    @pytest.mark.parametrize("text, value", [("4/2", F(2)), ("-3", F(-3)), ("7/2", F(7, 2)),
+                                             ("-4/1", F(-4)), ("-0", F(0))])
+    def test_integer_form_with_denominator_one_or_two(self, text, value):
+        got = parse_fraction(text)
+        assert type(got) is F and got == value and got is weights._half(int(2 * value))
+
+    def test_other_denominators_take_the_general_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(weights, "_half", lambda two: calls.append(two))
+        assert parse_fraction("5/3") == F(5, 3) and parse_fraction("-6/4") == F(-3, 2)
+        assert calls == []
