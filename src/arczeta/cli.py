@@ -7,12 +7,10 @@ shipped schema) or CSV for tables.  Exit codes: 0 pass, 1 numerical failure,
 
 The default seed comes from ``ARCZETA_SEED`` when set.
 
-A call that names a verb builds that verb's parser only.  argparse makes a
-help formatter for every argument it adds, so building all nine verbs costs
-far more than the parse itself, and a batch of verified reports pays it on
-every call.  No verb, ``-h`` or an unknown verb builds the full parser, whose
-help text and errors need every verb.  Both read one table of verbs.  A
-parser holds no state between calls, so each one is built once per process.
+One parser reads every verb.  It is built on the first call and reused for
+the rest of the process: argparse makes a help formatter for every argument
+it adds, so building it costs far more than a parse, and a parser holds no
+state between calls.
 """
 
 from __future__ import annotations
@@ -146,11 +144,19 @@ def validate_report(doc: dict) -> None:
         raise error
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is invalid input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text + "\n")
         print(f"{doc['command']}: {doc.get('verdict')} -> {out_path}")
     else:
         print(text)
@@ -250,8 +256,7 @@ def _table(args, seed, samples):
         return build_report("table", verdict="PASS", extra={"rows": rows}), True
     text = table_to_csv(rows)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"table: {len(rows)} rows -> {args.out}")
     else:
         print(text, end="")
@@ -377,21 +382,14 @@ _VERBS = {
 }
 
 
-def make_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of ``verb`` alone.
-
-    A one-verb parser reads that verb's arguments as the full parser does.
-    Its usage still lists every verb, because an unrecognized argument prints
-    that usage. The full parser keeps argparse's own rendering of the choices,
-    under which its errors name the verb argument ``command``."""
+def make_parser() -> argparse.ArgumentParser:
+    """The parser of every verb; its errors name the verb argument ``command``."""
     parser = argparse.ArgumentParser(
         prog="arczeta",
         description="closed forms and cross-verified integrals for rank-one unitary groups",
     )
-    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _VERBS if verb is None else (verb,):
-        help_line, add_arguments, _ = _VERBS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _VERBS.items():
         add_arguments(subs.add_parser(name, help=help_line))
     return parser
 
@@ -433,9 +431,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    # a named verb needs its own parser only; no verb, -h or a typo needs them all
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _parser(verb).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except InadmissibleParameterError as exc:

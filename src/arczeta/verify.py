@@ -258,6 +258,9 @@ def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
         raise InvalidParameterError(f"need at least one worker, got {workers}")
     if samples < 1:
         raise InvalidParameterError(f"need at least one sample, got {samples}")
+    if workers > samples:
+        raise InvalidParameterError(
+            f"need at most one worker per sample, got {workers} workers for {samples} samples")
     total = 0.0 + 0.0j
     sq_dev = 0.0
     count = 0

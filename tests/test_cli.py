@@ -130,6 +130,17 @@ def test_zero_denominator_exit_2(capsys, argv):
     assert code == 2 and not out and "'1/0'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--lambda", "3/2,1/2"),
+    ("table", "--n", "1", "--max-entry", "5/2", "--format", "csv"),
+], ids=["json", "csv"])
+def test_unwritable_out_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "report"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: cannot write {path}: No such file or directory\n"
+
+
 class TestVerifyCommands:
     def test_verify_zeta_pass(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -278,6 +289,11 @@ class TestVerifyCommands:
                                  "--samples", "20000", "--workers", workers)
         assert code == 2 and not out and "worker" in err
 
+    def test_workers_above_samples_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify-zeta", "--lambda", "3/2,1/2",
+                                 "--samples", "20000", "--workers", "20001")
+        assert code == 2 and not out and "worker" in err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_prop61_without_trials_exit_2(self, capsys, trials):
         code, out, err = run_cli(capsys, "verify-prop61", "--trials", trials)
@@ -401,7 +417,8 @@ def test_full_parser_names_the_verb_argument_command(capsys, argv, message):
     assert code == 2 and not out and message in err
 
 def test_process_parser_exits_match_full_parser(capsys, monkeypatch):
-    # the same cases as a process sees them: its own stdout, stderr and exit code
+    # no verb, a verb's help and a usage error as a process sees them: its own
+    # stdout, stderr and exit code
     monkeypatch.setenv("COLUMNS", "80")
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -411,9 +428,10 @@ def test_process_parser_exits_match_full_parser(capsys, monkeypatch):
                               capture_output=True, text=True, env=env)
         return proc.returncode, proc.stdout, proc.stderr
 
+    argvs = [[], ["verify-zeta", "--help"], ["table", "--n", "1", "--format", "xml"]]
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        got = list(pool.map(run, PARSER_EXITS))
-    for argv, outcome in zip(PARSER_EXITS, got):
+        got = list(pool.map(run, argvs))
+    for argv, outcome in zip(argvs, got):
         assert outcome == full_parser_exit(capsys, argv), argv
 
 
@@ -435,16 +453,15 @@ VERB_ARGVS = [
 ]
 
 
-def test_one_verb_parser_reads_as_full_parser():
+def test_verb_argvs_parse_as_their_verb():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
                 if line.startswith("arczeta ")]
     defaults = [[verb] for verb in ("verify-prop61", "verify-at", "verify-schur")]
     assert sorted({argv[0] for argv in VERB_ARGVS}) == sorted(VERBS)
-    full = make_parser()
+    parser = make_parser()
     for argv in VERB_ARGVS + examples + defaults:
-        argv = _join_negative_values(argv)
-        assert make_parser(argv[0]).parse_args(argv) == full.parse_args(argv), argv
+        assert parser.parse_args(_join_negative_values(argv)).command == argv[0], argv
 
 
 @pytest.fixture
@@ -464,33 +481,37 @@ def add_parser_calls(monkeypatch):
     cli._parser.cache_clear()
 
 
+def call_main(argv):
+    """main's exit code, returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("verb", VERBS)
-def test_named_verb_builds_its_parser_only(capsys, add_parser_calls, verb):
-    with pytest.raises(SystemExit) as exc:
-        main([verb, "--help"])
-    assert exc.value.code == 0 and add_parser_calls == [verb]
+def test_named_verb_builds_every_parser_once(capsys, add_parser_calls, verb):
+    assert call_main([verb, "--help"]) == 0 and add_parser_calls == VERBS
 
 
-def test_named_verb_run_builds_its_parser_only(capsys, add_parser_calls):
+def test_named_verb_run_builds_every_parser_once(capsys, add_parser_calls):
     code, out, _ = run_cli(capsys, "classify", "--lambda", "3/2,1/2")
     assert code == 0 and json.loads(out)["case"] == "I"
-    assert add_parser_calls == ["classify"]
+    assert add_parser_calls == VERBS
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]])
 def test_no_verb_builds_every_parser(capsys, add_parser_calls, argv):
-    with pytest.raises(SystemExit):
-        main(argv)
+    call_main(argv)
     assert add_parser_calls == VERBS
 
 
 def test_second_call_builds_no_parser(capsys, add_parser_calls):
-    # each verb's parser is built once per process, and so is the full one
-    for _ in range(2):
-        assert run_cli(capsys, "classify", "--lambda", "3/2,1/2")[0] == 0
-        with pytest.raises(SystemExit):
-            main(["--help"])
-    assert add_parser_calls == ["classify"] + VERBS
+    # one parser per process: after the first call of any kind, none is built
+    for argv in [["classify", "--lambda", "3/2,1/2"], ["--help"], ["verify-fd", "--help"],
+                 ["table", "--n", "two"], [], ["classify", "--lambda", "3/2,1/2"]]:
+        call_main(argv)
+    assert add_parser_calls == VERBS
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"], ["verify-fd", "--help"]])
@@ -512,7 +533,8 @@ def test_usage_error_leaves_the_parser_as_a_fresh_process_has_it(capsys, tmp_pat
     fresh = subprocess.run([sys.executable, "-m", "arczeta.cli", *argv], capture_output=True,
                            env={**os.environ, "PYTHONPATH": str(src)})
     assert fresh.returncode == 0 and not fresh.stderr and fresh.stdout.count(b"\n") > 10
-    for bad in (["table", "--n", "two"], ["table", "--format", "xml", "--n", "2"], ["table"]):
+    for bad in (["verify-zeta", "--samples", "x"], ["table", "--n", "two"],
+                ["table", "--format", "xml", "--n", "2"], ["table"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2

@@ -720,6 +720,20 @@ class TestForkedSubstreams:
             _reduce_mean(self.normal_chunk, 100, 0, 0)
         assert forks == []
 
+    def test_workers_above_samples_refused(self, monkeypatch):
+        # one sample per worker at most; past that, refused before a budget or
+        # a generator is built for each worker
+        assert _reduce_mean(self.normal_chunk, 3, 3, 0)[2] == 3
+
+        def unreachable(*args):
+            raise AssertionError("per-worker lists built")
+
+        monkeypatch.setattr(arczeta.verify, "_split_budget", unreachable)
+        monkeypatch.setattr(arczeta.verify, "_substreams", unreachable)
+        with pytest.raises(InvalidParameterError,
+                           match="^need at most one worker per sample, got 101 workers for 100 samples$"):
+            _reduce_mean(self.normal_chunk, 100, 101, 0)
+
     def test_child_exception_reraised(self, forks):
         parent = os.getpid()
 
