@@ -5,7 +5,9 @@ suites; machine-readable reports are emitted as JSON (validating against the
 shipped schema) or CSV for tables.  Exit codes: 0 pass, 1 numerical failure,
 2 invalid input, 3 inadmissible parameter.
 
-The default seed comes from ``ARCZETA_SEED`` when set.
+The default seed of a verb that takes ``--seed`` comes from ``ARCZETA_SEED``
+when set; a seed below 0 or a variable that is not an integer is invalid
+input.  Other verbs draw nothing and do not read the variable.
 
 One parser reads every verb.  It is built on the first call and reused for
 the rest of the process: argparse makes a help formatter for every argument
@@ -74,8 +76,8 @@ TABLE_FIELDS = [
 
 def _pair_dict(pair) -> dict:
     return {
-        "first": [str(Fraction(v)) for v in pair.first],
-        "second": [str(Fraction(v)) for v in pair.second],
+        "first": [str(v) for v in pair.first],
+        "second": [str(v) for v in pair.second],
     }
 
 
@@ -397,10 +399,28 @@ def make_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(make_parser)
 
 
-def _run(args) -> int:
-    seed = getattr(args, "seed", None)
+def _seed(args) -> int | None:
+    """The seed of a verb that takes ``--seed``: the option, else
+    ``ARCZETA_SEED``, else 0; a seed that is not an integer >= 0 is invalid
+    input, named by its source.  A verb without ``--seed`` draws nothing and
+    reads no seed."""
+    if not hasattr(args, "seed"):
+        return None
+    source, seed = "--seed", args.seed
     if seed is None:
-        seed = int(os.environ.get("ARCZETA_SEED", "0"))
+        source, text = "ARCZETA_SEED", os.environ.get("ARCZETA_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InvalidParameterError(
+                f"{source} must be an integer >= 0, got {text!r}") from None
+    if seed < 0:
+        raise InvalidParameterError(f"{source} must be an integer >= 0, got {seed}")
+    return seed
+
+
+def _run(args) -> int:
+    seed = _seed(args)
     samples = getattr(args, "samples", None)
     # the floor binds only where samples are drawn: Monte Carlo methods and
     # verify-schur, which has no method; quadrature and radial ignore samples

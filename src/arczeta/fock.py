@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .exact import PiLaurent, QQi, leading_minors, power
 from .group import b_t_cover, block_inverse, check_root_ratio
-from .weights import Case, ThetaDatum
+from .weights import Case, ThetaDatum, _as_fraction
 
 __all__ = [
     "FockPoly",
@@ -503,7 +503,7 @@ def _hyperbolic_scalars(t):
     if not isinstance(t, tuple):
         return math.cosh(t), math.tanh(t)
     ch, sh = t
-    ch, sh = Fraction(ch), Fraction(sh)
+    ch, sh = _as_fraction(ch), _as_fraction(sh)
     if ch * ch - sh * sh != 1:
         raise InvalidParameterError("need cosh^2 - sinh^2 = 1 exactly")
     return ch, sh / ch

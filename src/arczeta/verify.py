@@ -60,6 +60,7 @@ from .weights import (
     ThetaDatum,
     _S_factors,
     _S_value,
+    _as_fraction,
     _as_tuple,
     _require_closed_form,
     _weyl_count,
@@ -380,8 +381,10 @@ def quad(p: int, q: int, exponent: float, degree: int) -> tuple[np.ndarray, np.n
     t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     grid = np.indices((n,) * m).reshape(m, -1).T
     eig = 0.5 * (1.0 + t[grid])
-    i, j = np.triu_indices(m, 1)
-    w = (vecs[0, grid] ** 2).prod(axis=1) * ((eig[:, i] - eig[:, j]) ** 2).prod(axis=1)
+    w = (vecs[0, grid] ** 2).prod(axis=1)
+    if m > 1:  # the squared Vandermonde; at m = 1 it is a product over no pairs
+        i, j = np.triu_indices(m, 1)
+        w = w * ((eig[:, i] - eig[:, j]) ** 2).prod(axis=1)
     volume = math.prod(weighted_ball_volume(big, exponent + m - 1 - r) for r in range(m))
     return eig, w * (volume / w.sum())
 
@@ -399,7 +402,7 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     """
     _check_method(method, ("quad", "mc"), "verify_S")
     kap, iot = _as_tuple(kappas, p), _as_tuple(iotas, q)
-    s = Fraction(s)
+    s = _as_fraction(s)
     # one pass over both weights gives the closed value, the smallest
     # factor and both dimensions
     a, b, offsets, dk, di = _S_factors(p, q, kap, iot, s)
@@ -689,7 +692,7 @@ def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
         a = omega_at((ch, sh), f)
         b = weil_transform_bruteforce((ch, sh), f)
         if not (a.poly == b.poly and a.prefactor == b.prefactor
-                and Fraction(a.tanh) == Fraction(b.tanh)):
+                and a.tanh == b.tanh):
             bad.append(exps)
     est = Estimate(complex(total - len(bad)), 0.0, total, 0, time.perf_counter() - t0)
     return VerifyReport("verify_at", est, None, "PASS" if not bad else "FAIL",

@@ -5,11 +5,13 @@ Fractions, closed forms rational multiples of integer powers of pi.
 Floating point enters only when a caller converts a result for comparison
 with quadrature.
 
-The Fractions are inputs and outputs only.  Each entry is read once, as a
-doubled integer 2*x (or as an integer ratio where a closed form takes any
-rational), and all arithmetic runs on machine integers.  Each half-integer
-is one shared Fraction per process, built by ``_half``; other results (c
-squared, a closed value's rational) are built once per call, at the end.
+The Fractions are inputs and outputs only.  A parameter reads each entry
+once, keeps its doubled entries 2*x as integers and is validated on them;
+classification and the closed forms read those integers (or an integer
+ratio, where a closed form takes any rational), and all arithmetic runs on
+machine integers.  Each half-integer is one shared Fraction per process,
+built by ``_half``; other results (c squared, a closed value's rational)
+are built once per call, at the end.
 
 The central object is :class:`ThetaDatum`, the complete classification of an
 admissible strictly decreasing parameter into one of two shapes (Case I when
@@ -60,12 +62,13 @@ def _ratio(x) -> tuple[int, int]:
     integer pair (numerator, denominator > 0)."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    return x.numerator, x.denominator
+    return x.as_integer_ratio()
 
 
 def _twice(x) -> int:
     """A half-integer held as an int or a Fraction, doubled, in integers."""
-    return 2 * x.numerator // x.denominator
+    num, den = x.as_integer_ratio()
+    return 2 * num // den
 
 
 @functools.cache
@@ -118,22 +121,35 @@ class HCParameter:
     Strict decrease over the full length is the holomorphy condition; mutual
     congruence mod 1 (one common denominator) keeps the determinant-twist
     class consistent.  Entries are given as ints, Fractions or text and kept
-    as Fractions.
+    as Fractions.  The doubled entries 2*x, on which both conditions are
+    checked (congruence is one parity), are kept as the private integer
+    tuple ``_two``; ``entries`` stays the only field, so equality, hashing
+    and the repr read the Fractions alone.
     """
 
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ent = tuple(e if type(e) is Fraction and e.denominator <= 2 else _half_integer(e)
-                    for e in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if len(ent) < 2:
+        ent, two = [], []
+        for e in self.entries:
+            if type(e) is Fraction:
+                num, den = e.as_integer_ratio()
+                if den > 2:  # not a half-integer: _half_integer refuses it
+                    _half_integer(e)
+            else:
+                e = _half_integer(e)
+                num, den = e.as_integer_ratio()
+            ent.append(e)
+            two.append(num if den == 2 else 2 * num)
+        object.__setattr__(self, "entries", tuple(ent))
+        object.__setattr__(self, "_two", tuple(two))
+        if len(two) < 2:
             raise InvalidParameterError("parameter needs at least two entries")
-        if any(a <= b for a, b in zip(ent, ent[1:])):
+        if any(a <= b for a, b in zip(two, two[1:])):
             raise InvalidParameterError(
                 f"entries must be strictly decreasing, got {self}"
             )
-        if len({e.denominator for e in ent}) > 1:
+        if len({t & 1 for t in two}) > 1:
             raise InvalidParameterError(
                 f"entries must be mutually congruent mod 1, got {self}"
             )
@@ -176,12 +192,6 @@ class WeightPair(NamedTuple):
 
     first: tuple[Fraction, ...]
     second: tuple[Fraction, ...]
-
-    def negated_reversed(self) -> "WeightPair":
-        return WeightPair(
-            tuple(-x for x in reversed(self.first)),
-            tuple(-x for x in reversed(self.second)),
-        )
 
 
 class Case(enum.Enum):
@@ -254,7 +264,7 @@ def _dual_shift(n: int) -> list[int]:
 def hc_to_blattner(lam: HCParameter) -> tuple[Fraction, ...]:
     """Lowest-K-type highest weight attached to a strictly decreasing parameter."""
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
-    return _halves(_twice(e) + s for e, s in zip(lam.entries, _rho_shift(lam.n)))
+    return _halves(e + s for e, s in zip(lam._two, _rho_shift(lam.n)))
 
 
 def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True) -> ThetaDatum:
@@ -272,8 +282,8 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     """
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
     n = lam.n
-    two = [_twice(e) for e in lam.entries]
-    nonstandard = lam.entries[0].denominator == 1
+    two = lam._two
+    nonstandard = two[0] % 2 == 0
 
     b = 1 if two[n] <= 0 else 0
     a = sum(1 for x in two[:n] if x <= 0)
@@ -394,14 +404,14 @@ def weyl_dim(lam: HCParameter) -> int:
     shifted by 0, 1, ..., n-1, which is the Blattner weight up to a det twist.
     Its drops come straight from the doubled entries; strict decrease of
     congruent entries makes them non-decreasing integers."""
-    two = [_twice(x) for x in lam.fractions[:-1]]
+    two = lam._two[:-1]
     return _weyl_count([(two[0] - x) // 2 - i for i, x in enumerate(two)])
 
 
 def formal_degree_product(lam: HCParameter) -> Fraction:
     """Product of absolute entry differences over all pairs (the formal degree
     up to a measure constant that is never computed here)."""
-    pairs = list(itertools.combinations([_twice(x) for x in lam.fractions], 2))
+    pairs = list(itertools.combinations(lam._two, 2))
     return Fraction(math.prod(abs(x - y) for x, y in pairs), 2 ** len(pairs))
 
 
@@ -415,14 +425,14 @@ class ClosedValue:
     def __mul__(self, other):
         if isinstance(other, ClosedValue):
             return ClosedValue(self.rational * other.rational, self.pi_exp + other.pi_exp)
-        return ClosedValue(self.rational * Fraction(other), self.pi_exp)
+        return ClosedValue(self.rational * _as_fraction(other), self.pi_exp)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, ClosedValue):
             return ClosedValue(self.rational / other.rational, self.pi_exp - other.pi_exp)
-        return ClosedValue(self.rational / Fraction(other), self.pi_exp)
+        return ClosedValue(self.rational / _as_fraction(other), self.pi_exp)
 
     def __float__(self):
         return float(self.rational) * math.pi**self.pi_exp

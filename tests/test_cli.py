@@ -453,6 +453,28 @@ VERB_ARGVS = [
 ]
 
 
+def test_negative_seed_is_refused_before_any_draw(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "verify_T", lambda *a, **k: pytest.fail("verify_T was called"))
+    argv = next(argv for argv in VERB_ARGVS if argv[0] == "verify-t")
+    assert argv[argv.index("--seed") + 1] == "-4"
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "--seed" in err and "-4" in err and ">= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_bad_env_seed_is_refused_only_where_a_seed_is_read(capsys, monkeypatch, value):
+    monkeypatch.setenv("ARCZETA_SEED", value)
+    monkeypatch.setattr(cli, "verify_S", lambda *a, **k: pytest.fail("verify_S was called"))
+    code, _, err = run_cli(capsys, "verify-s", "--p", "1", "--q", "1", "--kappa", "0",
+                           "--iota", "0", "--s", "3", "--method", "mc", "--samples", "20000")
+    assert code == 2 and "ARCZETA_SEED" in err and value in err and ">= 0" in err
+    # table draws nothing, so it does not read the variable
+    code, out, err = run_cli(capsys, "table", "--n", "1", "--max-entry", "5/2", "--format", "csv")
+    assert code == 0 and out.startswith("lambda,case") and err == ""
+
+
 def test_verb_argvs_parse_as_their_verb():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines()

@@ -115,6 +115,36 @@ class TestVerifyS:
                 count += 1
         assert count == 172
 
+    @staticmethod
+    def _quad_general(p, q, exponent, degree):
+        """The rule with the squared Vandermonde taken at every m, as quad
+        took it before m = 1 skipped its product over no pairs."""
+        m, big = min(p, q), max(p, q)
+        n, a, b = degree // 2 + m, exponent, big - m
+        k = np.arange(1, n, dtype=float)
+        two_k = 2.0 * k + a + b
+        diag = np.concatenate([[(a - b) / (a + b + 2.0)],
+                               (a - b) * (a + b) / (two_k * (two_k + 2.0))])
+        off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                      / (two_k**2 * (two_k + 1.0) * (two_k - 1.0)))
+        t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        grid = np.indices((n,) * m).reshape(m, -1).T
+        eig = 0.5 * (1.0 + t[grid])
+        i, j = np.triu_indices(m, 1)
+        w = (vecs[0, grid] ** 2).prod(axis=1) * ((eig[:, i] - eig[:, j]) ** 2).prod(axis=1)
+        volume = math.prod(arczeta.group.weighted_ball_volume(big, exponent + m - 1 - r)
+                           for r in range(m))
+        return eig, w * (volume / w.sum())
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (4, 1), (1, 3), (2, 2), (3, 2)])
+    def test_rule_bits_match_the_general_expression(self, p, q):
+        for exponent in (0.0, 0.5, 1.5, 3.0, 7.25):
+            for degree in range(13):
+                eig, w = arczeta.verify.quad(p, q, exponent, degree)
+                ref_eig, ref_w = self._quad_general(p, q, exponent, degree)
+                assert np.array_equal(eig, ref_eig) and np.array_equal(w, ref_w), (
+                    p, q, exponent, degree)
+
     def test_22_mc_reports_health_and_no_acceptance_count(self):
         # every point of the (2,2) draw is inside, so no acceptance count is reported
         rep = verify_S(2, 2, (0, 0), 1, 3, method="mc", samples=60_000, seed=8)

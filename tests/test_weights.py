@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -158,7 +159,9 @@ class TestClassify:
     def test_dual_is_negated_reversed(self):
         for lv in admissible_sweep(2, F(7, 2)) + admissible_sweep(1, 3):
             th = classify_theta(lv)
-            assert th.LambdaDual == th.Lambda.negated_reversed()
+            first, second = th.Lambda
+            assert th.LambdaDual == WeightPair(tuple(-x for x in reversed(first)),
+                                               tuple(-x for x in reversed(second)))
 
     def test_blattner_consistency(self):
         for lv in admissible_sweep(3, F(7, 2)):
@@ -585,7 +588,9 @@ def _classify_oracle(lv, enforce):
         prime = WeightPair(tuple(be + twp for be in betas),
                            tuple(x - twp for x in (gamma,) + tuple(-al for al in reversed(alphas))))
     return dict(lam=lv, n=n, case=Case.I if b == 0 else Case.II, p=p, q=q, gamma=gamma,
-                alphas=alphas, betas=betas, Lambda=Lambda, LambdaDual=Lambda.negated_reversed(),
+                alphas=alphas, betas=betas, Lambda=Lambda,
+                LambdaDual=WeightPair(tuple(-x for x in reversed(Lambda.first)),
+                                      (-Lambda.second[0],)),
                 LambdaPrime=prime, nonstandard_congruence=fr[0].denominator == 1,
                 closed_form_valid=closed_ok, dim_sigma=gl_dim(Lambda.first))
 
@@ -662,6 +667,72 @@ class TestIntegerClassification:
         first = [classify_theta(lv) for lv in sweep]
         count, again = self._built(monkeypatch, lambda: [classify_theta(lv) for lv in sweep])
         assert count == 0 and again == first and len(sweep) == 714
+
+
+# every refusal of HCParameter, with the exception text it has always had
+REFUSALS = [
+    pytest.param(lambda: HCParameter.of(F(3, 2), F(3, 2)),
+                 "entries must be strictly decreasing, got (3/2,3/2)", id="equal"),
+    pytest.param(lambda: HCParameter.of(F(1, 2), F(3, 2)),
+                 "entries must be strictly decreasing, got (1/2,3/2)", id="increasing"),
+    pytest.param(lambda: HCParameter.of(F(1, 2), 2),
+                 "entries must be strictly decreasing, got (1/2,2)", id="increasing-mixed"),
+    pytest.param(lambda: HCParameter.of(F(3, 2), 0),
+                 "entries must be mutually congruent mod 1, got (3/2,0)", id="mixed"),
+    pytest.param(lambda: HCParameter.of(F(1, 3), F(-1, 2)), "1/3 is not a half-integer",
+                 id="one-third"),
+    pytest.param(lambda: HCParameter.of(1.5, F(1, 2)), "cannot interpret 1.5 as a half-integer",
+                 id="float"),
+    pytest.param(lambda: HCParameter.of("5/0", "1/2"),
+                 "cannot parse half-integer '5/0': Fraction(5, 0)", id="zero-denominator"),
+    pytest.param(lambda: HCParameter.of("x", "1/2"),
+                 "cannot parse half-integer 'x': Invalid literal for Fraction: 'x'", id="text"),
+    pytest.param(lambda: HCParameter.of(F(1, 2)), "parameter needs at least two entries",
+                 id="one-entry"),
+    pytest.param(lambda: HCParameter.parse("3/2,,1/2"),
+                 "bad entry at position 1: cannot parse half-integer '': "
+                 "Invalid literal for Fraction: ''", id="parse-empty"),
+]
+
+
+class TestDoubledEntries:
+    @pytest.mark.parametrize("build, text", REFUSALS)
+    def test_refusals_keep_their_type_and_text(self, build, text):
+        with pytest.raises(InvalidParameterError) as info:
+            build()
+        assert type(info.value) is InvalidParameterError and str(info.value) == text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(congruent_parameters())
+    def test_keeps_the_doubled_entries(self, lv):
+        assert lv._two == tuple(int(2 * e) for e in lv.entries)
+        assert all(type(t) is int for t in lv._two)
+
+    def test_entries_stay_the_only_field(self):
+        lv = lam("5/2", "1/2", "-3/2")
+        assert [f.name for f in dataclasses.fields(HCParameter)] == ["entries"]
+        assert repr(lv) == f"HCParameter(entries={lv.entries!r})"
+        assert hash(lv) == hash(HCParameter(lv.entries)) and lv == HCParameter.parse("5/2,1/2,-3/2")
+        back = pickle.loads(pickle.dumps(lv))
+        assert back == lv and back._two == lv._two == (5, 1, -3)
+        assert dataclasses.replace(lv, entries=(3, 1))._two == (6, 2)
+
+    def test_the_sweep_compares_no_fraction(self, monkeypatch):
+        # building, classifying, parsing back and the two products of the
+        # n = 1..4 sweep to 15/2 order integers only
+        calls = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name,
+                                lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+        sweep = [lv for n in (1, 2, 3, 4) for lv in admissible_sweep(n, F(15, 2))]
+        for lv in sweep:
+            classify_theta(lv)
+            assert HCParameter.parse(str(lv)[1:-1]) == lv
+            weyl_dim(lv)
+            formal_degree_product(lv)
+        assert len(sweep) == 714 and calls == []
+        assert F(1, 2) < F(3, 2) and calls == ["__lt__"]  # the count sees a comparison
 
 
 class TestHalf:
