@@ -490,25 +490,24 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
                            flip_roots: bool = False) -> np.ndarray:
     """One chunk of importance-weighted samples of the group integrand.
 
-    The sampled element is (z, k); one root ratio is drawn for k and threaded
+    The sampled element is (z, diag(x, 1)); its root ratio, the principal
+    root of det x as :func:`~arczeta.characters.psi_pi` takes it, is threaded
     through both genuine factors, so flipping every carried root
-    (``flip_roots``) must leave each sample bit-identical.
+    (``flip_roots``) must leave each sample bit-identical.  No U(1) angle is
+    drawn: the centre of K acts on the two factors by inverse characters.
 
-    Every draw is made for the whole chunk, in stream order: the ball point,
-    the Haar factor, the U(1) angle.  The arithmetic after the draws runs
-    over blocks of ``group._BLOCK`` samples, so each elementwise pass reads
-    an L2-sized block.
+    The chunk draws the ball point, then the Haar factor x, for the whole
+    chunk; the arithmetic after them runs over blocks of ``group._BLOCK``
+    samples, so each elementwise pass reads an L2-sized block.
     """
     n = theta.n
     u, dirs = sample_ball(n, e_imp, rng, size)
     x_all = haar_unitary(n, rng, size=size)  # (row, col, batch)
-    yang_all = rng.uniform(0.0, 2.0 * np.pi, size=size)
     sign = +1 if theta.case is Case.I else -1
     c_norm = weighted_ball_volume(n, e_imp)
     out = np.empty(size, dtype=complex)
     for b in _blocks(size):
-        x, yang = x_all[:, :, b], yang_all[b]
-        y = np.exp(1j * yang)
+        x = x_all[:, :, b]
         one_minus_u = 1.0 - u[b]
         # both ball blocks are I + (scale - 1) d d* on the sampled direction
         # d, so each product with x is the rank-one update
@@ -531,15 +530,15 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
         e_psi = char_poly_batch(rank_one_update(sech))
         # det of the psi block is e_n = sech det x with sech > 0, so det x has
         # the argument of e_n
-        ratio_k = np.exp(0.5j * np.angle(e_psi[:, n])) * np.exp(-0.5j * yang)
+        ratio_k = np.exp(0.5j * np.angle(e_psi[:, n]))
         if flip_roots:
             # flipping the carried root of the block determinant negates the
             # ratio; the two genuine factors consume opposite integer powers,
             # so every sample below must come out bit-identical
             ratio_k = -ratio_k
-        psi = psi_batch(theta, e_psi, one_minus_u ** (-0.5) * y, sech * ratio_k)
+        psi = psi_batch(theta, e_psi, one_minus_u ** (-0.5), sech * ratio_k)
         bz_scale = one_minus_u ** (-0.5 * sign)
-        coeff = coeff_eval.evaluate(rank_one_update(bz_scale), bz_scale * y, ratio_k)
+        coeff = coeff_eval.evaluate(rank_one_update(bz_scale), bz_scale, ratio_k)
         out[b] = c_norm * coeff * psi * one_minus_u ** (-0.5 * (n + 1) - e_imp)
     return out
 

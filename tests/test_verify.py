@@ -34,6 +34,7 @@ from arczeta.verify import (
     zeta_integrand_samples,
 )
 from arczeta.weights import (
+    Case,
     ClosedValue,
     admissible_sweep,
     c_squared,
@@ -338,8 +339,8 @@ class TestVerifyZeta:
         assert abs(rep.estimate.value - recorded) <= 1e-14 * abs(recorded), rep.estimate.value
 
     def test_chunk_rng_consumption(self):
-        # a chunk draws the ball point, the Haar factor and the U(1) angle and
-        # nothing else, so the stream after it is unchanged
+        # a chunk draws the ball point and the Haar factor and nothing else,
+        # so the stream after it is unchanged
         from arczeta.group import haar_unitary, sample_ball
 
         th = classify_theta(lam("3/2", "1/2", "-5/2", "-9/2"))
@@ -349,7 +350,6 @@ class TestVerifyZeta:
         replay = np.random.default_rng(12)
         sample_ball(th.n, e, replay, 3_000)
         haar_unitary(th.n, replay, size=3_000)
-        replay.uniform(0.0, 2.0 * np.pi, size=3_000)
         assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("text", ["3/2,1/2", "5/2,3/2,1/2", "9/2,5/2,3/2,1/2",
@@ -430,8 +430,7 @@ class TestVerifyZeta:
                                       "3/2,1/2,-5/2,-9/2"])
     def test_chunk_psi_is_psi_pi_at_sampled_point(self, text):
         # with a coefficient of one, a chunk sample is c_norm (1-u)^(-(n+1)/2-e)
-        # times psi_pi(h_z diag(x, y)) at the replayed draw; odd twists fix
-        # psi only up to the sign of the root ratio, so compare squares
+        # times psi_pi(h_z diag(x, 1)) at the replayed draw
         from arczeta.group import (GroupElement, h_from_z, haar_unitary, sample_ball,
                                    weighted_ball_volume)
 
@@ -446,14 +445,53 @@ class TestVerifyZeta:
         rng = np.random.default_rng(8)
         u, dirs = sample_ball(n, e, rng, size)
         x = haar_unitary(n, rng, size=size)
-        y = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=size))
         psi = vals / (weighted_ball_volume(n, e) * (1.0 - u) ** (-0.5 * (n + 1) - e))
         for i in range(size):
             k = np.zeros((n + 1, n + 1), dtype=complex)
-            k[:n, :n], k[n, n] = x[:, :, i], y[i]
+            k[:n, :n], k[n, n] = x[:, :, i], 1.0
             g = GroupElement(h_from_z(math.sqrt(u[i]) * dirs[i]).matrix @ k)
-            ref = psi_pi(g, th) ** 2
-            assert abs(psi[i] ** 2 - ref) <= 1e-12 * abs(ref), (text, i)
+            ref = psi_pi(g, th)
+            assert abs(psi[i] - ref) <= 1e-12 * abs(ref), (text, i)
+
+    @pytest.mark.parametrize("text", ["3/2,1/2", "7/2,3/2,1/2", "1/2,-7/2,-9/2",
+                                      "3/2,1/2,-5/2,-9/2", "1/2,-3/2,-5/2",
+                                      "15/2,11/2,7/2,1/2"])
+    def test_centre_of_k_acts_trivially(self, text):
+        # the reference samples (z, diag(x, y)) on the chunk's draws and an
+        # independent uniform angle of y: y in block_1 of both factors, half
+        # the angle off the root ratio.  The centre of K acts on the two
+        # factors by inverse characters, so the chunk, which takes y = 1,
+        # must give the same samples.  The ball blocks are full matrices here
+        from arczeta.characters import char_poly_batch, psi_batch
+        from arczeta.group import haar_unitary, sample_ball, weighted_ball_volume
+
+        th = classify_theta(lam(*text.split(",")))
+        n, size = th.n, 20_000
+        e = float(min(closed_T_factors(th, F(n + 1, 2)))) - 1.0
+        mc = MatrixCoefficient(th)
+        vals = zeta_integrand_samples(th, np.random.default_rng(31), size, e, mc)
+        rng = np.random.default_rng(31)
+        u, dirs = sample_ball(n, e, rng, size)
+        x = haar_unitary(n, rng, size=size)
+        angle = np.random.default_rng(32).uniform(0.0, 2.0 * np.pi, size=size)
+        y = np.exp(1j * angle)
+        one_minus_u = 1.0 - u
+        dd = dirs[:, :, None] * dirs[:, None, :].conj()
+
+        def ball_block(scale):
+            ball = np.eye(n) + (scale - 1.0)[:, None, None] * dd
+            return np.einsum("bij,jkb->ikb", ball, x)
+
+        sech = one_minus_u**0.5
+        e_psi = char_poly_batch(ball_block(sech))
+        ratio = np.exp(0.5j * np.angle(e_psi[:, n])) * np.exp(-0.5j * angle)
+        psi = psi_batch(th, e_psi, one_minus_u ** (-0.5) * y, sech * ratio)
+        bz_scale = one_minus_u ** (-0.5 if th.case is Case.I else 0.5)
+        coeff = mc.evaluate(ball_block(bz_scale), bz_scale * y, ratio)
+        ref = (weighted_ball_volume(n, e) * coeff * psi
+               * one_minus_u ** (-0.5 * (n + 1) - e))
+        gap = np.max(np.abs(vals - ref)) / np.max(np.abs(ref))
+        assert gap <= 1e-13, (text, gap)
 
     def test_estimator_health_in_details(self):
         # criterion 9's (3/2,1/2) integrand is constant: the estimate passes on
