@@ -215,7 +215,7 @@ def _add_common(sub):
     sub.add_argument("--samples", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--workers", type=int, default=1,
-                     help="substreams the sample budget is split into; the estimate depends on (seed, workers) only, and large substreams run in parallel processes, at most one per usable CPU")
+                     help="substreams the sample budget is split into; the estimate depends on (seed, workers) only; two or more substreams run in parallel, in this process and persistent worker processes, at most one per usable CPU")
 
 
 def _classify_args(sub):

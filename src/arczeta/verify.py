@@ -11,10 +11,12 @@ which case the three-standard-error band tests nothing.
 Estimates are reproducible bit for bit for a fixed (seed, workers) pair: the
 sample budget is split into per-worker substreams with spawned seed
 sequences, evaluated in vectorized chunks, and reduced in worker order.
-Substreams with a large enough budget run in parallel, in processes forked
-for the one call (at most one per usable CPU, each pinned to its own); each
-process returns its chunk sums and the parent merges them in worker order,
-so which process ran a substream never changes a number.
+Two or more substreams run in parallel, at most one process per usable CPU,
+each pinned to its own: the caller and persistent workers, forked at the
+first spread of a process and killed at its exit.  A worker runs the code
+as it was imported at its fork.  Each process returns its chunk sums and
+the caller merges them in worker order, so which process ran a substream
+never changes a number.
 
 A zeta chunk makes all its draws at once and evaluates them in blocks of a
 fixed size (``group._BLOCK``), so its estimates are reproducible for a fixed
@@ -27,14 +29,19 @@ the temporary holds 256 KiB or more, which no block does.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import itertools
 import math
 import os
 import pickle
+import signal
+import struct
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,10 +99,6 @@ POLE_DISTANCE = Fraction(1, 2)
 DEFAULT_CHUNK = 100_000
 DEGENERATE_RELSTD = 1e-12
 PROP61_TOL = 1e-9
-# a substream runs in a forked process only from this budget up: forking and
-# reaping a child of a 62 MB parent takes 2.6-5.5 ms (2-core Xeon), the
-# cost of 1,500 (n = 4) to 6,000 (n = 2) samples of a zeta chunk
-_FORK_MIN_SAMPLES = 50_000
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,11 @@ def _split_budget(samples: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _substream_chunks(chunks_fn, rng: np.random.Generator, budget: int) -> list[tuple]:
+def _substream_chunks(chunks_fn, substream: tuple[np.random.Generator, int]) -> list[tuple]:
     """(size, sum, squared deviation about the chunk mean) of each chunk of one
-    substream, in draw order; each sum stays the numpy scalar that the merge
-    has always read."""
+    (generator, budget) substream, in draw order; each sum stays the numpy
+    scalar that the merge has always read."""
+    rng, budget = substream
     chunks = []
     while budget > 0:
         m = min(DEFAULT_CHUNK, budget)
@@ -151,103 +155,205 @@ def _substream_chunks(chunks_fn, rng: np.random.Generator, budget: int) -> list[
     return chunks
 
 
-def _fork(work, *args) -> tuple[int, int]:
-    """Start ``work(*args)`` in a forked child; return its pid and the read end
-    of the pipe that carries back its pickled (ok, result or exception).  The
-    child leaves only through ``os._exit``: no cleanup handler or output
-    buffer of the parent runs twice."""
-    read_end, write_end = os.pipe()
+# ---------------------------------------------------------------------------
+# the process spread: persistent workers, forked at the first spread of a
+# process and killed at its exit
+
+_FRAME = struct.Struct("<Q")  # a frame is its byte length, then pickled data
+
+
+class _Worker(NamedTuple):
+    pid: int
+    tasks: int  # the write end of its task pipe
+    results: int  # the read end of its result pipe
+
+    def close(self):
+        os.close(self.tasks)
+        os.close(self.results)
+
+
+_workers: list[_Worker] = []  # this process's pool
+_lock = threading.Lock()  # held by the one spread that uses the pool
+
+
+def _send(fd: int, data: bytes):
+    view = memoryview(_FRAME.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> Optional[bytes]:
+    """``size`` bytes from ``fd``, or None at the end of the file."""
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _read_frame(fd: int) -> Optional[bytes]:
+    head = _read(fd, _FRAME.size)
+    return None if head is None else _read(fd, _FRAME.unpack(head)[0])
+
+
+def _serve(tasks: int, results: int):
+    """A worker's loop until its task pipe ends: each task is a pickled
+    (function, items, CPU); pin to the CPU and send back (True, the function
+    of each item, in order) or (False, the exception).  Ctrl-C reaches the
+    caller, which ends its busy workers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while (task := _read_frame(tasks)) is not None:
+        try:
+            work, items, cpu = pickle.loads(task)
+            os.sched_setaffinity(0, {cpu})
+            outcome = (True, [work(item) for item in items])
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)  # an exception must also rebuild in the caller
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(f"worker result not picklable: {exc!r}")))
+        _send(results, data)
+
+
+def _fork() -> _Worker:
+    """Fork one worker; return its pid and the caller's ends of its task and
+    result pipes.  The worker holds no pool pipe end but its own (so the
+    end of the caller ends its task pipe) and leaves only through
+    ``os._exit``: no exit handler or output buffer of the caller runs twice."""
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
     try:
         pid = os.fork()
     except BaseException:
-        os.close(read_end)
-        os.close(write_end)
+        for fd in (task_read, task_write, result_read, result_write):
+            os.close(fd)
         raise
     if pid == 0:
         try:
-            os.close(read_end)
-            try:
-                outcome = (True, work(*args))
-            except BaseException as exc:
-                outcome = (False, exc)
-            try:
-                data = pickle.dumps(outcome)
-                pickle.loads(data)  # an exception must also rebuild in the parent
-            except Exception as exc:
-                data = pickle.dumps((False, RuntimeError(f"worker result not picklable: {exc!r}")))
-            with open(write_end, "wb") as out:
-                out.write(data)
+            os.close(task_write)
+            os.close(result_read)
+            _serve(task_read, result_write)
         finally:
             os._exit(0)
-    os.close(write_end)
-    return pid, read_end
+    os.close(task_read)
+    os.close(result_write)
+    return _Worker(pid, task_write, result_read)
 
 
-def _receive(read_end: int):
-    """The result a forked child sent; its exception re-raised here."""
-    with open(read_end, "rb", closefd=False) as src:
-        data = src.read()
-    if not data:
+def _receive(worker: _Worker) -> tuple[bool, object]:
+    """What a worker sent back: (True, its results) or (False, its exception)."""
+    data = _read_frame(worker.results)
+    if data is None:
         raise RuntimeError("worker process ended without a result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
+    return pickle.loads(data)
 
 
-def _spread(work, count: int, forked: bool) -> list:
-    """``[work(i) for i in range(count)]``, over P = min(count, usable CPUs)
-    processes when ``forked``, else in the caller.
-
-    Item i runs in process i mod P; process 0 is the caller, the others are
-    forked for this call and reaped before it returns or raises.  Process i
-    is pinned to the i-th usable CPU (a forked child tends to stay on its
-    parent's CPU), and the caller's own affinity is restored on the way
-    out."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    procs = min(count, len(cpus)) if forked else 1
-    if procs < 2:
-        return [work(i) for i in range(count)]
-
-    def run(first: int) -> list:
-        os.sched_setaffinity(0, {cpus[first]})
-        return [work(i) for i in range(first, count, procs)]
-
-    children = []
+def _end(worker: _Worker):
+    """Close the pipes to a worker, kill it and reap it."""
+    worker.close()
     try:
-        for first in range(1, procs):
-            children.append(_fork(run, first))
-        per_proc = [run(0)] + [_receive(fd) for _, fd in children]
-    except BaseException:
-        from signal import SIGKILL
-
-        for pid, _ in children:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        os.sched_setaffinity(0, cpus)
-        for pid, fd in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-    return [per_proc[i % procs][i // procs] for i in range(count)]
+        os.kill(worker.pid, signal.SIGKILL)
+        os.waitpid(worker.pid, 0)
+    except (ProcessLookupError, ChildProcessError):  # already reaped elsewhere
+        pass
 
 
-def _run_substreams(chunks_fn, rngs: list, budgets: list[int]) -> list[list[tuple]]:
-    """Chunk triples of every substream, in worker order, spread over pinned
-    processes (:func:`_spread`) when every substream holds at least
-    ``_FORK_MIN_SAMPLES`` samples, else all in the caller."""
-    return _spread(lambda i: _substream_chunks(chunks_fn, rngs[i], budgets[i]), len(rngs),
-                   budgets[-1] >= _FORK_MIN_SAMPLES)
+def _pool(count: int) -> list[_Worker]:
+    """The first ``count`` workers of this process's pool, after replacing
+    the dead and forking the missing."""
+    for worker in list(_workers):
+        try:
+            alive = os.waitpid(worker.pid, os.WNOHANG) == (0, 0)
+        except ChildProcessError:
+            alive = False
+        if not alive:
+            _workers.remove(worker)
+            worker.close()
+    while len(_workers) < count:
+        _workers.append(_fork())
+    return _workers[:count]
+
+
+def _stop_pool():
+    """End every worker of this process's pool.  Runs at exit: a worker also
+    ends when its task pipe does, but another forked process may hold an
+    end of that pipe."""
+    while _workers:
+        _end(_workers.pop())
+
+
+def _leave_pool():
+    """In a forked child, a worker included: the pool is the parent's, so
+    close the inherited pipe ends; a child that spreads forks its own."""
+    global _lock
+    while _workers:
+        _workers.pop().close()
+    _lock = threading.Lock()
+
+
+atexit.register(_stop_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_leave_pool)
+
+
+def _spread(work, items: Sequence) -> list:
+    """``[work(item) for item in items]``, over P = min(len(items), usable
+    CPUs) processes.
+
+    Item i runs in process i mod P.  Process 0 is the caller; the others are
+    persistent workers (:func:`_pool`), forked at the first spread of a
+    process and ended at its exit, each sent one task per spread: ``work``,
+    its items and its CPU.  A worker runs ``work`` as the modules were at its
+    fork, so ``work`` must pickle: a module-level function, bound with
+    :func:`functools.partial`.  Process i is pinned to the i-th usable CPU
+    (a forked child tends to stay on its parent's CPU), and the caller's own
+    affinity is restored on the way out.  A worker's exception is raised
+    here once every worker has answered; when the caller raises, every
+    worker still busy is killed and reaped, and the next spread forks its
+    replacement.  Spreads from several threads take turns."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    procs = min(len(items), len(cpus))
+    if procs < 2:
+        return [work(item) for item in items]
+    tasks = [pickle.dumps((work, items[first::procs], cpus[first])) for first in range(1, procs)]
+    with _lock:
+        busy = []
+        try:
+            for worker, task in zip(_pool(procs - 1), tasks):
+                busy.append(worker)
+                _send(worker.tasks, task)
+            os.sched_setaffinity(0, {cpus[0]})
+            outcomes = [(True, [work(item) for item in items[::procs]])]
+            while busy:
+                outcomes.append(_receive(busy[0]))
+                busy.pop(0)
+        except BaseException:
+            for worker in busy:
+                _workers.remove(worker)
+                _end(worker)
+            raise
+        finally:
+            os.sched_setaffinity(0, cpus)
+    for ok, value in outcomes:
+        if not ok:  # a worker's exception, raised once every worker is idle
+            raise value
+    return [outcomes[i % procs][1][i // procs] for i in range(len(items))]
 
 
 def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
     """Run the per-chunk evaluator across worker substreams and merge the
     chunks in worker order.
 
-    Squared deviations are summed about each chunk's own mean and the chunks
-    merged pairwise in worker order (Chan, Golub & LeVeque 1979).  The merge
-    reads only each chunk's (size, sum, squared deviation), so substreams
-    evaluated in forked processes (:func:`_run_substreams`) give the same
+    The substreams are spread over pinned processes (:func:`_spread`), so
+    ``chunks_fn`` must pickle.  Squared deviations are summed about each
+    chunk's own mean and the chunks merged pairwise in worker order (Chan,
+    Golub & LeVeque 1979).  The merge reads only each chunk's (size, sum,
+    squared deviation), so substreams evaluated in a worker give the same
     bits as evaluated here.  Fork is safe on this path and on
     :func:`verify_prop61`'s: a chunk is elementwise numpy plus small
     ``np.linalg.det`` calls, a Prop 6.1 trial is polynomial arithmetic plus
@@ -265,8 +371,8 @@ def _reduce_mean(chunks_fn, samples: int, workers: int, seed: int):
     total = 0.0 + 0.0j
     sq_dev = 0.0
     count = 0
-    budgets = _split_budget(samples, workers)
-    for chunks in _run_substreams(chunks_fn, _substreams(seed, workers), budgets):
+    substreams = list(zip(_substreams(seed, workers), _split_budget(samples, workers)))
+    for chunks in _spread(functools.partial(_substream_chunks, chunks_fn), substreams):
         for m, chunk_sum, chunk_sq_dev in chunks:
             chunk_mean = chunk_sum / m
             sq_dev += chunk_sq_dev
@@ -320,27 +426,28 @@ def _verdict(value, target: float, stderr: Optional[float] = None) -> tuple[str,
     return ("PASS" if ok else "FAIL"), rel
 
 
-def _fractional_char(kappas: Sequence[Fraction]):
-    """Character with a possibly fractional common det twist, as a function
-    of the e-rows (N, m+1) of a positive spectrum (e_m is the determinant);
-    a one-dimensional weight (all entries equal) is the det power itself."""
+def _fractional_char(kappas: Sequence[Fraction]) -> tuple[Optional[list[int]], float]:
+    """Character with a possibly fractional common det twist, as plain data
+    for :func:`_char_values`: the integer Schur parts and the det exponent;
+    a one-dimensional weight (all entries equal) has no parts, its character
+    is the det power itself."""
     if len(set(kappas)) == 1:
-        kappa = float(kappas[0])
-        return lambda e: e[:, -1] ** kappa if kappa else 1.0
+        return None, float(kappas[0])
     tau = kappas[-1] - int(kappas[-1])
     parts = [k - tau for k in kappas]
     if any(p.denominator != 1 for p in parts):
         raise InvalidParameterError(f"weight entries not mutually congruent: {kappas}")
-    parts = [int(p) for p in parts]
-    tau = float(tau)
+    return [int(p) for p in parts], float(tau)
 
-    def char(e):
-        out = schur_eval_batch(parts, e)
-        if tau:
-            out = out * e[:, -1] ** tau
-        return out
 
-    return char
+def _char_values(char: tuple[Optional[list[int]], float], e: np.ndarray):
+    """A :func:`_fractional_char` at the e-rows (N, m+1) of a positive
+    spectrum (e_m is the determinant)."""
+    parts, tau = char
+    out = 1.0 if parts is None else schur_eval_batch(parts, e)
+    if tau:
+        out = out * e[:, -1] ** tau
+    return out
 
 
 def _pad_ones(e: np.ndarray, count: int) -> np.ndarray:
@@ -389,6 +496,38 @@ def quad(p: int, q: int, exponent: float, degree: int) -> tuple[np.ndarray, np.n
     return eig, w * (volume / w.sum())
 
 
+def _domain_integrand(p: int, q: int, chars: tuple, resid: float, dim: int,
+                      e: np.ndarray) -> np.ndarray:
+    """The domain integrand at the real e-rows ``e`` of the smaller gram,
+    ``chars`` the two weights' :func:`_fractional_char`.  The grams
+    1 - z z* (p x p) and 1 - z* z (q x q) share their spectrum up to
+    eigenvalues 1.  The reciprocal spectrum has e_k = e_(m-k) / e_m, and
+    each eigenvalue 1 multiplies the polynomial by (1 + t)."""
+    m, big = min(p, q), max(p, q)
+    det = e[:, m]
+    recip = e[:, ::-1] / det[:, None]
+    e_p, e_q = (recip, _pad_ones(e, big - m)) if p == m else (_pad_ones(recip, big - m), e)
+    return _char_values(chars[0], e_p) * _char_values(chars[1], e_q) * det**resid / dim
+
+
+def _domain_chunk(p: int, q: int, e_imp: float, integrand, rng: np.random.Generator,
+                  size: int) -> np.ndarray:
+    """One chunk of Monte Carlo samples of the domain integrand."""
+    m, big = min(p, q), max(p, q)
+    z, w = sample_domain(p, q, e_imp, rng, size=size)
+    # the smaller gram, batch-last: entry (i, j) is delta_ij minus the
+    # sum over k of zm[i, k] conj(zm[j, k]), zm = z or z*
+    zm = z.transpose(1, 2, 0) if p == m else z.conj().transpose(2, 1, 0)
+    gram = np.zeros((m, m, size), dtype=complex)
+    gram[range(m), range(m)] = 1.0
+    for k in range(big):
+        gram -= zm[:, None, k] * zm[None, :, k].conj()
+    # the gram is Hermitian, so its characteristic polynomial is real; the
+    # sample is complex even when the integrand is real: the reduction's
+    # |v - mean|^2 rounds differently on real arrays
+    return (w * integrand(char_poly_batch(gram).real)).astype(complex, copy=False)
+
+
 def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
              seed: int = 0, workers: int = 1, method: str = "quad") -> VerifyReport:
     """Check the closed scalar of the twisted domain integral numerically.
@@ -414,21 +553,11 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
     worst = Fraction(a + min(offsets) * b, b)  # b > 0: the smallest factor
     _guard_poles(worst, "verify_S")
 
-    m, big = min(p, q), max(p, q)
-    dim = _weyl_count(dk) * _weyl_count(di)
-    chi_p, chi_q = _fractional_char(kap), _fractional_char(iot)
+    m = min(p, q)
     e_imp = float(worst) - 1.0
-    resid = float(s - (p + q)) - e_imp
-
-    def integrand(e):
-        # the grams 1 - z z* (p x p) and 1 - z* z (q x q) share their
-        # spectrum up to eigenvalues 1; ``e`` holds the real e-rows of the
-        # smaller one.  The reciprocal spectrum has e_k = e_(m-k) / e_m, and
-        # each eigenvalue 1 multiplies the polynomial by (1 + t).
-        det = e[:, m]
-        recip = e[:, ::-1] / det[:, None]
-        e_p, e_q = (recip, _pad_ones(e, big - m)) if p == m else (_pad_ones(recip, big - m), e)
-        return chi_p(e_p) * chi_q(e_q) * det**resid / dim
+    integrand = functools.partial(
+        _domain_integrand, p, q, (_fractional_char(kap), _fractional_char(iot)),
+        float(s - (p + q)) - e_imp, _weyl_count(dk) * _weyl_count(di))
 
     if method == "quad":
         def rule(degree):
@@ -442,20 +571,7 @@ def verify_S(p: int, q: int, kappas, iotas, s, *, samples: int = 200_000,
         return VerifyReport("verify_S", est, closed, verdict, rel,
                             {"method": "quad", "nodes": degree // 2 + m})
 
-    def chunk(rng, size):
-        z, w = sample_domain(p, q, e_imp, rng, size=size)
-        # the smaller gram, batch-last: entry (i, j) is delta_ij minus the
-        # sum over k of zm[i, k] conj(zm[j, k]), zm = z or z*
-        zm = z.transpose(1, 2, 0) if p == m else z.conj().transpose(2, 1, 0)
-        gram = np.zeros((m, m, size), dtype=complex)
-        gram[range(m), range(m)] = 1.0
-        for k in range(big):
-            gram -= zm[:, None, k] * zm[None, :, k].conj()
-        # the gram is Hermitian, so its characteristic polynomial is real;
-        # the sample is complex even when the integrand is real: the
-        # reduction's |v - mean|^2 rounds differently on real arrays
-        return (w * integrand(char_poly_batch(gram).real)).astype(complex, copy=False)
-
+    chunk = functools.partial(_domain_chunk, p, q, e_imp, integrand)
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
     verdict, rel = _verdict(mean, float(closed), stderr)
@@ -543,6 +659,13 @@ def zeta_integrand_samples(theta: ThetaDatum, rng: np.random.Generator, size: in
     return out
 
 
+def _zeta_chunk(theta: ThetaDatum, e_imp: float, coeff_eval: MatrixCoefficient,
+                rng: np.random.Generator, size: int) -> np.ndarray:
+    """:func:`zeta_integrand_samples` with the chunk's own arguments last, for
+    :func:`functools.partial`."""
+    return zeta_integrand_samples(theta, rng, size, e_imp, coeff_eval)
+
+
 def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
                 workers: int = 1, method: str = "mc") -> VerifyReport:
     """End-to-end check of the group integral against its closed value.
@@ -579,9 +702,7 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
     target_float = float(closed) * norm2
     e_imp = float(worst) - 1.0
 
-    def chunk(rng, size):
-        return zeta_integrand_samples(theta, rng, size, e_imp, coeff_eval)
-
+    chunk = functools.partial(_zeta_chunk, theta, e_imp, coeff_eval)
     mean, stderr, count = _reduce_mean(chunk, samples, workers, seed)
     est = Estimate(mean, stderr, count, seed, time.perf_counter() - t0)
     verdict, rel = _verdict(mean, target_float, stderr)
@@ -625,6 +746,15 @@ def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
 # identity suites
 
 
+def _prop61_trial(draw: tuple) -> float:
+    """Relative disagreement of the two routes at one drawn trial."""
+    theta, phi, t, x, y, xp, yp = draw
+    k, kp = CoverElement.from_blocks(x, y), CoverElement.from_blocks(xp, yp)
+    lhs = omega_matcoef_transform_route(kp, t, k, theta, phi)
+    rhs = omega_matcoef(kp, t, k, theta, phi)
+    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
+
 def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
     """Substitution route versus transform route at random float (t, k, k'),
     so both run in complex floats on the one int-coefficient phi of each
@@ -648,25 +778,17 @@ def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
         if th.case is Case.I:
             thetas.append(th)
     phis = [harmonic_hwv(theta) for theta in thetas]
-    # per trial: t, then the blocks and phase of k and of k'
-    draws = [(c, float(rng.uniform(-1.5, 1.5)),
+    # per trial: the case, t, then the blocks and phase of k and of k'
+    draws = [(theta, phi, float(rng.uniform(-1.5, 1.5)),
               haar_unitary(theta.n, rng), np.exp(2j * np.pi * rng.uniform()),
               haar_unitary(theta.n, rng), np.exp(2j * np.pi * rng.uniform()))
-             for c, theta in enumerate(thetas) for _ in range(trials)]
-
-    def trial(i: int) -> float:
-        c, t, x, y, xp, yp = draws[i]
-        k, kp = CoverElement.from_blocks(x, y), CoverElement.from_blocks(xp, yp)
-        lhs = omega_matcoef_transform_route(kp, t, k, thetas[c], phis[c])
-        rhs = omega_matcoef(kp, t, k, thetas[c], phis[c])
-        return abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
+             for theta, phi in zip(thetas, phis) for _ in range(trials)]
     worst = 0.0
     failures = []
-    for (c, t, *_), rel in zip(draws, _spread(trial, len(draws), True)):
+    for (theta, _, t, *_), rel in zip(draws, _spread(_prop61_trial, draws)):
         worst = max(worst, rel)
         if not rel <= PROP61_TOL:
-            failures.append({"lambda": str(thetas[c].lam), "t": t, "rel": rel})
+            failures.append({"lambda": str(theta.lam), "t": t, "rel": rel})
     est = Estimate(complex(worst), 0.0, trials * len(thetas), seed, time.perf_counter() - t0)
     return VerifyReport("verify_prop61", est, None,
                         "PASS" if not failures else "FAIL", worst,
@@ -699,6 +821,12 @@ def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
                         {"monomials": total, "mismatches": [list(b) for b in bad]})
 
 
+def _schur_chunk(mu: list[int], rng: np.random.Generator, size: int) -> np.ndarray:
+    """One chunk of |chi_mu|^2 at Haar-random unitaries."""
+    chi = schur_eval_batch(mu, haar_char_rows(len(mu), rng, size))
+    return (np.abs(chi) ** 2).astype(complex)
+
+
 def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int = 200_000,
                                seed: int = 0, workers: int = 1) -> VerifyReport:
     """Monte Carlo check that each irreducible character has unit L2 norm on
@@ -713,13 +841,8 @@ def verify_schur_orthogonality(weights: Sequence[Sequence[int]], *, samples: int
     worst = 0.0
     for idx, mu in enumerate(weights):
         mu = list(mu)
-        m = len(mu)
-
-        def chunk(rng, size, mu=mu, m=m):
-            chi = schur_eval_batch(mu, haar_char_rows(m, rng, size))
-            return (np.abs(chi) ** 2).astype(complex)
-
-        mean, stderr, count = _reduce_mean(chunk, samples, workers, seed + idx)
+        mean, stderr, count = _reduce_mean(functools.partial(_schur_chunk, mu), samples,
+                                           workers, seed + idx)
         verdict, dev = _verdict(mean.real, 1.0, stderr)
         ok = ok and verdict == "PASS"
         worst = max(worst, dev)

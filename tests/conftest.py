@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from arczeta.exact import QQi
 from arczeta.group import CoverElement, haar_unitary
+from arczeta.verify import _stop_pool
 from arczeta.weights import HCParameter
 
 
@@ -25,6 +26,14 @@ def affinity_unchanged():
         after = _getaffinity(0)
         _setaffinity(0, before)
         pytest.fail(f"the test left the CPU affinity at {sorted(after)}, not {sorted(before)}")
+
+
+@pytest.fixture(autouse=True)
+def fresh_workers():
+    """Stop the spread's worker pool after each test, so that a test's first
+    spread forks workers that see the test's own monkeypatches."""
+    yield
+    _stop_pool()
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
+import concurrent.futures
+import functools
 import itertools
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -50,6 +53,56 @@ from arczeta.weights import (
 from conftest import embed, lam
 
 F = Fraction
+# (calling pid, CPU set) of each CPU pin that TestForkedSubstreams.pins
+# recorded in this process
+PINS = []
+
+
+# work that _spread pickles to its workers: module-level functions
+
+
+def constant_chunk(rng, size):
+    return np.full(size, 0.2 + 0j)
+
+
+def normal_chunk(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def fail_outside(parent, rng, size):
+    """A chunk that raises in any process but ``parent``."""
+    if os.getpid() != parent:
+        raise ConvergenceError(f"substream of {size} failed")
+    return normal_chunk(rng, size)
+
+
+def fail_inside(parent, rng, size):
+    """A chunk that raises in ``parent`` and outlasts any test elsewhere."""
+    if os.getpid() == parent:
+        raise InvalidParameterError("parent substream failed")
+    time.sleep(60)  # ended by the parent's kill, long before this
+    return normal_chunk(rng, size)
+
+
+def last_pin(i):
+    return i, PINS[-1]
+
+
+def own_affinity(i):
+    return os.sched_getaffinity(0)
+
+
+def process_id(i):
+    return os.getpid()
+
+
+def alive(pid):
+    """Whether process ``pid`` still runs: a zombie has ended."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 class TestEstimate:
@@ -198,8 +251,7 @@ class TestVerifyS:
 class TestReduceMean:
     def test_constant_integrand_has_no_variance(self):
         # a one-pass E|x|^2 - |Ex|^2 reports about 4e-12 here
-        mean, stderr, count = _reduce_mean(lambda rng, size: np.full(size, 0.2 + 0j),
-                                           1_000_000, 2, 0)
+        mean, stderr, count = _reduce_mean(constant_chunk, 1_000_000, 2, 0)
         assert count == 1_000_000 and abs(mean - 0.2) < 1e-15
         assert stderr <= 1e-15
 
@@ -724,28 +776,30 @@ class TestSuites:
 
 
 class TestForkedSubstreams:
-    """Worker substreams and Prop 6.1 trials in forked processes: the same
-    bits as in-process, a bounded process count, one pinned CPU per process,
-    and no child left behind."""
+    """Worker substreams and Prop 6.1 trials in persistent worker processes:
+    the same bits as in-process, a bounded process count forked once per
+    pool, one pinned CPU per process, and no worker left behind."""
 
     @staticmethod
     def assert_no_children():
+        """No child is left once the pool stops."""
+        arczeta.verify._stop_pool()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.fixture
     def pins(self, monkeypatch):
-        """Record each os.sched_setaffinity call as (calling pid, CPU set)
-        instead of making it: the faked CPUs need not exist."""
-        calls = []
+        """Record each os.sched_setaffinity call in PINS instead of making it:
+        the faked CPUs need not exist."""
+        PINS.clear()
         monkeypatch.setattr(os, "sched_setaffinity",
-                            lambda pid, cpus: calls.append((os.getpid(), set(cpus))))
-        return calls
+                            lambda pid, cpus: PINS.append((os.getpid(), set(cpus))))
+        yield PINS
+        PINS.clear()
 
     @pytest.fixture
     def forks(self, monkeypatch, pins):
-        """Fork at any budget, on two usable CPUs (pins recorded, not made);
-        count the real forks."""
+        """Two usable CPUs (pins recorded, not made); count the real forks."""
         pids = []
         fork = os.fork
 
@@ -755,43 +809,54 @@ class TestForkedSubstreams:
                 pids.append(pid)
             return pid
 
-        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", counted)
         return pids
 
     @staticmethod
-    def normal_chunk(rng, size):
-        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    def in_process(monkeypatch):
+        """One usable CPU from here on: every spread runs in the caller."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     @pytest.mark.parametrize("cpus, workers, children", [
         ({0, 1}, 2, 1), ({0, 1}, 3, 1), ({0, 1}, 64, 1), ({0, 1, 2}, 2, 1),
         ({0, 1, 2}, 3, 2), ({0}, 3, 0), ({0, 1}, 1, 0)])
     def test_process_count_bounded_by_cpus(self, forks, monkeypatch, cpus, workers, children):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        forked = _reduce_mean(self.normal_chunk, 10 * workers, workers, 4)
+        spread = _reduce_mean(normal_chunk, 10 * workers, workers, 4)
         assert len(forks) == children
-        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 10**18)
-        assert forked == _reduce_mean(self.normal_chunk, 10 * workers, workers, 4)
+        self.in_process(monkeypatch)
+        assert spread == _reduce_mean(normal_chunk, 10 * workers, workers, 4)
         assert len(forks) == children
         self.assert_no_children()
 
-    def test_small_budget_stays_in_process(self, forks, monkeypatch):
-        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 11)
-        _reduce_mean(self.normal_chunk, 21, 2, 0)  # budgets 11 and 10
-        assert forks == []
-        _reduce_mean(self.normal_chunk, 22, 2, 0)
+    def test_second_spread_forks_nothing(self, forks):
+        first = _reduce_mean(normal_chunk, 22, 2, 0)
         assert len(forks) == 1
+        assert _reduce_mean(normal_chunk, 22, 2, 0) == first
+        assert _spread(process_id, [0, 1, 2]) == [os.getpid(), forks[0], os.getpid()]
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_threads_take_turns(self, forks):
+        # four threads spread at once over the one worker; each must read
+        # its own results back
+        expected = [_reduce_mean(normal_chunk, 40, 2, seed) for seed in range(8)]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_reduce_mean, normal_chunk, 40, 2, seed) for seed in range(8)]
+            assert [future.result(timeout=60) for future in futures] == expected
+        assert len(forks) == 1
+        self.assert_no_children()
 
     def test_workers_below_one_refused(self, forks):
         with pytest.raises(InvalidParameterError, match="^need at least one worker, got 0$"):
-            _reduce_mean(self.normal_chunk, 100, 0, 0)
+            _reduce_mean(normal_chunk, 100, 0, 0)
         assert forks == []
 
     def test_workers_above_samples_refused(self, monkeypatch):
         # one sample per worker at most; past that, refused before a budget or
         # a generator is built for each worker
-        assert _reduce_mean(self.normal_chunk, 3, 3, 0)[2] == 3
+        assert _reduce_mean(normal_chunk, 3, 3, 0)[2] == 3
 
         def unreachable(*args):
             raise AssertionError("per-worker lists built")
@@ -800,42 +865,75 @@ class TestForkedSubstreams:
         monkeypatch.setattr(arczeta.verify, "_substreams", unreachable)
         with pytest.raises(InvalidParameterError,
                            match="^need at most one worker per sample, got 101 workers for 100 samples$"):
-            _reduce_mean(self.normal_chunk, 100, 101, 0)
+            _reduce_mean(normal_chunk, 100, 101, 0)
 
     def test_child_exception_reraised(self, forks):
-        parent = os.getpid()
-
-        def chunk(rng, size):
-            if os.getpid() != parent:
-                raise ConvergenceError(f"substream of {size} failed")
-            return self.normal_chunk(rng, size)
-
+        chunk = functools.partial(fail_outside, os.getpid())
         with pytest.raises(ConvergenceError, match="^substream of 50 failed$"):
             _reduce_mean(chunk, 100, 2, 0)
+        # the worker that raised is idle, not killed: the next spread reuses it
+        assert _reduce_mean(normal_chunk, 100, 2, 0)[2] == 100
         assert len(forks) == 1
         self.assert_no_children()
 
     def test_parent_exception_kills_children(self, forks, pins):
-        parent = os.getpid()
-
-        def chunk(rng, size):
-            if os.getpid() == parent:
-                raise InvalidParameterError("parent substream failed")
-            time.sleep(60)  # ended by the parent's kill, long before this
-            return self.normal_chunk(rng, size)
-
+        chunk = functools.partial(fail_inside, os.getpid())
         start = time.perf_counter()
         with pytest.raises(InvalidParameterError, match="^parent substream failed$"):
             _reduce_mean(chunk, 100, 2, 0)
         assert time.perf_counter() - start < 30
         assert len(forks) == 1
         assert pins[-1] == (os.getpid(), {0, 1})  # the caller's affinity restored
+        # the busy worker is killed and reaped before the call raises
+        assert arczeta.verify._workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="no /proc")
+    def test_dead_worker_replaced_with_the_same_bits(self, forks):
+        def report():
+            rep = verify_zeta(lam("7/2", "3/2", "1/2"), samples=3000, seed=2, workers=2)
+            doc = build_report("verify", report=rep)
+            del doc["timestamp"], doc["wall_time"]
+            return json.dumps(doc, sort_keys=True)
+
+        first = report()
+        os.kill(forks[0], signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while alive(forks[0]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not alive(forks[0])
+        assert report() == first
+        assert len(forks) == 2
+        self.assert_no_children()
+
+    def test_forked_caller_starts_its_own_pool(self, forks):
+        assert _spread(process_id, [0, 1]) == [os.getpid(), forks[0]]
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:
+            try:
+                os.close(read_end)
+                arczeta.verify._stop_pool()  # as at the child's exit: the parent's pool stays
+                with open(write_end, "w") as out:
+                    out.write(json.dumps([os.getpid(), *_spread(process_id, [0, 1])]))
+                arczeta.verify._stop_pool()
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with open(read_end) as src:
+            me, *ran_on = json.loads(src.read())
+        os.waitpid(child, 0)
+        assert ran_on[0] == me and ran_on[1] not in (os.getpid(), me, forks[0])
+        # the caller's pool is untouched: the same worker, no new fork
+        assert _spread(process_id, [0, 1]) == [os.getpid(), forks[0]]
+        assert forks == [forks[0], child]
         self.assert_no_children()
 
     def test_each_process_pins_its_own_cpu(self, forks, pins, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 2})
         # in each process the last recorded pin is that process's own
-        out = _spread(lambda i: (i, pins[-1]), 7, True)
+        out = _spread(last_pin, list(range(7)))
         assert len(forks) == 2
         procs = [os.getpid(), *forks]
         assert out == [(i, (procs[i % 3], {(0, 2, 5)[i % 3]})) for i in range(7)]
@@ -847,7 +945,7 @@ class TestForkedSubstreams:
         before = os.sched_getaffinity(0)
         cpus = sorted(before)
         procs = min(4, len(cpus))
-        out = _spread(lambda i: os.sched_getaffinity(0), 4, True)
+        out = _spread(own_affinity, list(range(4)))
         assert out == [{cpus[i % procs]} if procs > 1 else before for i in range(4)]
         assert os.sched_getaffinity(0) == before
         self.assert_no_children()
@@ -861,7 +959,7 @@ class TestForkedSubstreams:
 
         spread = report()
         assert len(forks) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.in_process(monkeypatch)
         assert report() == spread
         assert len(forks) == 1
         assert json.loads(spread)["verdict"] == "PASS"
@@ -876,6 +974,7 @@ class TestForkedSubstreams:
                 raise ConvergenceError(f"trial at n = {theta.n} failed")
             return route(kp, t, k, theta, phi)
 
+        # the worker forks at the first spread, so it sees this patch
         monkeypatch.setattr(arczeta.verify, "omega_matcoef", failing)
         with pytest.raises(ConvergenceError, match="^trial at n = 1 failed$"):
             verify_prop61(trials=2, seed=0)
@@ -904,10 +1003,10 @@ class TestForkedSubstreams:
             return json.dumps(doc, sort_keys=True)
 
         forked = [report(call) for call in calls]
-        assert len(forks) == len(calls) + 1  # the Schur call reduces twice
-        monkeypatch.setattr(arczeta.verify, "_FORK_MIN_SAMPLES", 10**18)
+        assert len(forks) == 1  # one worker for every call: the pool persists
+        self.in_process(monkeypatch)
         assert forked == [report(call) for call in calls]
-        assert len(forks) == len(calls) + 1
+        assert len(forks) == 1
         self.assert_no_children()
 
     def test_cli_child_prints_nothing(self, tmp_path):
@@ -921,6 +1020,70 @@ class TestForkedSubstreams:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [f"verify-zeta: PASS -> {out}"]
         assert json.loads(out.read_text())["estimate"]["samples"] == 200_000
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="no /proc")
+    def test_cli_leaves_no_worker_alive(self, tmp_path):
+        # the verb's process logs each worker it forks, then starts a process
+        # that holds the workers' task pipes, so EOF alone cannot end them;
+        # none runs once the verb's process returns
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = ("import os, subprocess, sys\n"
+                 "import arczeta.cli, arczeta.verify\n"
+                 "fork = os.fork\n"
+                 "def logged():\n"
+                 "    pid = fork()\n"
+                 "    if pid:\n"
+                 "        print('worker', pid, file=sys.stderr, flush=True)\n"
+                 "    return pid\n"
+                 "os.fork = logged\n"
+                 "code = arczeta.cli.main(sys.argv[1:])\n"
+                 "tasks = [worker.tasks for worker in arczeta.verify._workers]\n"
+                 "holder = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'],\n"
+                 "                          pass_fds=tasks)\n"
+                 "print('holder', holder.pid, file=sys.stderr, flush=True)\n"
+                 "sys.exit(code)\n")
+        out, err = tmp_path / "stdout", tmp_path / "stderr"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, "verify-zeta", "--lambda", "3/2,1/2",
+                 "--workers", "2", "--samples", "200000", "--out", str(tmp_path / "z.json")],
+                stdout=stdout, stderr=stderr, env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=120)
+        pids = {}
+        for line in err.read_text().splitlines():
+            if line.startswith(("worker ", "holder ")):
+                kind, pid = line.split()
+                pids.setdefault(kind, []).append(int(pid))
+        try:
+            assert proc.returncode == 0, err.read_text()
+            assert len(pids.get("worker", [])) == min(2, len(os.sched_getaffinity(0))) - 1
+            assert not [pid for pid in pids.get("worker", []) if alive(pid)]
+        finally:
+            for pid in pids.get("worker", []) + pids.get("holder", []):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists()
+                        or len(os.sched_getaffinity(0)) < 2, reason="no /proc or one CPU")
+    def test_killed_caller_worker_exits_by_eof(self):
+        # SIGKILL runs no exit handler: the worker ends on its task pipe's EOF
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = ("import time\n"
+                 "from arczeta.verify import _spread, _workers\n"
+                 "assert _spread(abs, [-1, -2]) == [1, 2]\n"
+                 "print(*(worker.pid for worker in _workers), flush=True)\n"
+                 "time.sleep(60)\n")
+        with subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            proc.kill()
+        assert len(pids) == 1
+        deadline = time.monotonic() + 10
+        while alive(pids[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(pids[0])
 
     def test_cli_import_loads_no_pool(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
