@@ -38,6 +38,7 @@ from .errors import (
 )
 from .verify import (
     VerifyReport,
+    _spread,
     verify_at_lemma,
     verify_formal_degree,
     verify_prop61,
@@ -164,24 +165,30 @@ def _emit(doc: dict, out_path: str | None) -> None:
         print(text)
 
 
+def _table_row(lam: HCParameter) -> dict:
+    """One row of the closed-form table, as plain data."""
+    theta = classify_theta(lam)
+    zc = zeta_closed(theta)
+    return {
+        "lambda": str(lam),
+        "case": theta.case.value,
+        "p": theta.p,
+        "q": theta.q,
+        "c2": str(c_squared(theta)),
+        "zeta_rational": str(zc.rational),
+        "zeta_pi_exp": zc.pi_exp,
+        "zeta_float": float(zc),
+        "dim": theta.dim_sigma,
+        "formal_degree_product": str(formal_degree_product(lam)),
+    }
+
+
 def table_rows(n: int, max_entry: Fraction) -> list[dict]:
-    rows = []
-    for lam in admissible_sweep(n, max_entry):
-        theta = classify_theta(lam)
-        zc = zeta_closed(theta)
-        rows.append({
-            "lambda": str(lam),
-            "case": theta.case.value,
-            "p": theta.p,
-            "q": theta.q,
-            "c2": str(c_squared(theta)),
-            "zeta_rational": str(zc.rational),
-            "zeta_pi_exp": zc.pi_exp,
-            "zeta_float": float(zc),
-            "dim": theta.dim_sigma,
-            "formal_degree_product": str(formal_degree_product(lam)),
-        })
-    return rows
+    """The closed-form table over ``admissible_sweep(n, max_entry)``, its
+    rows spread over pinned processes (:func:`~arczeta.verify._spread`);
+    every row is exact, so the table is the same whatever the process
+    count."""
+    return _spread(_table_row, admissible_sweep(n, max_entry))
 
 
 def table_to_csv(rows: list[dict]) -> str:

@@ -18,6 +18,12 @@ as it was imported at its fork.  Each process returns its chunk sums and
 the caller merges them in worker order, so which process ran a substream
 never changes a number.
 
+The same spread (:func:`_spread`) runs the float Prop 6.1 trials and the
+exact sweeps: the rows of ``cli.table_rows``, the parameters of
+:func:`verify_formal_degree` and the monomials of :func:`verify_at_lemma`.
+Exact work gives the same result in any process, so those reports are
+byte-identical whatever the CPU count.
+
 A zeta chunk makes all its draws at once and evaluates them in blocks of a
 fixed size (``group._BLOCK``), so its estimates are reproducible for a fixed
 (seed, workers) pair at that block size.  Another block size draws the same
@@ -315,7 +321,17 @@ def _spread(work, items: Sequence) -> list:
     affinity is restored on the way out.  A worker's exception is raised
     here once every worker has answered; when the caller raises, every
     worker still busy is killed and reaped, and the next spread forks its
-    replacement.  Spreads from several threads take turns."""
+    replacement.  Spreads from several threads take turns.
+
+    Its callers: :func:`_reduce_mean` (the Monte Carlo substreams of
+    :func:`verify_S`, :func:`verify_zeta` and
+    :func:`verify_schur_orthogonality`), :func:`verify_prop61` (the float
+    trials), :func:`verify_formal_degree` (the parameters),
+    :func:`verify_at_lemma` (the monomials) and ``cli.table_rows`` (the
+    rows).  No ``work`` may be a function that ``perfbench/spans.py``
+    wraps: pickle sends a function by its module and name, a traced pass
+    rebinds that name to a wrapper, and pickle refuses a reference taken on
+    the other side of the pass's start or end."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
     procs = min(len(items), len(cpus))
     if procs < 2:
@@ -715,30 +731,36 @@ def verify_zeta(lam_or_theta, *, samples: int = 1_000_000, seed: int = 0,
 # formal degree consistency
 
 
+def _formal_degree_row(lam: HCParameter) -> tuple[ClosedValue, dict]:
+    """dim/S(dual, 0)/product of one parameter, and its report row."""
+    theta = classify_theta(lam)
+    sval = closed_S(*dual_S_arguments(theta), 0)
+    dim = theta.dim_sigma
+    fd = formal_degree_product(lam)
+    ratio = ClosedValue(Fraction(dim), 0) / sval / fd
+    return ratio, {"lambda": str(lam), "dim": dim, "S0": str(sval),
+                   "fd_product": str(fd), "ratio": str(ratio)}
+
+
 def verify_formal_degree(lams: Sequence[HCParameter]) -> VerifyReport:
     """Exact rational test that dim/S(dual, 0) is proportional to the product
-    of absolute parameter differences with a parameter-free constant."""
+    of absolute parameter differences with a parameter-free constant.
+
+    The parameters are spread over pinned processes (:func:`_spread`), so
+    the report is the same whatever the process count.  When several
+    parameters are inadmissible, the error may name a different one than a
+    serial run would: the caller's own failure is raised first."""
     t0 = time.perf_counter()
     if not lams:
         raise InvalidParameterError("need at least one parameter")
-    ratios = []
-    rows = []
-    for lam in lams:
-        theta = classify_theta(lam)
-        sval = closed_S(*dual_S_arguments(theta), 0)
-        dim = theta.dim_sigma
-        fd = formal_degree_product(lam)
-        ratio = ClosedValue(Fraction(dim), 0) / sval / fd
-        ratios.append(ratio)
-        rows.append({"lambda": str(lam), "dim": dim, "S0": str(sval),
-                     "fd_product": str(fd), "ratio": str(ratio)})
+    ratios, rows = zip(*_spread(_formal_degree_row, lams))
     ok = all(r == ratios[0] for r in ratios)
     mismatches = [rows[i]["lambda"] for i, r in enumerate(ratios) if r != ratios[0]]
     est = Estimate(complex(len(lams)), 0.0, len(lams), 0, time.perf_counter() - t0)
     return VerifyReport(
         "verify_formal_degree", est, ratios[0], "PASS" if ok else "FAIL",
         0.0 if ok else 1.0,
-        {"rows": rows, "mismatches": mismatches},
+        {"rows": list(rows), "mismatches": mismatches},
     )
 
 
@@ -795,26 +817,30 @@ def verify_prop61(*, trials: int = 20, seed: int = 0) -> VerifyReport:
                         {"cases": len(thetas), "failures": failures})
 
 
+def _at_agrees(point: tuple[Fraction, Fraction], exps: tuple[int, ...]) -> bool:
+    """Whether the closed transform and the brute-force kernel integral of
+    one monomial agree exactly at (cosh t, sinh t) = ``point``."""
+    f = FockPoly(1, {exps: 1})
+    a = omega_at(point, f)
+    b = weil_transform_bruteforce(point, f)
+    return a.poly == b.poly and a.prefactor == b.prefactor and a.tanh == b.tanh
+
+
 def verify_at_lemma(*, max_degree: int = 4) -> VerifyReport:
     """Closed hyperbolic transform versus brute-force kernel integration,
     exact arithmetic, every monomial of bounded degree in one ball variable,
-    at the rational point tanh(t/2) = 1/3."""
+    at the rational point tanh(t/2) = 1/3.  The monomials are spread over
+    pinned processes (:func:`_spread`); each comparison is exact, so the
+    report is the same whatever the process count."""
     if max_degree < 0:
         raise InvalidParameterError(f"max_degree must be non-negative, got {max_degree}")
     t0 = time.perf_counter()
-    ch, sh = rational_hyperbolic(Fraction(1, 3))
-    bad = []
-    total = 0
-    for exps in itertools.product(range(max_degree + 1), repeat=4):
-        if sum(exps) > max_degree:
-            continue
-        total += 1
-        f = FockPoly(1, {exps: 1})
-        a = omega_at((ch, sh), f)
-        b = weil_transform_bruteforce((ch, sh), f)
-        if not (a.poly == b.poly and a.prefactor == b.prefactor
-                and a.tanh == b.tanh):
-            bad.append(exps)
+    monomials = [exps for exps in itertools.product(range(max_degree + 1), repeat=4)
+                 if sum(exps) <= max_degree]
+    agree = _spread(functools.partial(_at_agrees, rational_hyperbolic(Fraction(1, 3))),
+                    monomials)
+    bad = [exps for exps, ok in zip(monomials, agree) if not ok]
+    total = len(monomials)
     est = Estimate(complex(total - len(bad)), 0.0, total, 0, time.perf_counter() - t0)
     return VerifyReport("verify_at", est, None, "PASS" if not bad else "FAIL",
                         0.0 if not bad else 1.0,

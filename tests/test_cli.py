@@ -79,7 +79,9 @@ class TestTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_weyl_product_per_row(self, monkeypatch, n):
-        # classification fixes sigma's dimension; a row takes no second one
+        # classification fixes sigma's dimension; a row takes no second one.
+        # One usable CPU, so every row runs here, where the calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls = []
         count = arczeta.weights._weyl_count
 

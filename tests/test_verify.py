@@ -19,8 +19,8 @@ import arczeta.characters
 import arczeta.group
 import arczeta.verify
 from arczeta.characters import psi_pi
-from arczeta.cli import build_report
-from arczeta.errors import ConvergenceError, InvalidParameterError
+from arczeta.cli import EXIT_PASS, build_report, main
+from arczeta.errors import ConvergenceError, InadmissibleParameterError, InvalidParameterError
 from arczeta.fock import MatrixCoefficient
 from arczeta.group import random_group_element
 from arczeta.verify import (
@@ -979,6 +979,46 @@ class TestForkedSubstreams:
         with pytest.raises(ConvergenceError, match="^trial at n = 1 failed$"):
             verify_prop61(trials=2, seed=0)
         assert len(forks) == 1
+        self.assert_no_children()
+
+    EXACT_ARGVS = [
+        *(["table", "--n", str(n), "--max-entry", "15/2", "--format", fmt]
+          for n in (1, 2, 3, 4) for fmt in ("json", "csv")),
+        ["verify-fd", "--n", "3", "--max-entry", "11/2"],
+        ["verify-at", "--max-degree", "6"],
+    ]
+
+    def test_exact_sweeps_identical_on_one_and_two_cpus(self, forks, monkeypatch, tmp_path):
+        out = tmp_path / "report"
+
+        def report(argv):
+            assert main([*argv, "--out", str(out)]) == EXIT_PASS
+            if argv[-1] == "csv":
+                return out.read_text()
+            doc = json.loads(out.read_text())
+            del doc["timestamp"], doc["wall_time"]
+            return json.dumps(doc, sort_keys=True)
+
+        spread = [report(argv) for argv in self.EXACT_ARGVS]
+        assert len(forks) == 1  # one worker for every call
+        self.in_process(monkeypatch)
+        assert [report(argv) for argv in self.EXACT_ARGVS] == spread
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_formal_degree_worker_error_reraised(self, forks, monkeypatch):
+        # on two CPUs the inadmissible second parameter is the worker's
+        lams = [lam("3/2", "1/2"), lam("3/2", "-3/2")]
+
+        def error():
+            with pytest.raises(InadmissibleParameterError) as info:
+                verify_formal_degree(lams)
+            return type(info.value), str(info.value)
+
+        spread = error()
+        assert spread[0] is InadmissibleParameterError and len(forks) == 1
+        self.in_process(monkeypatch)
+        assert error() == spread
         self.assert_no_children()
 
     @pytest.mark.parametrize("seed", [3, 17])
