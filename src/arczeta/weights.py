@@ -65,12 +65,6 @@ def _ratio(x) -> tuple[int, int]:
     return x.as_integer_ratio()
 
 
-def _twice(x) -> int:
-    """A half-integer held as an int or a Fraction, doubled, in integers."""
-    num, den = x.as_integer_ratio()
-    return 2 * num // den
-
-
 @functools.cache
 def _half(two: int) -> Fraction:
     """The half-integer two/2, one shared immutable Fraction per value."""
@@ -251,14 +245,16 @@ class ThetaDatum:
         )
 
 
-def _rho_shift(n: int) -> list[int]:
-    # doubled (-n/2+1, -n/2+2, ..., n/2, -n/2)
-    return [2 * i - n for i in range(1, n + 1)] + [-n]
+@functools.cache
+def _rho_shift(n: int) -> tuple[int, ...]:
+    # doubled (-n/2+1, -n/2+2, ..., n/2, -n/2), one tuple per n
+    return tuple(range(2 - n, n + 1, 2)) + (-n,)
 
 
-def _dual_shift(n: int) -> list[int]:
-    # doubled (-n/2, -n/2+1, ..., n/2-1, n/2)
-    return [2 * i - n for i in range(n)] + [n]
+@functools.cache
+def _dual_shift(n: int) -> tuple[int, ...]:
+    # doubled (-n/2, -n/2+1, ..., n/2-1, n/2), one tuple per n
+    return tuple(range(-n, n, 2)) + (n,)
 
 
 def hc_to_blattner(lam: HCParameter) -> tuple[Fraction, ...]:
@@ -380,11 +376,18 @@ def _drops(mu: Sequence[Fraction]) -> tuple[tuple[int, int], list[int]]:
     return (a, b), drops
 
 
+@functools.cache
+def _weyl_table(m: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The index pairs i < j of Weyl's product on m entries and the product
+    of their gaps j - i, one table per length."""
+    pairs = tuple(itertools.combinations(range(m), 2))
+    return pairs, math.prod(j - i for i, j in pairs)
+
+
 def _weyl_count(d: list[int]) -> int:
     """Weyl's dimension product on the drops of a dominant weight."""
-    pairs = list(itertools.combinations(range(len(d)), 2))
-    return (math.prod(d[j] - d[i] + j - i for i, j in pairs)
-            // math.prod(j - i for i, j in pairs))
+    pairs, den = _weyl_table(len(d))
+    return math.prod(d[j] - d[i] + j - i for i, j in pairs) // den
 
 
 def gl_dim(mu: Sequence[Fraction]) -> int:
@@ -477,16 +480,15 @@ def _S_factors(p: int, q: int, kappas, iotas, s) -> tuple[int, int, list[int], l
             dk, di)
 
 
-def _S_value(p: int, q: int, s, a: int, b: int, offsets: list[int], dim: int = 1) -> ClosedValue:
-    """:func:`closed_S` from the factors of :func:`_S_factors`, divided by
-    ``dim``; a vanishing factor raises :class:`PoleError` naming it."""
+def _S_value(p: int, q: int, s, a: int, b: int, offsets: list[int]) -> ClosedValue:
+    """:func:`closed_S` from the factors of :func:`_S_factors`; a vanishing
+    factor raises :class:`PoleError` naming it."""
     if b == 1 and -a in offsets:
         i, j = divmod(offsets.index(-a), q)
         label = f"s - kappa_{i + 1} + iota_{j + 1} - {p - i + j}"
         raise PoleError(f"pole: factor {label} vanishes at s={Fraction(s)}", factor=label)
     # c = a/b, so the product of the factors c + k is prod(a + k b) / b**(p q)
-    return ClosedValue(Fraction(b ** len(offsets), dim * math.prod(a + k * b for k in offsets)),
-                       p * q)
+    return ClosedValue(Fraction(b ** len(offsets), math.prod(a + k * b for k in offsets)), p * q)
 
 
 def closed_S(p: int, q: int, kappas, iotas, s) -> ClosedValue:
@@ -538,38 +540,63 @@ def _coerce_theta(lam_or_theta) -> ThetaDatum:
     return classify_theta(lam_or_theta)
 
 
+def _shift_product(theta: ThetaDatum) -> int:
+    """prod over a in A(lambda) of (2a + 1) (see :func:`zeta_closed`), on the
+    doubled entries t: 2a is t_i (i < n) in Case I and -t_n + 2k (k < n) in
+    Case II.  Every a is at least 0, so every factor is at least 1."""
+    two, n = theta.lam._two, theta.n
+    if theta.case is Case.I:
+        return math.prod(t + 1 for t in two[:n])
+    return math.prod(range(1 - two[n], 1 - two[n] + 2 * n, 2))
+
+
 def zeta_closed(lam_or_theta) -> ClosedValue:
     """Exact value of the group integral per unit squared norm of the matched
-    joint highest-weight vector: ``closed_T`` at s = (n+1)/2 over
-    ``dim_sigma``, the dimension of the lowest K-type that classification
-    fixed, which joins the integer denominator."""
+    joint highest-weight vector, as one product in lambda:
+
+        zeta = pi**n / (dim_sigma * prod_{a in A(lambda)} (a + 1/2)),
+
+    with A(lambda) = (lambda_1, ..., lambda_n) in Case I and
+    (|lambda_{n+1}|, |lambda_{n+1}| + 1, ..., |lambda_{n+1}| + n - 1) in
+    Case II.  It is ``closed_T`` at s0 = (n+1)/2, whose factors
+    s0 - n/2 + a are the a + 1/2, over ``dim_sigma``, the dimension of the
+    lowest K-type that classification fixed.  Taken on the doubled entries
+    as 2**n / (dim_sigma * prod (2a + 1)): one integer product, one Fraction.
+
+    Z(s0) > 0 on the whole domain: every a is at least 0, so every factor
+    a + 1/2 is positive and no factor can vanish.  Refused Case II datums
+    stay refused: there the product is not the group integral."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
-    s = _half(theta.n + 1)
-    p, q, kappas, iotas = T_arguments(theta)
-    a, b, offsets, _, _ = _S_factors(p, q, kappas, iotas, s)
-    return _S_value(p, q, s, a, b, offsets, theta.dim_sigma)
+    n = theta.n
+    return ClosedValue(Fraction(2 ** n, theta.dim_sigma * _shift_product(theta)), n)
 
 
 def c_squared(lam_or_theta) -> Fraction:
-    """Squared norm ratio of the discrete-spectrum projection (exact rational).
+    """Squared norm ratio of the discrete-spectrum projection (exact rational),
+    as one product in lambda:
 
-    Each factor is a ratio of two half-integers, taken as the ratio of their
-    doubles: one integer product on each side, one Fraction."""
+        c**2 = prod_{i <= n} (lambda_i - lambda_{n+1}) / prod_{a in A(lambda)} (a + 1/2),
+
+    with A(lambda) as in :func:`zeta_closed`, taken on the doubled entries:
+    one integer product on each side, one Fraction.  The denominator's
+    factors are at least 1/2 on the admissible domain, so no pole can occur
+    and none is checked for.
+
+    0 < c**2 <= 1, with c**2 = 1 exactly when p = 0 or q = 0 (criterion 2;
+    q >= 1 throughout).  The numerator's factors are positive by strict
+    decrease.  In Case I (p = 1), lambda_{n+1} >= 1/2, so each factor
+    (lambda_i - lambda_{n+1}) / (lambda_i + 1/2) lies in (0, 1).  In served
+    Case II the vanishing alphas force lambda_i = q - i - 1/2 for i < q, and
+    the other entries are at most 0.  With mu = |lambda_{n+1}|, pair the
+    i-th numerator factor lambda_i + mu with mu + n - i + 1/2: the ratio is
+    1 for i < q when q = n + 1, below 1 for i < q <= n (q - i - 1/2 <
+    n - i + 1/2), and below 1 for i >= q (lambda_i <= 0).  So c**2 = 1
+    exactly when q = n + 1, that is p = 0."""
     theta = _coerce_theta(lam_or_theta)
     _require_closed_form(theta)
-    n, p, gamma = theta.n, theta.p, _twice(theta.gamma)
-    if theta.case is Case.I:
-        pairs = [(al - 2 * (i - n + 1) - gamma, al - 2 * (i - n))
-                 for i, al in enumerate(map(_twice, theta.alphas), 1)]
-    else:
-        # the mixed vector: the betas, then the negated reversed alphas
-        delta = [_twice(be) for be in theta.betas] + [-_twice(al) for al in reversed(theta.alphas)]
-        pairs = [(gamma + 2 * (i - 2 * p) - de, gamma + 2 * (i - p))
-                 for i, de in enumerate(delta, 1)]
-    if any(den == 0 for _, den in pairs):
-        raise PoleError("pole in projection constant", factor="0")
-    return Fraction(math.prod(num for num, _ in pairs), math.prod(den for _, den in pairs))
+    two, n = theta.lam._two, theta.n
+    return Fraction(math.prod(t - two[n] for t in two[:n]), _shift_product(theta))
 
 
 def dual_S_arguments(theta: ThetaDatum) -> tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -93,6 +93,22 @@ class TestTable:
         rows = table_rows(n, Fraction(15, 2))
         assert rows and len(calls) == len(rows)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_take_the_lambda_route(self, monkeypatch, n):
+        # zeta and c^2 are products in lambda: a row builds no closed_S
+        # factors and takes one Weyl product.  One usable CPU, so every row
+        # runs here, where the calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = {"_S_factors": 0, "_weyl_count": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(arczeta.weights, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(arczeta.weights, name, counting)
+        rows = table_rows(n, Fraction(15, 2))
+        assert rows and calls == {"_S_factors": 0, "_weyl_count": len(rows)}
+
     def test_cli_csv(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "1", "--max-entry", "5/2",
                                "--format", "csv")

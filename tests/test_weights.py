@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -505,6 +506,100 @@ class TestZetaAndProjection:
                 r = ClosedValue(F(weyl_dim(lv)), 0) / sval / formal_degree_product(lv)
                 ratios.add((r.rational, r.pi_exp))
             assert len(ratios) == 1, f"n={n}: {ratios}"
+
+
+def _random_admissible(count, seed):
+    """``count`` admissible parameters with n <= 7 and entries up to 61/2,
+    from a seeded stream of strictly decreasing congruent tuples in both
+    classes with a uniform number of positive entries, kept when they
+    classify.  Half of the half-integer draws with 0 < m <= n positive
+    entries get the head (m - 1/2, ..., 1/2) that served Case II forces."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        n = rng.randint(1, 7)
+        odd = rng.random() < 0.5
+        bound = rng.randint(n + 1, 30)
+        m = rng.randint(0, n + 1)
+        head = sorted(rng.sample(range(2 - odd, 2 * bound + 1, 2), m), reverse=True)
+        if odd and 0 < m <= n and rng.random() < 0.5:
+            head = range(2 * m - 1, 0, -2)
+        tail = sorted(rng.sample(range(-odd, -2 * bound - 1, -2), n + 1 - m), reverse=True)
+        try:
+            found.append(classify_theta(HCParameter(tuple(F(t, 2) for t in [*head, *tail]))))
+        except InadmissibleParameterError:
+            pass
+    return found
+
+
+class TestLambdaForms:
+    """The closed values as products over lambda, written out here from the
+    entries alone: A(lambda) = (lambda_1, ..., lambda_n) when lambda_{n+1} > 0
+    (Case I), else (|lambda_{n+1}| + k for k < n) (Case II).  The library
+    reaches closed_T and closed_S through classification, the weight pairs
+    and _S_factors, and zeta_closed and c_squared through its own product on
+    the doubled entries; every value must agree at zero tolerance."""
+
+    SWEEPS = ((1, F(15, 2)), (2, F(15, 2)), (3, F(15, 2)), (4, F(15, 2)),
+              (5, F(13, 2)), (6, F(11, 2)))
+
+    @staticmethod
+    def check(th):
+        ent, n = th.lam.entries, th.n
+        last = ent[n]
+        shifts = ent[:n] if last > 0 else [-last + k for k in range(n)]
+        halves = [a + F(1, 2) for a in shifts]
+        # D = prod (2a + 1) is an integer >= 1: no factor can vanish
+        twice = math.prod(2 * h for h in halves)
+        assert twice.denominator == 1 and twice >= 1, str(th.lam)
+        s0 = F(n + 1, 2)
+        zeta = zeta_closed(th)
+        assert zeta == closed_T(th, s0) / th.dim_sigma, str(th.lam)
+        assert zeta == ClosedValue(1 / (th.dim_sigma * math.prod(halves)), n), str(th.lam)
+        assert c_squared(th) == math.prod(x - last for x in ent[:n]) / math.prod(halves)
+        for s in (F(n + 3, 2), F(2 * n + 7, 4)):
+            t_val = ClosedValue(1 / math.prod(s - F(n, 2) + a for a in shifts), n)
+            assert closed_T(th, s) == t_val, (str(th.lam), s)
+            s_val = ClosedValue(1 / math.prod(s + x - last for x in ent[:n]), n)
+            assert closed_S(*dual_S_arguments(th), s) == s_val, (str(th.lam), s)
+
+    def test_sweeps(self):
+        count = 0
+        for n, bound in self.SWEEPS:
+            for lv in admissible_sweep(n, bound):
+                self.check(classify_theta(lv))
+                count += 1
+        assert count > 714
+
+    def test_seeded_random_datums(self):
+        thetas = _random_admissible(600, seed=41)
+        for th in thetas:
+            self.check(th)
+        integer_class = sum(th.nonstandard_congruence for th in thetas)
+        case_two = sum(th.case is Case.II for th in thetas)
+        assert integer_class >= 100 and case_two >= 100
+
+    def test_refused_case_two_stays_refused(self):
+        # every strictly decreasing congruent tuple of n = 1..3 within 15/2
+        # that classifies outside the closed-form domain; the lambda-products
+        # would be the wrong product formula there
+        refused = 0
+        for n in (1, 2, 3):
+            for twices in itertools.combinations(range(15, -16, -1), n + 1):
+                if len({t & 1 for t in twices}) > 1:
+                    continue
+                lv = HCParameter(tuple(F(t, 2) for t in twices))
+                try:
+                    th = classify_theta(lv, enforce_closed_form_domain=False)
+                except InadmissibleParameterError:
+                    continue
+                if th.closed_form_valid:
+                    continue
+                refused += 1
+                assert th.case is Case.II
+                for fn in (zeta_closed, c_squared):
+                    with pytest.raises(InadmissibleParameterError, match="validity domain"):
+                        fn(th)
+        assert refused > 1000
 
 
 class TestClosedValue:
