@@ -28,6 +28,7 @@ from .weights import (
     classify_theta,
     closed_S,
     closed_T,
+    formal_degree,
     formal_degree_product,
     gl_dim,
     hc_to_blattner,
@@ -48,6 +49,7 @@ __all__ = [
     "classify_theta",
     "closed_S",
     "closed_T",
+    "formal_degree",
     "formal_degree_product",
     "gl_dim",
     "hc_to_blattner",

@@ -543,14 +543,15 @@ class AtTransform:
         return self.prefactor * val
 
 
-def _corner_columns(n: int) -> list[tuple[int, int, int]]:
+@functools.cache
+def _corner_columns(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per column j: the bit offsets of z_1j and z_(n+1)j, and the packed
-    step that lowers both exponents (and the degree) by one."""
+    step that lowers both exponents (and the degree) by one; one table per n."""
     out = []
     for j in range(1, n + 2):
         v1, v2 = _var(n, 1, j), _var(n, n + 1, j)
         out.append((_BITS * v1, _BITS * v2, _exponents(n, v1, v2)))
-    return out
+    return tuple(out)
 
 
 def omega_at(t, f: FockPoly) -> AtTransform:

@@ -5,13 +5,14 @@ Fractions, closed forms rational multiples of integer powers of pi.
 Floating point enters only when a caller converts a result for comparison
 with quadrature.
 
-The Fractions are inputs and outputs only.  A parameter reads each entry
-once, keeps its doubled entries 2*x as integers and is validated on them;
-classification and the closed forms read those integers (or an integer
-ratio, where a closed form takes any rational), and all arithmetic runs on
-machine integers.  Each half-integer is one shared Fraction per process,
-built by ``_half``; other results (c squared, a closed value's rational)
-are built once per call, at the end.
+The Fractions are inputs and outputs only.  A parameter keeps its doubled
+entries 2*x as integers and is validated on them; parsed text and the
+sweep build it from those integers directly.  Classification and the
+closed forms read them (or an integer ratio, where a closed form takes any
+rational), and all arithmetic runs on machine integers.  Each half-integer
+is one shared Fraction per process, built by ``_half``; a datum's weight
+pairs are built from their doubled entries on first read, and other results
+(c squared, a closed value's rational) once per call, at the end.
 
 The central object is :class:`ThetaDatum`, the complete classification of an
 admissible strictly decreasing parameter into one of two shapes (Case I when
@@ -26,6 +27,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -43,6 +45,7 @@ __all__ = [
     "weyl_dim",
     "gl_dim",
     "formal_degree_product",
+    "formal_degree",
     "closed_S",
     "closed_T",
     "zeta_closed",
@@ -108,6 +111,47 @@ def _half_integer(x) -> Fraction:
     return value
 
 
+def _doubled(value: Fraction) -> int:
+    """2x for a half-integer Fraction x."""
+    num, den = value.as_integer_ratio()
+    return num if den == 2 else 2 * num
+
+
+# the doubling factor of a plain entry by its denominator text
+_PLAIN_SCALE = {"": 2, "/1": 2, "/2": 1}
+
+
+def _doubled_text(text: str) -> int:
+    """2x for an entry x given as text.  The plain form ``[-]digits``,
+    ``[-]digits/1`` or ``[-]digits/2`` in ASCII digits is read as ints; any
+    other text takes :func:`_half_integer`, with its value and its errors."""
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    scale = _PLAIN_SCALE.get(slash + den)
+    if scale and digits.isascii() and digits.isdigit():
+        try:
+            return scale * int(num)
+        except ValueError:  # past int's digit limit: the general route words the error
+            pass
+    return _doubled(_half_integer(text))
+
+
+def _text(two: Sequence[int]) -> str:
+    """Doubled entries as the parameter's text, ``(3/2,1/2,-1/2)``."""
+    return "(" + ",".join(f"{t}/2" if t & 1 else str(t >> 1) for t in two) + ")"
+
+
+def _check_two(two: tuple[int, ...]) -> None:
+    """A parameter's conditions on its doubled entries: at least two entries,
+    strictly decreasing, mutually congruent (one parity)."""
+    if len(two) < 2:
+        raise InvalidParameterError("parameter needs at least two entries")
+    if any(map(operator.le, two, two[1:])):
+        raise InvalidParameterError(f"entries must be strictly decreasing, got {_text(two)}")
+    if len({t & 1 for t in two}) > 1:
+        raise InvalidParameterError(f"entries must be mutually congruent mod 1, got {_text(two)}")
+
+
 @dataclass(frozen=True)
 class HCParameter:
     """Strictly decreasing tuple of mutually congruent half-integers.
@@ -118,7 +162,9 @@ class HCParameter:
     as Fractions.  The doubled entries 2*x, on which both conditions are
     checked (congruence is one parity), are kept as the private integer
     tuple ``_two``; ``entries`` stays the only field, so equality, hashing
-    and the repr read the Fractions alone.
+    and the repr read the Fractions alone.  :meth:`parse` and
+    :func:`admissible_sweep` build a parameter from its doubled entries
+    (``_from_two``), with the same checks and messages.
     """
 
     entries: tuple[Fraction, ...]
@@ -126,27 +172,23 @@ class HCParameter:
     def __post_init__(self):
         ent, two = [], []
         for e in self.entries:
-            if type(e) is Fraction:
-                num, den = e.as_integer_ratio()
-                if den > 2:  # not a half-integer: _half_integer refuses it
-                    _half_integer(e)
-            else:
+            if type(e) is not Fraction or e.denominator > 2:
                 e = _half_integer(e)
-                num, den = e.as_integer_ratio()
             ent.append(e)
-            two.append(num if den == 2 else 2 * num)
+            two.append(_doubled(e))
         object.__setattr__(self, "entries", tuple(ent))
         object.__setattr__(self, "_two", tuple(two))
-        if len(two) < 2:
-            raise InvalidParameterError("parameter needs at least two entries")
-        if any(a <= b for a, b in zip(two, two[1:])):
-            raise InvalidParameterError(
-                f"entries must be strictly decreasing, got {self}"
-            )
-        if len({t & 1 for t in two}) > 1:
-            raise InvalidParameterError(
-                f"entries must be mutually congruent mod 1, got {self}"
-            )
+        _check_two(self._two)
+
+    @classmethod
+    def _from_two(cls, two: tuple[int, ...]) -> "HCParameter":
+        """The parameter with doubled entries ``two``, checked as the
+        constructor checks its entries."""
+        _check_two(two)
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", _halves(two))
+        object.__setattr__(self, "_two", two)
+        return self
 
     @classmethod
     def of(cls, *values) -> "HCParameter":
@@ -155,15 +197,15 @@ class HCParameter:
     @classmethod
     def parse(cls, text: str) -> "HCParameter":
         """Parse a comma list of fractions, reporting the failing position."""
-        ents = []
+        two = []
         for pos, part in enumerate(text.split(",")):
             try:
-                ents.append(_half_integer(part))
+                two.append(_doubled_text(part))
             except InvalidParameterError as exc:
                 raise InvalidParameterError(
                     f"bad entry at position {pos}: {exc}"
                 ) from None
-        return cls(tuple(ents))
+        return cls._from_two(tuple(two))
 
     @property
     def n(self) -> int:
@@ -178,7 +220,7 @@ class HCParameter:
         return iter(self.entries)
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return _text(self._two)
 
 
 class WeightPair(NamedTuple):
@@ -193,9 +235,35 @@ class Case(enum.Enum):
     II = "II"
 
 
+class _HalvedPair:
+    """A weight pair of a :class:`ThetaDatum`, built from its doubled entries
+    on first read and kept in the datum's ``__dict__``, where later reads
+    find it first: ``functools.cached_property`` without the lock that
+    Python 3.11 takes on every first read."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, datum, owner=None):
+        if datum is None:
+            return self
+        first, second = datum._pairs[self.index]
+        pair = datum.__dict__[self.name] = WeightPair(_halves(first), _halves(second))
+        return pair
+
+
 @dataclass(frozen=True)
 class ThetaDatum:
     """Complete classification data for one admissible parameter.
+
+    The three weight pairs are held doubled, as integer tuples, in the
+    private field ``_pairs`` (``Lambda``, ``LambdaDual``, ``LambdaPrime`` in
+    that order); each attribute builds its :class:`WeightPair` of Fractions
+    on first read and keeps it on the datum, so a caller that reads none of
+    them builds none.
 
     ``dim_sigma`` is the dimension of sigma, the lowest K-type, whose U(n)
     highest weight is ``Lambda.first``: :func:`classify_theta` takes Weyl's
@@ -210,31 +278,35 @@ class ThetaDatum:
     gamma: Fraction
     alphas: tuple[Fraction, ...]
     betas: tuple[Fraction, ...]
-    Lambda: WeightPair
-    LambdaDual: WeightPair
-    LambdaPrime: WeightPair
     nonstandard_congruence: bool
     closed_form_valid: bool
     dim_sigma: int
+    _pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    Lambda = _HalvedPair(0)
+    LambdaDual = _HalvedPair(1)
+    LambdaPrime = _HalvedPair(2)
 
     def lambda_gl(self):
         """Integer parts of Lambda per factor, with doubled twist exponents.
 
         The det twists of the two K factors (U(n) part, U(1) part) are t and -t.
+        Taken once per datum, on the doubled entries of Lambda.
         """
-        if self.case is Case.I:
-            t = _half(self.n - 1)
-        else:
-            t = _half(self.q - self.p)
+        return self._gl
+
+    @functools.cached_property
+    def _gl(self):
+        tw = self.n - 1 if self.case is Case.I else self.q - self.p  # 2t
         out = []
-        for entries, tw in zip(self.Lambda, (t, -t)):
-            parts = tuple(e - tw for e in entries)
-            if any(p.denominator != 1 for p in parts):
+        for entries, sign in zip(self._pairs[0], (1, -1)):
+            parts = [x - sign * tw for x in entries]
+            if any(x & 1 for x in parts):
                 raise InadmissibleParameterError(
                     "weight has non-integral parts after removing the det twist; "
                     "parameter is in the flagged congruence class"
                 )
-            out.append((tuple(int(p) for p in parts), int(2 * tw)))
+            out.append((tuple(x >> 1 for x in parts), sign * tw))
         return tuple(out)
 
     def __str__(self):
@@ -274,7 +346,8 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     carries ``closed_form_valid=False`` and the closed forms refuse it later.
 
     Every quantity below is held doubled (2 gamma, 2 alpha_i, ...), so the
-    classification runs on integers; the datum's Fractions are built last.
+    classification runs on integers; the datum's Fractions are built last,
+    and its weight pairs only when they are read.
     """
     lam = lam if isinstance(lam, HCParameter) else HCParameter(tuple(lam))
     n = lam.n
@@ -352,11 +425,10 @@ def classify_theta(lam: HCParameter, *, enforce_closed_form_domain: bool = True)
     return ThetaDatum(
         lam=lam, n=n, case=case, p=p, q=q, gamma=_half(gamma),
         alphas=_halves(alphas), betas=_halves(betas),
-        Lambda=WeightPair(_halves(first), _halves(second)),
-        LambdaDual=WeightPair(_halves(dual[0]), _halves(dual[1])),
-        LambdaPrime=WeightPair(_halves(prime[0]), _halves(prime[1])),
         nonstandard_congruence=nonstandard, closed_form_valid=closed_ok,
         dim_sigma=_weyl_count([(first[0] - x) // 2 for x in first]),
+        _pairs=((tuple(first), tuple(second)), (tuple(dual[0]), tuple(dual[1])),
+                (tuple(prime[0]), tuple(prime[1]))),
     )
 
 
@@ -411,11 +483,30 @@ def weyl_dim(lam: HCParameter) -> int:
     return _weyl_count([(two[0] - x) // 2 - i for i, x in enumerate(two)])
 
 
+def _gaps(two: tuple[int, ...]) -> tuple[int, int]:
+    """prod_{i<j} |lambda_i - lambda_j| from the doubled entries, as an
+    integer numerator and its denominator 2**(number of pairs)."""
+    pairs = list(itertools.combinations(two, 2))
+    return math.prod(abs(x - y) for x, y in pairs), 2 ** len(pairs)
+
+
 def formal_degree_product(lam: HCParameter) -> Fraction:
     """Product of absolute entry differences over all pairs (the formal degree
-    up to a measure constant that is never computed here)."""
-    pairs = list(itertools.combinations(lam._two, 2))
-    return Fraction(math.prod(abs(x - y) for x, y in pairs), 2 ** len(pairs))
+    up to the constant of :func:`formal_degree`)."""
+    return Fraction(*_gaps(lam._two))
+
+
+def formal_degree(lam: HCParameter) -> ClosedValue:
+    """The formal degree
+
+        d(lambda) = pi**-n prod_{i<j<=n+1} |lambda_i - lambda_j| / prod_{k<n} k!,
+
+    taken on the doubled entries: one integer product over one integer
+    denominator.  The superfactorial prod_{k<n} k! is the product of the gaps
+    j - i over i < j < n, Weyl's denominator on n entries.  Schur
+    orthogonality of the discrete series reads c**2 = d(lambda) * zeta."""
+    num, den = _gaps(lam._two)
+    return ClosedValue(Fraction(num, den * _weyl_table(lam.n)[1]), -lam.n)
 
 
 @dataclass(frozen=True)
@@ -650,4 +741,4 @@ def admissible_sweep(n: int, max_entry) -> list[HCParameter]:
             if p > 0 or tail[0] <= -3:
                 found.append(head + tail)
     found.sort(key=lambda twices: [-t for t in twices])
-    return [HCParameter(_halves(twices)) for twices in found]
+    return [HCParameter._from_two(twices) for twices in found]

@@ -619,6 +619,23 @@ class TestOmegaAt:
             b = weil_transform_bruteforce((ch, sh), f)
             assert a.poly == b.poly and a.prefactor == b.prefactor
 
+    def test_corner_columns_built_once_per_n(self, monkeypatch):
+        # both transforms read one shared table per n; building it afresh
+        # gives the same table
+        from arczeta import fock
+
+        ch, sh = rational_hyperbolic(F(2, 5))
+        f = FockPoly(2, {(1, 0, 2, 0, 1, 0, 1, 0, 1): 1})
+        expected = [omega_at((ch, sh), f), weil_transform_bruteforce((ch, sh), f)]
+        table = fock._corner_columns(2)
+        fresh = fock._corner_columns.__wrapped__(2)
+        assert table == fresh and table is not fresh and type(table) is tuple
+        calls = []
+        monkeypatch.setattr(fock, "_exponents", lambda *a: calls.append(a))
+        got = [omega_at((ch, sh), f), weil_transform_bruteforce((ch, sh), f)]
+        assert calls == [] and fock._corner_columns(2) is table
+        assert [(g.poly, g.prefactor) for g in got] == [(e.poly, e.prefactor) for e in expected]
+
     def test_float_matches_exact(self):
         ch, sh = rational_hyperbolic(F(1, 2))
         t = math.asinh(float(sh))

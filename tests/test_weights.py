@@ -28,6 +28,7 @@ from arczeta.weights import (
     closed_T,
     closed_T_factors,
     dual_S_arguments,
+    formal_degree,
     formal_degree_product,
     gl_dim,
     hc_to_blattner,
@@ -61,15 +62,20 @@ class TestHCParameter:
                 HCParameter.of(bad, F(1, 2))
 
     def test_each_entry_read_once(self, monkeypatch):
-        # a half-integer Fraction is kept as it is, so parse reads each text
-        # entry once and the constructor does not read the Fractions again
+        # a half-integer Fraction is kept as it is; parse reads each text
+        # entry once, plain entries as ints, and only other text through
+        # _half_integer, once per such entry
         half = F(3, 2)
         assert HCParameter.of(half, F(1, 2)).entries[0] is half
-        calls = []
-        read = weights._half_integer
-        monkeypatch.setattr(weights, "_half_integer", lambda x: calls.append(x) or read(x))
+        texts, general = [], []
+        read_text, read = weights._doubled_text, weights._half_integer
+        monkeypatch.setattr(weights, "_doubled_text",
+                            lambda x: texts.append(x) or read_text(x))
+        monkeypatch.setattr(weights, "_half_integer", lambda x: general.append(x) or read(x))
         assert HCParameter.parse("5/2,3/2,1/2") == HCParameter.of(F(5, 2), F(3, 2), F(1, 2))
-        assert calls == ["5/2", "3/2", "1/2"]
+        assert texts == ["5/2", "3/2", "1/2"] and general == []
+        assert HCParameter.parse("+5/2, 3/2,2/4") == HCParameter.of(F(5, 2), F(3, 2), F(1, 2))
+        assert texts[3:] == ["+5/2", " 3/2", "2/4"] and general == ["+5/2", "2/4"]
 
     def test_denominator_distinguishes_classes(self):
         assert classify_theta(HCParameter.of(2, 1)).nonstandard_congruence
@@ -249,6 +255,16 @@ class TestFormalDegreeProduct:
 
     def test_positive(self):
         assert formal_degree_product(lam("9/2", "-3/2")) == 6
+
+    def test_formal_degree_examples(self):
+        # d(lambda) = pi**-n prod |lambda_i - lambda_j| / (0! 1! ... (n-1)!)
+        assert formal_degree(lam("3/2", "1/2")) == ClosedValue(F(1), -1)
+        assert formal_degree(lam("5/2", "3/2", "1/2")) == ClosedValue(F(2), -2)
+        # n = 3: gaps 3*6*7 * 3*4 * 1 = 1512 over 0! 1! 2! = 2
+        assert formal_degree(lam("7/2", "1/2", "-5/2", "-7/2")) == ClosedValue(F(756), -3)
+        for lv in admissible_sweep(4, F(11, 2)):
+            expected = formal_degree_product(lv) / math.prod(map(math.factorial, range(4)))
+            assert formal_degree(lv) == ClosedValue(expected, -4)
 
 
 def _brute_force_sweep(n, bound):
@@ -556,6 +572,9 @@ class TestLambdaForms:
         assert zeta == closed_T(th, s0) / th.dim_sigma, str(th.lam)
         assert zeta == ClosedValue(1 / (th.dim_sigma * math.prod(halves)), n), str(th.lam)
         assert c_squared(th) == math.prod(x - last for x in ent[:n]) / math.prod(halves)
+        # Schur orthogonality: the projection constant is the formal degree
+        # times the zeta integral per unit norm
+        assert ClosedValue(c_squared(th), 0) == formal_degree(th.lam) * zeta, str(th.lam)
         for s in (F(n + 3, 2), F(2 * n + 7, 4)):
             t_val = ClosedValue(1 / math.prod(s - F(n, 2) + a for a in shifts), n)
             assert closed_T(th, s) == t_val, (str(th.lam), s)
@@ -718,9 +737,14 @@ class TestIntegerClassification:
                 assert str(info.value) == str(exc)
                 continue
             th = classify_theta(lv, enforce_closed_form_domain=enforce)
-            got = {f.name: getattr(th, f.name) for f in dataclasses.fields(ThetaDatum)}
+            # every field but the private doubled pairs, and the three views
+            names = {f.name for f in dataclasses.fields(ThetaDatum)} - {"_pairs"}
+            assert names | {"Lambda", "LambdaDual", "LambdaPrime"} == set(expected)
+            got = {name: getattr(th, name) for name in expected}
             assert got == expected
             assert all(type(x) is F for x in _fraction_fields(th))
+            assert th._pairs == tuple(tuple(tuple(int(2 * x) for x in side) for side in pair)
+                                      for pair in (th.Lambda, th.LambdaDual, th.LambdaPrime))
 
     @staticmethod
     def _built(monkeypatch, fn):
@@ -742,14 +766,20 @@ class TestIntegerClassification:
     @pytest.mark.parametrize("entries", [("7/2", "5/2", "3/2", "1/2"),
                                          ("3/2", "1/2", "-5/2", "-9/2")])
     def test_one_fraction_per_returned_entry(self, monkeypatch, entries):
-        # the arithmetic runs on doubled integers: a cold classification
-        # builds one Fraction per distinct value of the result, and a second
-        # one reuses them all
+        # the arithmetic runs on doubled integers: a cold classification and
+        # the first read of every weight pair build one Fraction per distinct
+        # value of the result, and a second round reuses them all
         lv = lam(*entries)
+
+        def classify_and_read():
+            th = classify_theta(lv)
+            assert th.Lambda and th.LambdaDual and th.LambdaPrime
+            return th
+
         weights._half.cache_clear()
-        count, th = self._built(monkeypatch, lambda: classify_theta(lv))
+        count, th = self._built(monkeypatch, classify_and_read)
         assert count == len(set(_fraction_fields(th))) <= len(_fraction_fields(th)) == 16
-        assert self._built(monkeypatch, lambda: classify_theta(lv)) == (0, th)
+        assert self._built(monkeypatch, classify_and_read) == (0, th)
         assert self._built(monkeypatch, lambda: formal_degree_product(lv))[0] == 1
         s = F(th.n + 1, 2)
         for args in (dual_S_arguments(th) + (0,), T_arguments(th) + (s,)):
@@ -762,6 +792,145 @@ class TestIntegerClassification:
         first = [classify_theta(lv) for lv in sweep]
         count, again = self._built(monkeypatch, lambda: [classify_theta(lv) for lv in sweep])
         assert count == 0 and again == first and len(sweep) == 714
+
+
+def _lambda_gl_oracle(th):
+    """lambda_gl in Fraction arithmetic on the weight pair Lambda."""
+    tw = F(th.n - 1, 2) if th.case is Case.I else F(th.q - th.p, 2)
+    out = []
+    for entries, t in zip(th.Lambda, (tw, -tw)):
+        parts = [e - t for e in entries]
+        if any(x.denominator != 1 for x in parts):
+            raise InadmissibleParameterError(
+                "weight has non-integral parts after removing the det twist; "
+                "parameter is in the flagged congruence class")
+        out.append((tuple(int(x) for x in parts), int(2 * t)))
+    return tuple(out)
+
+
+class TestLazyWeightPairs:
+    SWEEP = [lv for n in (1, 2, 3, 4) for lv in admissible_sweep(n, F(15, 2))]
+
+    @staticmethod
+    def _count_pairs(monkeypatch):
+        built = []
+        pair = weights.WeightPair
+        monkeypatch.setattr(weights, "WeightPair", lambda *a: built.append(a) or pair(*a))
+        return built
+
+    def test_classification_and_table_rows_build_no_weight_pair(self, monkeypatch):
+        from arczeta import cli
+
+        built = self._count_pairs(monkeypatch)
+        thetas = [classify_theta(lv) for lv in self.SWEEP]
+        rows = [cli._table_row(lv) for lv in self.SWEEP]
+        assert built == [] and len(rows) == len(thetas) == 714
+
+    def test_each_view_built_once(self, monkeypatch):
+        th = classify_theta(lam("1/2", "-3/2", "-5/2", "-7/2"))
+        built = self._count_pairs(monkeypatch)
+        views = [(th.Lambda, th.LambdaDual, th.LambdaPrime) for _ in range(3)]
+        assert len(built) == 3 and all(v == views[0] for v in views)
+        assert all(type(v) is WeightPair for v in views[0])
+        assert [vars(th)[name] for name in ("Lambda", "LambdaDual", "LambdaPrime")] == \
+            list(views[0])
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_pickle_round_trip(self, read):
+        datums = [classify_theta(lam("5/2", "3/2", "1/2")),
+                  classify_theta(lam("1/2", "-3/2", "-5/2", "-7/2")),
+                  classify_theta(HCParameter.of(2, 1)),
+                  classify_theta(lam("7/2", "-3/2", "-5/2"), enforce_closed_form_domain=False)]
+        for th in datums:
+            views = (th.Lambda, th.LambdaDual, th.LambdaPrime) if read else None
+            back = pickle.loads(pickle.dumps(th))
+            assert back == th and back._pairs == th._pairs and str(back) == str(th)
+            assert ("Lambda" in vars(back)) is read
+            assert (back.Lambda, back.LambdaDual, back.LambdaPrime) == \
+                (views or (th.Lambda, th.LambdaDual, th.LambdaPrime))
+
+    def test_lambda_gl_matches_the_fraction_route_once(self):
+        # the sweeps and the integer class, where some datums are refused
+        params = self.SWEEP + [HCParameter(tuple(F(t) for t in tw))
+                               for n in (1, 2, 3)
+                               for tw in itertools.combinations(range(5, -6, -1), n + 1)]
+        refused = 0
+        for lv in params:
+            try:
+                th = classify_theta(lv)
+            except InadmissibleParameterError:
+                continue
+            try:
+                expected = _lambda_gl_oracle(th)
+            except InadmissibleParameterError as exc:
+                refused += 1
+                with pytest.raises(InadmissibleParameterError, match=re.escape(str(exc))):
+                    th.lambda_gl()
+                continue
+            assert th.lambda_gl() == expected
+            assert th.lambda_gl() is th.lambda_gl()
+        assert refused > 0
+
+
+PARSE_REFUSALS = [
+    ("1/3,-1/2", "bad entry at position 0: 1/3 is not a half-integer"),
+    ("3/2,,1/2", "bad entry at position 1: cannot parse half-integer '': "
+                 "Invalid literal for Fraction: ''"),
+    ("1/2/1,-1/2", "bad entry at position 0: cannot parse half-integer '1/2/1': "
+                   "Invalid literal for Fraction: '1/2/1'"),
+    ("3/2,\u00b2/2", "bad entry at position 1: cannot parse half-integer '\u00b2/2': "
+                     "Invalid literal for Fraction: '\u00b2/2'"),
+    ("5/2,1/0", "bad entry at position 1: cannot parse half-integer '1/0': Fraction(1, 0)"),
+]
+
+
+class TestIntegerParse:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(congruent_parameters(), st.sampled_from(["{}", " {} ", "{}/1", "{}/2"]))
+    def test_equals_the_fraction_path(self, lv, form):
+        # each entry written as an integer over 1 or 2 (or bare, when integral)
+        texts = []
+        for t in lv._two:
+            if form == "{}/2":
+                texts.append(form.format(t))
+            else:
+                texts.append(form.format(t // 2) if t % 2 == 0 else f"{t}/2")
+        got = HCParameter.parse(",".join(texts))
+        assert got == HCParameter(tuple(F(x) for x in texts)) == lv
+        assert got._two == lv._two and str(got) == str(lv)
+        assert all(e is weights._half(t) for e, t in zip(got.entries, got._two))
+
+    @pytest.mark.parametrize("text, message", PARSE_REFUSALS)
+    def test_refusals_keep_their_text(self, text, message):
+        with pytest.raises(InvalidParameterError) as info:
+            HCParameter.parse(text)
+        assert type(info.value) is InvalidParameterError and str(info.value) == message
+
+    def test_other_text_takes_the_fraction_route(self):
+        # non-ASCII decimal digits, and a plain entry past int's digit limit,
+        # read as Fraction reads them
+        assert HCParameter.parse("\u0663/2,-7/2") == HCParameter.of(F(3, 2), F(-7, 2))
+        huge = "9" * 5000
+        try:
+            F(huge)
+        except ValueError as exc:
+            expected = f"bad entry at position 0: cannot parse half-integer {huge!r}: {exc}"
+            with pytest.raises(InvalidParameterError) as info:
+                HCParameter.parse(huge + ",1")
+            assert str(info.value) == expected
+        else:  # no digit limit in this interpreter
+            assert HCParameter.parse(huge + ",1").entries[0] == F(huge)
+
+    def test_checks_and_texts_of_the_integer_constructor(self):
+        for two in [(3, 3), (1, 3), (3, 0), (1,)]:
+            with pytest.raises(InvalidParameterError) as from_two:
+                HCParameter._from_two(two)
+            with pytest.raises(InvalidParameterError) as from_fractions:
+                HCParameter(tuple(F(t, 2) for t in two))
+            assert str(from_two.value) == str(from_fractions.value)
+        lv = HCParameter._from_two((5, 1, -3))
+        assert lv == lam("5/2", "1/2", "-3/2") and str(lv) == "(5/2,1/2,-3/2)"
+        assert str(HCParameter._from_two((4, 0, -6))) == "(2,0,-3)"
 
 
 # every refusal of HCParameter, with the exception text it has always had
